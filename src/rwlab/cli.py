@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 from . import fileformats as ff
@@ -82,6 +83,11 @@ def _diagnostic(level: str, code: str, message: str) -> None:
     sys.stderr.write(json.dumps(
         {"level": level, "code": code, "message": message}, sort_keys=True
     ) + "\n")
+
+
+def _warning_diagnostic(message, category, filename, lineno, file=None, line=None) -> None:
+    """warnings.showwarning replacement: one JSON warning record on stderr."""
+    _diagnostic("warning", category.__name__, str(message))
 
 
 def load_config(args) -> ExperimentConfig:
@@ -433,15 +439,17 @@ def main(argv=None) -> int:
     parser.add_argument("--truncation", type=int, help="quadrature / operator size")
     parser.add_argument("--horizon", type=int, help="maximal sequence index")
     args = parser.parse_args(argv)
-    try:
-        cfg = load_config(args)
-        return HANDLERS[args.subcommand](cfg)
-    except InputError as exc:
-        _diagnostic("error", "input", str(exc))
-        return 3
-    except RwlabError as exc:
-        _diagnostic("error", type(exc).__name__, str(exc))
-        return 3
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_diagnostic
+        try:
+            cfg = load_config(args)
+            return HANDLERS[args.subcommand](cfg)
+        except InputError as exc:
+            _diagnostic("error", "input", str(exc))
+            return 3
+        except RwlabError as exc:
+            _diagnostic("error", type(exc).__name__, str(exc))
+            return 3
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@
 
 Every failure mode that callers are expected to catch has its own class;
 anything else is a plain bug and surfaces as a standard Python exception.
+Warning classes mark decisions that change how a result was computed but
+not whether it is valid.
 """
 
 
@@ -75,3 +77,9 @@ class InconsistentWeightError(RwlabError):
 
 class InputError(RwlabError):
     """Bad file, config or CLI input."""
+
+
+class NumericalRouteWarning(UserWarning):
+    """A numerical stage left its default route for a safer, slower one
+    (for example, the Stieltjes recursion fell back to full
+    reorthogonalization); the result is still valid."""

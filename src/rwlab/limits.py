@@ -69,10 +69,17 @@ def estimate_limit(seq, min_len: int = 16) -> LimitEstimate:
     past 1e12.
     """
     s = np.asarray([float(v) for v in seq], dtype=float)
-    s = s[np.isfinite(s)] if not np.all(np.isfinite(s)) else s
+    # positions in the caller's sequence of the finite entries kept, so
+    # n_used indexes seq even when non-finite entries are dropped
+    index = np.flatnonzero(np.isfinite(s))
+    s = s[index]
     if len(s) < min_len:
         raise ValueError(f"need at least {min_len} finite entries, got {len(s)}")
     n = len(s)
+
+    def span(lo: int) -> tuple[int, int]:
+        return int(index[lo]), int(index[n - 1])
+
     tail = s[_window(s)]
     scale = max(np.max(np.abs(tail)), 1e-300)
 
@@ -83,12 +90,12 @@ def estimate_limit(seq, min_len: int = 16) -> LimitEstimate:
         spread = max(np.max(ev) - np.min(ev), np.max(od) - np.min(od))
         if gap > 1e-9 * scale and gap > 8 * spread:
             return LimitEstimate("none", math.nan, math.nan, "tail-window",
-                                 (n - len(tail), n - 1))
+                                 span(n - len(tail)))
 
     # divergence to +infinity
     if np.all(tail > 0) and tail[-1] > 1e12 and np.all(np.diff(tail) >= 0):
         return LimitEstimate("infinite", INF, INF, "tail-window",
-                             (n - len(tail), n - 1))
+                             span(n - len(tail)))
 
     diffs = np.diff(tail)
     monotone = np.all(diffs >= 0) or np.all(diffs <= 0)
@@ -104,9 +111,9 @@ def estimate_limit(seq, min_len: int = 16) -> LimitEstimate:
                 value = float(np.mean(win))
                 unc = max(acc_spread, abs(float(win[-1]) - value))
                 return LimitEstimate("finite", value, unc, "aitken",
-                                     (len(acc) - len(win) + 2, n - 1))
+                                     span(len(acc) - len(win) + 2))
 
     value = float(np.mean(tail))
     unc = float(np.max(tail) - np.min(tail))
     return LimitEstimate("finite", value, unc, "tail-window",
-                         (n - len(tail), n - 1))
+                         span(n - len(tail)))

@@ -135,27 +135,41 @@ def compute_Cn(measure: DiscreteMeasure, n: int, digits: int = DEFAULT_DIGITS) -
     return CnValue(n, value, ln * log10 if ln != NEG_INF else NEG_INF, lp * log10)
 
 
+CN_BLOCK_ROWS = 256
+
+
 def cn_series(measure: DiscreteMeasure, n_max: int, digits: int = DEFAULT_DIGITS) -> np.ndarray:
-    """C_n for n = 0..n_max (vectorized log-space evaluation)."""
+    """C_n for n = 0..n_max (vectorized log-space evaluation).
+
+    Rows n are processed CN_BLOCK_ROWS at a time, so memory stays at one
+    block of (rows x nodes) arrays; each row's reduction is the same as
+    over the full array."""
     x = measure.nodes
     w = measure.weights
     pos = x > ZERO_NODE_TOL
     neg = x < -ZERO_NODE_TOL
     if not np.any(pos):
         raise ZeroDenominatorError("measure has no positive nodes")
-    ns = np.arange(n_max + 1)[:, None]
+    if not np.any(neg):
+        return np.zeros(n_max + 1)
     with np.errstate(divide="ignore"):
-        lw_pos = np.log(w[pos])[None, :] + ns * np.log(x[pos])[None, :]
-    mpos = lw_pos.max(axis=1, keepdims=True)
-    log_pos = mpos[:, 0] + np.log(np.exp(lw_pos - mpos).sum(axis=1))
-    if np.any(neg):
-        with np.errstate(divide="ignore"):
-            lw_neg = np.log(w[neg])[None, :] + ns * np.log(-x[neg])[None, :]
-        mneg = lw_neg.max(axis=1, keepdims=True)
-        log_neg = mneg[:, 0] + np.log(np.exp(lw_neg - mneg).sum(axis=1))
+        lw_pos, lx_pos = np.log(w[pos]), np.log(x[pos])
+        lw_neg, lx_neg = np.log(w[neg]), np.log(-x[neg])
+    out = np.empty(n_max + 1)
+    for lo in range(0, n_max + 1, CN_BLOCK_ROWS):
+        ns = np.arange(lo, min(lo + CN_BLOCK_ROWS, n_max + 1))[:, None]
+        log_pos = _log_power_sums(lw_pos, lx_pos, ns)
+        log_neg = _log_power_sums(lw_neg, lx_neg, ns)
         with np.errstate(over="ignore"):
-            return np.exp(log_neg - log_pos)
-    return np.zeros(n_max + 1)
+            out[lo: lo + len(ns)] = np.exp(log_neg - log_pos)
+    return out
+
+
+def _log_power_sums(log_w: np.ndarray, log_abs_x: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """log sum_i w_i |x_i|^n for each n in the column ns (log-sum-exp by rows)."""
+    lw = log_w[None, :] + ns * log_abs_x[None, :]
+    m = lw.max(axis=1, keepdims=True)
+    return m[:, 0] + np.log(np.exp(lw - m).sum(axis=1))
 
 
 def L_functional(

@@ -2,6 +2,13 @@
 weight, run the Stieltjes/Lanczos inner-product recursion for recurrence
 coefficients, and solve for one-step probabilities under p + q + r = 1.
 
+Each stage works at the precision its data carries.  On the float64
+backend the recursion runs without reorthogonalization and is kept only
+when a measured loss of orthogonality certifies it; otherwise it is rerun
+with full reorthogonalization and a NumericalRouteWarning says so.  The
+recovered coefficients are float-rounded (small dyadic Fractions), with
+p_k completing each row so that p + q + r = 1 holds exactly.
+
 Recovery failure (a negative diagonal or an infeasible p_k) is a first-class
 result carrying the first failing index, so experiments can map where the
 random-walk-measure condition breaks.
@@ -9,6 +16,8 @@ random-walk-measure condition breaks.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,7 +27,7 @@ import numpy as np
 
 from . import expressions as ex
 from .chains import ChainSpec, CoeffRule, DEFAULT_DIGITS
-from .errors import InputError, StieltjesBreakdownError
+from .errors import InputError, NumericalRouteWarning, StieltjesBreakdownError
 from .measures import DiscreteMeasure, _measure_from_arrays
 from .numeric import mpf_from_fraction
 from .tridiagonal import FLOAT_DIGITS
@@ -226,22 +235,54 @@ def stieltjes_recurrence(
     """First n recurrence coefficients of the discrete measure by the
     inner-product (Stieltjes/Lanczos) recursion.
 
-    The float64 backend reorthogonalizes by default, which keeps deep
-    recursions (thousands of coefficients) at working accuracy; the
-    high-precision backend relies on extra digits instead.
+    On the float64 backend, reorthogonalize=True reorthogonalizes every
+    step against the whole basis and False never does.  The default (None)
+    runs the plain recursion and verifies it: the basis V is kept and the
+    loss of orthogonality max|V^T V - I| is measured once.  When it is at
+    most sqrt(eps) (semi-orthogonality), the plain coefficients are
+    accurate to working precision (Simon 1984; Gautschi 2004, sec. 2.2)
+    and are returned.  Otherwise (typically a grid too coarse for the
+    depth), or when the plain recursion breaks down, the fully
+    reorthogonalized recursion is rerun, its result is returned
+    (bit-identical to True) and a NumericalRouteWarning reports the
+    fallback.  The high-precision backend relies on extra digits instead.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > len(measure) // 2:
         raise ValueError(f"n = {n} exceeds half the node count {len(measure)}")
-    if digits <= FLOAT_DIGITS:
-        return _stieltjes_f64(
-            measure, n, True if reorthogonalize is None else reorthogonalize
-        )
-    return _stieltjes_mpf(measure, n, digits)
+    if digits > FLOAT_DIGITS:
+        return _stieltjes_mpf(measure, n, digits)
+    if reorthogonalize is not None:
+        return _stieltjes_f64(measure, n, reorthogonalize)[0]
+    tol = math.sqrt(np.finfo(float).eps)
+    try:
+        coeffs, basis = _stieltjes_f64(measure, n, False)
+    except StieltjesBreakdownError as exc:
+        reason = f"the plain recursion broke down ({exc})"
+    else:
+        loss = _orthogonality_loss(basis)
+        if loss <= tol:
+            return coeffs
+        reason = f"max|V^T V - I| = {loss:.3g} > sqrt(eps) = {tol:.3g}"
+        del basis  # free it before the rerun builds its own
+    warnings.warn(NumericalRouteWarning(
+        f"Stieltjes recursion to depth {n} on {len(measure)} nodes: {reason}; "
+        f"rerun with full reorthogonalization"
+    ), stacklevel=2)
+    return _stieltjes_f64(measure, n, True)[0]
 
 
-def _stieltjes_f64(measure, n, reorth) -> RecurrenceCoefficients:
+def _orthogonality_loss(basis: np.ndarray) -> float:
+    """max|V^T V - I| over the basis columns, from one BLAS-3 product."""
+    gram = basis.T @ basis
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return float(np.max(np.abs(gram)))
+
+
+def _stieltjes_f64(measure, n, reorth) -> tuple[RecurrenceCoefficients, np.ndarray]:
+    """The float64 recursion; returns the coefficients and the orthonormal
+    basis it built (n + 1 columns)."""
     x = measure.nodes
     v = np.sqrt(measure.weights)
     v = v / np.linalg.norm(v)
@@ -268,7 +309,7 @@ def _stieltjes_f64(measure, n, reorth) -> RecurrenceCoefficients:
         v_prev, v = v, u / norm
         a_prev = norm
         basis[:, k + 1] = v
-    return RecurrenceCoefficients(a, b)
+    return RecurrenceCoefficients(a, b), basis
 
 
 def _stieltjes_mpf(measure, n, digits) -> RecurrenceCoefficients:
@@ -329,6 +370,12 @@ def chain_from_recurrence(
 ) -> ChainRecovery:
     """Prefix-only chain from recurrence coefficients.
 
+    The coefficients are stored at the precision they carry: r_k = b_k and
+    q_k = fl(a_k^2 / float(p_{k-1})) are float values kept as (dyadic)
+    Fractions, and p_k = 1 - r_k - q_k is formed exactly, so every row sums
+    to exactly one while numerators and denominators stay near float size
+    at any depth (exact division would grow them linearly with k).
+
     Diagonal entries within zero_tol of 0 are treated as exactly 0 (so
     symmetric measures recover periodic chains); a genuinely negative
     diagonal or an infeasible p_k reports failure at that index.
@@ -347,8 +394,8 @@ def chain_from_recurrence(
         if k == 0:
             pk = 1 - rk
         else:
-            ak = Fraction(float(coeffs.a[k - 1]))
-            qk = ak * ak / p[k - 1]
+            ak = float(coeffs.a[k - 1])
+            qk = Fraction(ak * ak / float(p[k - 1]))
             q.append(qk)
             pk = 1 - rk - qk
         if pk <= zero_tol:

@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, exit codes, determinism, file round-trips."""
 
 import filecmp
+import json
 import os
 
 import pytest
@@ -64,6 +65,26 @@ def test_recover_failure_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "not-a-random-walk-measure" in err
     assert "index 0" in err or "r_0" in err
+
+
+@pytest.mark.parametrize("family, depth, code", [
+    ("weight_semicircle", 300, 0),
+    ("weight_d", 600, 3),  # the reorthogonalized chain fails at index 130
+])
+def test_recover_reports_stieltjes_fallback(tmp_path, capsys, family, depth, code):
+    # grid = 64 gives 3,360 nodes, too few for the depth: the Stieltjes
+    # check trips and the fallback is reported as one JSON warning record
+    config = tmp_path / "w.cfg"
+    config.write_text(ff.weight_to_text(getattr(families, family)())
+                      + f"\n[run]\nprecision = 15\ndepth = {depth}\ngrid = 64\n")
+    out = str(tmp_path / "o")
+    assert run("recover", "--config", str(config), "--out", out) == code
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    warned = [r for r in records if r["level"] == "warning"]
+    assert len(warned) == 1
+    assert warned[0]["code"] == "NumericalRouteWarning"
+    assert "reorthogonalization" in warned[0]["message"]
+    assert os.path.exists(os.path.join(out, "recovered_chain.txt")) == (code == 0)
 
 
 def test_missing_section_exit_code(tmp_path):

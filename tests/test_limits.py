@@ -55,3 +55,18 @@ def test_richardson():
     # error model c/K^2: the pair eliminates it
     f = lambda k: 2 - 3 / k**2
     assert richardson_pair(f(100), f(200), order=2) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_n_used_indexes_caller_sequence_when_dropping_nonfinite():
+    # a NaN inside the tail window is dropped; the window still ends at the
+    # caller's last index and starts where the caller's sequence does
+    seq = [1.0] * 40
+    seq[35] = math.nan
+    e = estimate_limit(seq)
+    assert e.method == "tail-window" and e.value == 1.0
+    assert e.n_used == (30, 39)
+    geo = [1 / 3 + 2.0**-n for n in range(40)]
+    geo[36] = math.nan
+    e = estimate_limit(geo)
+    assert e.method == "aitken"
+    assert e.n_used == (30, 39)

@@ -82,6 +82,22 @@ def test_cn_examples(quad400):
     assert compute_Cn(quad400["B"], 5).log10_negative == float("-inf")
 
 
+def test_cn_series_blocks_match_one_shot_reduction(quad400):
+    # reference: the whole (n_max + 1) x nodes log-sum-exp in one array;
+    # blocking rows must not change a single bit
+    m = quad400["C"]
+    n_max = 799
+    ns = np.arange(n_max + 1)[:, None]
+
+    def log_sums(mask, sign):
+        lw = np.log(m.weights[mask])[None, :] + ns * np.log(sign * m.nodes[mask])[None, :]
+        top = lw.max(axis=1, keepdims=True)
+        return top[:, 0] + np.log(np.exp(lw - top).sum(axis=1))
+
+    want = np.exp(log_sums(m.nodes < -1e-15, -1) - log_sums(m.nodes > 1e-15, 1))
+    assert np.array_equal(cn_series(m, n_max), want)
+
+
 def test_cn_weight_oracle():
     # independent oracle: adaptive quadrature of the weight-E density
     me = discretize_weight(families.weight_e(), 2000, digits=15)

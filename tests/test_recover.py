@@ -1,13 +1,14 @@
 """Weight discretization, the Stieltjes recursion, and chain recovery."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from rwlab import families
-from rwlab.errors import InputError
+from rwlab.errors import InputError, NumericalRouteWarning
 from rwlab.measures import moment
 from rwlab.recover import (
     RecurrenceCoefficients,
@@ -169,3 +170,44 @@ def test_rw_condition_verified_to_depth():
     assert rec.ok and rec.depth == 220
     assert all(rec.chain.r.at(j) > 0 for j in range(10))
     assert all(rec.chain.r.at(j) >= 0 for j in range(200))
+
+
+@pytest.fixture(scope="module")
+def measure_d600():
+    return discretize_weight(families.weight_d(), grid_size_for_depth(600), digits=15)
+
+
+def test_verified_plain_stieltjes_matches_reorthogonalized(measure_d600):
+    # on a grid that resolves the depth, the plain recursion passes its
+    # orthogonality check and agrees with full reorthogonalization
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NumericalRouteWarning)
+        plain = stieltjes_recurrence(measure_d600, 600, digits=15)
+    full = stieltjes_recurrence(measure_d600, 600, digits=15, reorthogonalize=True)
+    assert np.abs(plain.a - full.a).max() <= 1e-14
+    assert np.abs(plain.b - full.b).max() <= 1e-14
+
+
+def test_stieltjes_fallback_is_reorthogonalized_bit_for_bit():
+    # 3,360 nodes resolve about 130 coefficients: the plain recursion loses
+    # orthogonality, so the default path must return the reorthogonalized
+    # coefficients exactly and say so
+    m = discretize_weight(families.weight_d(), 64, digits=15)
+    with pytest.warns(NumericalRouteWarning, match="reorthogonalization"):
+        default = stieltjes_recurrence(m, 600, digits=15)
+    full = stieltjes_recurrence(m, 600, digits=15, reorthogonalize=True)
+    plain = stieltjes_recurrence(m, 600, digits=15, reorthogonalize=False)
+    assert np.array_equal(default.a, full.a)
+    assert np.array_equal(default.b, full.b)
+    assert np.abs(plain.a - full.a).max() > 1e-3  # the check is not idle here
+
+
+def test_recovered_coefficients_stay_small_with_exact_row_sums(measure_d600):
+    rec = chain_from_recurrence(stieltjes_recurrence(measure_d600, 600, digits=15))
+    assert rec.ok
+    p, q, r = rec.chain.p.prefix, rec.chain.q.prefix, rec.chain.r.prefix
+    assert len(p) == len(q) == len(r) == 600
+    for c in p + q + r:
+        assert c.numerator.bit_length() <= 128
+        assert c.denominator.bit_length() <= 128
+    assert all(p[k] + q[k] + r[k] == 1 for k in range(600))
