@@ -57,7 +57,6 @@ from .asymptotics import (
     conjecture_report,
     edge_exponents,
     edge_scaled_christoffel,
-    predicted_christoffel_ratio_limit,
     predicted_cn_limit,
     ratio_vanishing_criterion,
     regularity_check,

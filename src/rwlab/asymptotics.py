@@ -21,6 +21,7 @@ from .chains import (
     classify_series,
     is_periodic,
     killing_sum,
+    log_pi_mpf,
 )
 from .errors import InconsistentWeightError, NonpositiveQError
 from .limits import LimitEstimate, estimate_limit
@@ -102,14 +103,6 @@ def predicted_cn_limit(exps: EdgeExponents) -> float:
     return exps.w_at_minus_eta / exps.w_at_eta
 
 
-def predicted_christoffel_ratio_limit(
-    exps: EdgeExponents, regularity: LimitEstimate | None = None
-) -> float:
-    """Same case split as predicted_cn_limit; the n-th-root regularity of the
-    leading coefficients is a prerequisite and is recorded by the caller."""
-    return predicted_cn_limit(exps)
-
-
 @dataclass(frozen=True)
 class EpsWindowDiagnostic:
     """Edge-mass ratios psi([-eta, -eta+eps]) / psi([eta-eps, eta]) on a
@@ -169,18 +162,14 @@ def ratio_vanishing_criterion(
                 raise NonpositiveQError(
                     f"{chain.label}: Q_{j}(eta) <= 0 at eta = {float(eta)}"
                 )
-        log_pi = mp.mpf(0)
+        p, _, r, _ = chain.mpf_coefficients(n)
         inner = mp.mpf(0)
         terms = np.empty(n + 1)
         lt_terms = np.empty(n + 1)
-        for j in range(n + 1):
-            pj, qj, rj, _ = chain.mpf_at(j)
-            if j > 0:
-                p_prev = mpf_from_fraction(chain.p.at(j - 1))
-                log_pi += mp.log(p_prev) - mp.log(qj)
+        for j, log_pi in enumerate(log_pi_mpf(chain, n)):
             pi_j = mp.exp(log_pi)
-            inner += rj * pi_j * qv[j] * qv[j]
-            denom = pj * pi_j * qv[j] * qv[j + 1]
+            inner += r[j] * pi_j * qv[j] * qv[j]
+            denom = p[j] * pi_j * qv[j] * qv[j + 1]
             terms[j] = float(inner / denom)
             lt_terms[j] = float(1 / denom)
     return RatioVanishingCriterion(
@@ -343,16 +332,11 @@ def edge_scaled_christoffel(
     pos = q_values(chain, n_max, eta, dps)
     with mp.workdps(dps):
         neg = q_values(chain, n_max, -mp.mpf(eta), dps)
-        log_pi = mp.mpf(0)
         s_pos = mp.mpf(0)
         s_neg = mp.mpf(0)
         rows = []
         mark_set = set(marks)
-        for j in range(n_max + 1):
-            if j > 0:
-                p_prev = mpf_from_fraction(chain.p.at(j - 1))
-                qj = mpf_from_fraction(chain.q.at(j))
-                log_pi += mp.log(p_prev) - mp.log(qj)
+        for j, log_pi in enumerate(log_pi_mpf(chain, n_max)):
             w = mp.exp(log_pi)
             s_pos += w * pos[j] * pos[j]
             s_neg += w * neg[j] * neg[j]

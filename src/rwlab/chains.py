@@ -11,7 +11,7 @@ double sums, and periodicity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
@@ -88,6 +88,9 @@ class ChainSpec:
     q: CoeffRule
     r: CoeffRule
     kappa: CoeffRule = CoeffRule((), ZERO)
+    # mp.prec -> mpf columns p, q, r, kappa and the ln pi prefix; grows on
+    # demand and is invisible to ==, hash and repr
+    _mpf: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def depth(self) -> float:
@@ -99,10 +102,24 @@ class ChainSpec:
     def arrays(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return (self.p.array(n), self.q.array(n), self.r.array(n), self.kappa.array(n))
 
-    def mpf_at(self, j: int):
-        return tuple(mpf_from_fraction(v) for v in self.at(j))
+    def _memo(self) -> tuple[list, list, list, list, list]:
+        memo = self._mpf.get(mp.mp.prec)
+        if memo is None:
+            memo = self._mpf[mp.mp.prec] = ([], [], [], [], [mp.mpf(0)])
+        return memo
 
-    def has_killing(self, horizon: int = 256) -> bool:
+    def mpf_coefficients(self, n: int) -> tuple[list, list, list, list]:
+        """p, q, r, kappa as mpf lists covering j = 0..n (they may run
+        longer) at the current working precision.  Each coefficient is
+        converted once per precision and then read from the memo."""
+        memo = self._memo()
+        cols = memo[:4]
+        for j in range(len(cols[0]), n + 1):
+            for col, v in zip(cols, self.at(j)):
+                col.append(mpf_from_fraction(v))
+        return cols
+
+    def has_killing(self) -> bool:
         if any(v != 0 for v in self.kappa.prefix):
             return True
         if self.kappa.tail is None:
@@ -153,15 +170,14 @@ def is_periodic(chain: ChainSpec) -> bool:
 
 
 def log_pi_mpf(chain: ChainSpec, n: int) -> list:
-    """ln pi_j for j = 0..n at the current working precision."""
-    logs = [mp.mpf(0)]
-    acc = mp.mpf(0)
-    for j in range(n):
-        p = mpf_from_fraction(chain.p.at(j))
-        q = mpf_from_fraction(chain.q.at(j + 1))
-        acc += mp.log(p) - mp.log(q)
-        logs.append(acc)
-    return logs
+    """ln pi_j for j = 0..n at the current working precision (the running
+    sum of ln p_j - ln q_{j+1}, memoized with the chain's mpf columns)."""
+    logs = chain._memo()[4]
+    if len(logs) <= n:
+        p, q, _, _ = chain.mpf_coefficients(n)
+        for j in range(len(logs) - 1, n):
+            logs.append(logs[-1] + (mp.log(p[j]) - mp.log(q[j + 1])))
+    return logs[: n + 1]
 
 
 def potential_coefficients(
@@ -296,28 +312,21 @@ def _weighted_double_sum(weights: np.ndarray, p: np.ndarray, logpi: np.ndarray):
 
 def _inverse_ppi_terms_mpf(chain: ChainSpec, n: int, digits: int) -> np.ndarray:
     with mp.workdps(digits):
-        terms = np.empty(n + 1)
-        log_pi = mp.mpf(0)
-        for j in range(n + 1):
-            p, q, _, _ = chain.mpf_at(j)
-            if j > 0:
-                log_pi += mp.log(mpf_from_fraction(chain.p.at(j - 1))) - mp.log(q)
-            terms[j] = float(mp.exp(-(mp.log(p) + log_pi)))
-    return terms
+        p, _, _, _ = chain.mpf_coefficients(n)
+        log_pi = log_pi_mpf(chain, n)
+        return np.array([float(mp.exp(-(mp.log(p[j]) + log_pi[j]))) for j in range(n + 1)])
 
 
 def _double_sum_terms_mpf(chain: ChainSpec, n: int, which: str, digits: int) -> np.ndarray:
     with mp.workdps(digits):
+        p, _, r, k = chain.mpf_coefficients(n)
+        weight = r if which == "r" else k
         terms = np.empty(n + 1)
-        log_pi = mp.mpf(0)
         inner = mp.mpf(0)
-        for j in range(n + 1):
-            p, q, r, k = chain.mpf_at(j)
-            if j > 0:
-                log_pi += mp.log(mpf_from_fraction(chain.p.at(j - 1))) - mp.log(q)
-            pi_j = mp.exp(log_pi)
-            inner += (r if which == "r" else k) * pi_j
-            terms[j] = float(inner / (p * pi_j))
+        for j, lp in enumerate(log_pi_mpf(chain, n)):
+            pi_j = mp.exp(lp)
+            inner += weight[j] * pi_j
+            terms[j] = float(inner / (p[j] * pi_j))
     return terms
 
 
@@ -345,7 +354,7 @@ def asymptotic_aperiodicity_sum(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if chain.has_killing(horizon=max(256, n)):
+    if chain.has_killing():
         raise ChainHasKillingError(
             f"{chain.label}: aperiodicity sum is defined for honest chains only"
         )
@@ -365,10 +374,8 @@ def rj_over_pj_sum(chain: ChainSpec, n: int, digits: int = DEFAULT_DIGITS) -> Di
         terms = r / p
     else:
         with mp.workdps(digits):
-            terms = np.array([
-                float(mpf_from_fraction(chain.r.at(j)) / mpf_from_fraction(chain.p.at(j)))
-                for j in range(n + 1)
-            ])
+            p, _, r, _ = chain.mpf_coefficients(n)
+            terms = np.array([float(r[j] / p[j]) for j in range(n + 1)])
     return classify_series(np.cumsum(terms), terms)
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -21,7 +20,13 @@ from .errors import (
 )
 from .numeric import NEG_INF
 from .polynomials import q_values
-from .tridiagonal import FLOAT_DIGITS, golub_welsch_f64, golub_welsch_mpf, jacobi_arrays_f64
+from .tridiagonal import (
+    FLOAT_DIGITS,
+    _three_term,
+    golub_welsch_f64,
+    golub_welsch_mpf,
+    jacobi_arrays_f64,
+)
 
 ZERO_NODE_TOL = 1e-15
 
@@ -71,7 +76,7 @@ def quadrature_from_chain(chain: ChainSpec, N: int, digits: int = DEFAULT_DIGITS
     Exact for the first 2N-1 moments up to arithmetic error."""
     if N < 2:
         raise ValueError("N must be >= 2")
-    if chain.has_killing(horizon=max(256, N)):
+    if chain.has_killing():
         raise ChainHasKillingError(
             f"{chain.label}: quadrature is defined for honest chains"
         )
@@ -204,18 +209,11 @@ def L_functional(
     return num / den
 
 
-@lru_cache(maxsize=32)
 def _q_table_f64(chain: ChainSpec, deg: int, nodes: tuple) -> np.ndarray:
     """Q_0..Q_deg at the given nodes, float64 (bounded on the support)."""
     x = np.asarray(nodes)
     p, q, r, _ = chain.arrays(max(deg, 1))
-    tab = np.empty((deg + 1, len(x)))
-    tab[0] = 1.0
-    if deg >= 1:
-        tab[1] = (x - r[0]) / p[0]
-    for k in range(1, deg):
-        tab[k + 1] = ((x - r[k]) * tab[k] - q[k] * tab[k - 1]) / p[k]
-    return tab
+    return np.array([np.ones_like(x), *_three_term(x, p, q, r, deg)])
 
 
 # --- transition probabilities ---------------------------------------------------
@@ -244,11 +242,16 @@ def matrix_transition_vector(chain: ChainSpec, i: int, n: int, dim: int | None =
     v = np.zeros(dim)
     v[i] = 1.0
     for _ in range(n):
-        nxt = r[:dim] * v
-        nxt[1:] += p[: dim - 1] * v[:-1]
-        nxt[:-1] += q[1:dim] * v[1:]
-        v = nxt
+        v = _step(v, p, q, r)
     return v
+
+
+def _step(v: np.ndarray, p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """v P for a distribution row v on the states 0..len(v)-1 (len(p) = len(v))."""
+    nxt = r * v
+    nxt[1:] += p[:-1] * v[:-1]
+    nxt[:-1] += q[1:] * v[1:]
+    return nxt
 
 
 def spectral_transition(
@@ -448,18 +451,11 @@ def srlp_predicted_limit(
     vi = matrix_transition_vector(chain, i, 0, dim)
     vk = matrix_transition_vector(chain, k, 0, dim)
     p, q, r, _ = chain.arrays(dim - 1)
-
-    def step(v):
-        nxt = r[:dim] * v
-        nxt[1:] += p[: dim - 1] * v[:-1]
-        nxt[:-1] += q[1:dim] * v[1:]
-        return nxt
-
     ns = []
     ratios = []
     for n in range(1, horizon + 1):
-        vi = step(vi)
-        vk = step(vk)
+        vi = _step(vi, p, q, r)
+        vk = _step(vk, p, q, r)
         den = vk[l]
         if den > 0:
             ns.append(n)

@@ -52,14 +52,14 @@ def normalize(chain: ChainSpec, eta, depth: int, digits: int = DEFAULT_DIGITS) -
         p_t: list[Fraction] = []
         q_t: list[Fraction] = [Fraction(0)]
         r_t: list[Fraction] = []
+        p, q, r, _ = chain.mpf_coefficients(depth)
         for j in range(depth + 1):
-            pj, qj, rj, _ = chain.mpf_at(j)
             g = qv[j + 1] / qv[j]
-            p_t.append(_fraction_from_mpf(g * pj / eta_m))
-            r_t.append(_fraction_from_mpf(rj / eta_m))
+            p_t.append(_fraction_from_mpf(g * p[j] / eta_m))
+            r_t.append(_fraction_from_mpf(r[j] / eta_m))
             if j >= 1:
                 g_prev = qv[j] / qv[j - 1]
-                q_t.append(_fraction_from_mpf(qj / (g_prev * eta_m)))
+                q_t.append(_fraction_from_mpf(q[j] / (g_prev * eta_m)))
     tilde = ChainSpec(
         chain.label + "~",
         p=CoeffRule(tuple(p_t)),

@@ -39,11 +39,6 @@ class SignedLog:
     def log10(self) -> float:
         return self.log / math.log(10.0) if self.sign != 0 else NEG_INF
 
-    def __mul__(self, other: "SignedLog") -> "SignedLog":
-        if self.sign == 0 or other.sign == 0:
-            return SignedLog(0, NEG_INF)
-        return SignedLog(self.sign * other.sign, self.log + other.log)
-
 
 def signed_log(x) -> SignedLog:
     """SignedLog of an mpf/float, taking the log at current precision."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -31,6 +30,7 @@ from .tridiagonal import (
     extreme_eigen_mpf,
     jacobi_arrays_f64,
     jacobi_arrays_mpf,
+    _three_term,
 )
 
 
@@ -44,37 +44,11 @@ def to_mpf(x) -> mp.mpf:
     return mp.mpf(x)
 
 
-@lru_cache(maxsize=64)
-def _coeff_mpf_cached(chain: ChainSpec, n: int, dps: int):
-    """(p, q, r) mpf tuples for j = 0..n at dps working digits."""
-    with mp.workdps(dps):
-        p = []
-        q = []
-        r = []
-        for j in range(n + 1):
-            pj, qj, rj, _ = chain.mpf_at(j)
-            p.append(pj)
-            q.append(qj)
-            r.append(rj)
-    return tuple(p), tuple(q), tuple(r)
-
-
 def q_values(chain: ChainSpec, n: int, x, dps: int) -> list:
     """Q_0(x)..Q_n(x) as mpf at dps working digits (no overflow possible)."""
-    p, q, r = _coeff_mpf_cached(chain, max(n - 1, 0), dps)
     with mp.workdps(dps):
-        xm = to_mpf(x)
-        vals = [mp.mpf(1)]
-        if n == 0:
-            return vals
-        cur = (xm - r[0]) / p[0]
-        vals.append(cur)
-        prev = vals[0]
-        for k in range(1, n):
-            nxt = ((xm - r[k]) * cur - q[k] * prev) / p[k]
-            prev, cur = cur, nxt
-            vals.append(nxt)
-    return vals
+        p, q, r, _ = chain.mpf_coefficients(max(n - 1, 0))
+        return [mp.mpf(1), *_three_term(to_mpf(x), p, q, r, n)]
 
 
 @dataclass(frozen=True)
@@ -141,11 +115,10 @@ def leading_coefficient(chain: ChainSpec, n: int, digits: int = DEFAULT_DIGITS) 
     if n < 1:
         raise ValueError("n must be >= 1")
     with mp.workdps(digits):
+        p, q, _, _ = chain.mpf_coefficients(n)
         acc = mp.mpf(0)
         for i in range(1, n + 1):
-            acc += mp.log(mpf_from_fraction(chain.p.at(i - 1))) + mp.log(
-                mpf_from_fraction(chain.q.at(i))
-            )
+            acc += mp.log(p[i - 1]) + mp.log(q[i])
         return SignedLog(1, float(-acc / 2))
 
 
@@ -212,7 +185,7 @@ def cd_identity_residual(
     qy = q_values(chain, n + 1, y, dps)
     with mp.workdps(dps):
         logpi = log_pi_mpf(chain, n + 1)
-        pn = mpf_from_fraction(chain.p.at(n))
+        pn = chain.mpf_coefficients(n)[0][n]
         lhs = pn * mp.exp(logpi[n]) * (qx[n] * qy[n + 1] - qy[n] * qx[n + 1])
         rhs = (to_mpf(y) - to_mpf(x)) * mp.fsum(
             mp.exp(logpi[j]) * qx[j] * qy[j] for j in range(n + 1)
@@ -246,44 +219,39 @@ class SupportEdges:
 
 
 def _positivity_infimum(
-    chain: ChainSpec, horizon: int, lo: float, hi: float, tol: float,
-    digits: int, sign_flip: bool,
+    chain: ChainSpec, horizon: int, true_end: float, other_end: float,
+    tol: float, digits: int, sign: int,
 ) -> float:
-    """Bisection end point of {x : (+-1)^k Q_k(x) > 0 for all k <= horizon}.
+    """Bisection end point of {x : sign^k Q_k(x) > 0 for all k <= horizon}.
 
-    For the top edge (sign_flip False) returns the predicate-true end `hi`;
-    call with mirrored bracket for the bottom edge.
-    """
+    sign = 1 is the top-edge predicate (bracket [eta - pad, 1 + pad]),
+    sign = -1 the alternating bottom-edge one (bracket [-1 - pad,
+    zeta + pad]).  Returns the end of the final bracket on which the
+    predicate holds; `true_end` must satisfy it."""
     dps = digits + 8
 
-    def positive(xv: float) -> bool:
-        p, q, r = _coeff_mpf_cached(chain, horizon - 1, dps)
+    def holds(xv: float) -> bool:
         with mp.workdps(dps):
-            xm = mp.mpf(xv)
-            prev = mp.mpf(1)
-            cur = (xm - r[0]) / p[0]
-            if (-cur if sign_flip else cur) <= 0:
-                return False
-            for k in range(1, horizon):
-                prev, cur = cur, ((xm - r[k]) * cur - q[k] * prev) / p[k]
-                good = -cur if (sign_flip and (k + 1) % 2 == 1) else cur
-                if good <= 0:
+            p, q, r, _ = chain.mpf_coefficients(horizon - 1)
+            for k, cur in enumerate(_three_term(mp.mpf(xv), p, q, r, horizon), 1):
+                negative = sign < 0 and k % 2
+                if (cur >= 0) if negative else (cur <= 0):
                     return False
         return True
 
-    if not positive(hi):
-        raise MethodsDisagreeError(
-            f"{chain.label}: positivity predicate false at bracket end {hi}"
-        )
-    if positive(lo):
-        return lo
-    while hi - lo > tol / 8:
-        mid = 0.5 * (lo + hi)
-        if positive(mid):
-            hi = mid
+    if not holds(true_end):
+        kind = "positivity predicate false at bracket end" if sign > 0 else (
+            "alternating-positivity predicate false at")
+        raise MethodsDisagreeError(f"{chain.label}: {kind} {true_end}")
+    if holds(other_end):
+        return other_end
+    while abs(true_end - other_end) > tol / 8:
+        mid = 0.5 * (true_end + other_end)
+        if holds(mid):
+            true_end = mid
         else:
-            lo = mid
-    return hi
+            other_end = mid
+    return true_end
 
 
 def support_edges(
@@ -316,43 +284,8 @@ def support_edges(
     zeta_hat = richardson_pair(zeta_c, zeta_f, order=2)
 
     pad = max(10 * tol, 1e-9)
-    eta_bis = _positivity_infimum(
-        chain, truncation, eta_f - pad, 1.0 + pad, tol, digits, sign_flip=False
-    )
-    # bottom edge: mirror predicate, return the predicate-true (lower) end
-    lo, hi = -1.0 - pad, zeta_f + pad
-    dps = digits + 8
-
-    def negative_side(xv: float) -> bool:
-        p, q, r = _coeff_mpf_cached(chain, truncation - 1, dps)
-        with mp.workdps(dps):
-            xm = mp.mpf(xv)
-            prev = mp.mpf(1)
-            cur = (xm - r[0]) / p[0]
-            if -cur <= 0:
-                return False
-            sign = -1
-            for k in range(1, truncation):
-                prev, cur = cur, ((xm - r[k]) * cur - q[k] * prev) / p[k]
-                sign = -sign
-                if sign * cur <= 0:
-                    return False
-        return True
-
-    if not negative_side(lo):
-        raise MethodsDisagreeError(
-            f"{chain.label}: alternating-positivity predicate false at {lo}"
-        )
-    if negative_side(hi):
-        zeta_bis = hi
-    else:
-        while hi - lo > tol / 8:
-            mid = 0.5 * (lo + hi)
-            if negative_side(mid):
-                lo = mid
-            else:
-                hi = mid
-        zeta_bis = lo
+    eta_bis = _positivity_infimum(chain, truncation, 1.0 + pad, eta_f - pad, tol, digits, 1)
+    zeta_bis = _positivity_infimum(chain, truncation, -1.0 - pad, zeta_f + pad, tol, digits, -1)
 
     discrepancy = max(abs(eta_bis - eta_f), abs(zeta_bis - zeta_f))
     if discrepancy > 10 * tol:
@@ -387,10 +320,10 @@ def q_at_one_growth(chain: ChainSpec, n: int, digits: int = DEFAULT_DIGITS) -> l
         acc = mp.mpf(0)  # sum over j of (1/(p_j pi_j)) sum_{m<=j} kappa_m pi_m Q_m(1)
         inner = mp.mpf(0)
         tol = mp.mpf(10) ** (-(digits // 2))
+        p, _, _, kappa = chain.mpf_coefficients(n)
         for j in range(n):
-            pj, _, _, kj = chain.mpf_at(j)
-            inner += kj * mp.exp(logpi[j]) * vals[j]
-            acc += inner / (pj * mp.exp(logpi[j]))
+            inner += kappa[j] * mp.exp(logpi[j]) * vals[j]
+            acc += inner / (p[j] * mp.exp(logpi[j]))
             identity = 1 + acc
             if abs(identity - vals[j + 1]) > tol * max(1, abs(identity)):
                 raise IdentityMismatchError(

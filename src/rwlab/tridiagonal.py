@@ -26,16 +26,22 @@ def jacobi_arrays_f64(chain, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def jacobi_arrays_mpf(chain, size: int) -> tuple[list, list]:
-    d = []
-    e = []
-    prev_p = None
-    for j in range(size):
-        pj, qj, rj, _ = chain.mpf_at(j)
-        d.append(rj)
-        if j >= 1:
-            e.append(mp.sqrt(prev_p * qj))
-        prev_p = pj
-    return d, e
+    """jacobi_arrays_f64 as mpf at the current working precision."""
+    p, q, r, _ = chain.mpf_coefficients(size - 1)
+    return r[:size], [mp.sqrt(p[j - 1] * q[j]) for j in range(1, size)]
+
+
+def _three_term(x, p, q, r, n: int):
+    """Yield Q_1(x)..Q_n(x) of x Q_k = q_k Q_{k-1} + r_k Q_k + p_k Q_{k+1},
+    Q_0 = 1, q_0 = 0.
+
+    x is an mpf (iterate inside the working precision) or a float64 array
+    of nodes.  With (p, q, r) = (a[1:], a, b) and a[0] = 0 this is the
+    orthonormal Jacobi recurrence."""
+    prev, cur = 0, 1
+    for k in range(n):
+        prev, cur = cur, ((x - r[k]) * cur - q[k] * prev) / p[k]
+        yield cur
 
 
 def sturm_count(d: list, e: list, x) -> int:
@@ -91,25 +97,6 @@ def golub_welsch_f64(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return w, v[0, :] ** 2
 
 
-def orthonormal_eval(a: list, b: list, x, count: int):
-    """Orthonormal polynomial values p_0(x)..p_{count-1}(x).
-
-    a[k] = sqrt(p_{k-1} q_k) couples degree k-1 and k (a[0] unused);
-    b[k] = r_k.  Values stay order one at quadrature nodes.
-    """
-    vals = [mp.mpf(1)]
-    if count == 1:
-        return vals
-    prev = mp.mpf(1)
-    cur = (x - b[0]) / a[1]
-    vals.append(cur)
-    for k in range(1, count - 1):
-        nxt = ((x - b[k]) * cur - a[k] * prev) / a[k + 1]
-        prev, cur = cur, nxt
-        vals.append(cur)
-    return vals
-
-
 def _char_and_derivative(a: list, b: list, x, n: int):
     """Characteristic-polynomial surrogate for the n x n truncation and its
     derivative: u = (x - b_{n-1}) p_{n-1} - a_{n-1} p_{n-2}, whose zeros are
@@ -135,6 +122,7 @@ def golub_welsch_mpf(chain, size: int, digits: int):
         dg, eg = jacobi_arrays_mpf(chain, size)
         a = [mp.mpf(0)] + eg  # a[k], k = 1..size-1
         b = dg
+        a_up = a[1:]
         nodes = []
         weights = []
         for s in seeds:
@@ -144,7 +132,7 @@ def golub_welsch_mpf(chain, size: int, digits: int):
                 if du == 0:
                     break
                 x = x - u / du
-            vals = orthonormal_eval(a, b, x, size)
+            vals = [mp.mpf(1), *_three_term(x, a_up, a, b, size - 1)]
             weights.append(1 / mp.fsum(v * v for v in vals))
             nodes.append(x)
         order = sorted(range(size), key=lambda k: nodes[k])

@@ -14,7 +14,6 @@ from rwlab.asymptotics import (
     edge_exponents,
     edge_mass_ratio,
     edge_scaled_christoffel,
-    predicted_christoffel_ratio_limit,
     predicted_cn_limit,
     ratio_vanishing_criterion,
     regularity_check,
@@ -29,7 +28,6 @@ def test_predicted_limits():
     assert predicted_cn_limit(d) == 0.0
     e = edge_exponents(families.weight_e(), 20)
     assert predicted_cn_limit(e) == pytest.approx(1 / 3, rel=1e-12)
-    assert predicted_christoffel_ratio_limit(e) == pytest.approx(1 / 3, rel=1e-12)
     s = edge_exponents(families.weight_semicircle(), 20)
     assert predicted_cn_limit(s) == pytest.approx(1.0, rel=1e-12)
 

@@ -171,3 +171,32 @@ def test_random_chain_kernel_identity(chain):
     from rwlab.polynomials import cd_identity_residual
 
     assert cd_identity_residual(chain, 12, 0.25, -0.6) < 1e-12
+
+
+def test_no_hot_path_hashes_a_chain(monkeypatch):
+    # mpf coefficients and ln pi are memoized on the chain itself, so no
+    # cache keyed by a hashed ChainSpec sits on any of these paths
+    from rwlab.asymptotics import conjecture_report
+    from rwlab.measures import quadrature_from_chain, srlp_predicted_limit
+    from rwlab.normalization import normalize
+    from rwlab.polynomials import (
+        absorption_probabilities,
+        christoffel_ratio_sequence,
+        support_edges,
+    )
+
+    def refuse(self):
+        raise AssertionError(f"{self.label} was hashed")
+
+    monkeypatch.setattr(ChainSpec, "__hash__", refuse)
+    chain = families.chain_shifted_arcsine()
+    conjecture_report(chain=chain, N=60, n_max=100, truncation=200,
+                      sum_horizon=200, digits=15)
+    conjecture_report(weight=families.weight_e(), N=60, n_max=60, truncation=200,
+                      sum_horizon=200, digits=15)
+    support_edges(chain, 60, tol=1e-4, digits=34)
+    quadrature_from_chain(chain, 20, digits=34)
+    normalize(chain, 1.0, 50)
+    srlp_predicted_limit(chain, 0, 1, 0, 0, 1.0, horizon=50)
+    christoffel_ratio_sequence(chain, 100, 1.0)
+    absorption_probabilities(families.chain_k(), 4, 200)
