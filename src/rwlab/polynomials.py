@@ -266,17 +266,17 @@ def support_edges(
     if truncation < 50:
         raise ValueError("truncation must be >= 50")
     sizes = (truncation // 2, truncation)
-    if digits <= FLOAT_DIGITS:
-        ems = []
-        for sz in sizes:
+    ems = []
+    for sz in sizes:
+        if digits <= FLOAT_DIGITS:
             d, e = jacobi_arrays_f64(chain, sz)
             ems.append((extreme_eigen_f64(d, e, "max"),
                         extreme_eigen_f64(d, e, "min")))
-    else:
-        ems = []
-        for sz in sizes:
-            d, e = jacobi_arrays_mpf(chain, sz)
+        else:
+            # the matrix entries carry the working precision the eigenvalues
+            # are bisected at (the same memo entry serves the positivity route)
             with mp.workdps(digits + 8):
+                d, e = jacobi_arrays_mpf(chain, sz)
                 ems.append((float(extreme_eigen_mpf(d, e, "max", digits)),
                             float(extreme_eigen_mpf(d, e, "min", digits))))
     (eta_c, zeta_c), (eta_f, zeta_f) = ems
