@@ -256,6 +256,15 @@ def cmd_normalize(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _grid_blame(grid: int, depth: int) -> str:
+    """Clause for a recovery failure on a grid too coarse for the depth."""
+    needed = grid_size_for_depth(depth)
+    if grid >= needed:
+        return ""
+    return (f"; grid = {grid} is below grid_size_for_depth({depth}) = {needed}, "
+            "so the failing index may be the grid's fault rather than the weight's")
+
+
 def cmd_recover(cfg: ExperimentConfig) -> int:
     weight = cfg.require_weight()
     depth = _opt(cfg, "depth", 64)
@@ -271,7 +280,8 @@ def cmd_recover(cfg: ExperimentConfig) -> int:
     )
     if not recovery.ok:
         _diagnostic("error", "not-a-random-walk-measure",
-                    f"{weight.label}: {recovery.fail_reason} (index {recovery.fail_index})")
+                    f"{weight.label}: {recovery.fail_reason} (index {recovery.fail_index})"
+                    + _grid_blame(grid, depth))
         return 3
     atomic_write(_path(cfg, "recovered_chain.txt"),
                  ff.chain_to_text(recovery.chain, comment=f"recovered from {weight.label}"))
@@ -347,11 +357,13 @@ def cmd_conjecture(cfg: ExperimentConfig) -> int:
 def cmd_dt_check(cfg: ExperimentConfig) -> int:
     weight = cfg.require_weight()
     n_max = cfg.horizon
-    m = discretize_weight(weight, _opt(cfg, "grid", grid_size_for_depth(n_max)), cfg.precision)
+    grid = _opt(cfg, "grid", grid_size_for_depth(n_max))
+    m = discretize_weight(weight, grid, cfg.precision)
     coeffs = stieltjes_recurrence(m, n_max, cfg.precision)
     recovery = chain_from_recurrence(coeffs, label=weight.label + "-chain")
     if not recovery.ok:
-        _diagnostic("error", "not-a-random-walk-measure", str(recovery.fail_reason))
+        _diagnostic("error", "not-a-random-walk-measure",
+                    str(recovery.fail_reason) + _grid_blame(grid, n_max))
         return 3
     exps = edge_exponents(weight, cfg.precision)
     e = support_edges(recovery.chain, min(cfg.truncation, n_max), digits=min(cfg.precision, 15))

@@ -85,6 +85,10 @@ def test_recover_reports_stieltjes_fallback(tmp_path, capsys, family, depth, cod
     assert warned[0]["code"] == "NumericalRouteWarning"
     assert "reorthogonalization" in warned[0]["message"]
     assert os.path.exists(os.path.join(out, "recovered_chain.txt")) == (code == 0)
+    # the failure record blames the under-resolved grid, not only the weight
+    failed = [r for r in records if r["level"] == "error"]
+    assert len(failed) == (code != 0)
+    assert all("grid_size_for_depth(600) = " in r["message"] for r in failed)
 
 
 def test_missing_section_exit_code(tmp_path):
