@@ -1,9 +1,13 @@
 """Evaluation of the chain's polynomial family and derived quantities.
 
 The Q_n satisfy x Q_n = q_n Q_{n-1} + r_n Q_n + p_n Q_{n+1} with Q_0 = 1 and
-p_0 Q_1 = x - r_0, so Q_n(1) = 1 for honest chains.  Everything here runs the
-forward recurrence in mpmath (whose unbounded exponent absorbs the growth
-that overflows float64) and reports sign/log-magnitude values.
+p_0 Q_1 = x - r_0, so Q_n(1) = 1 for honest chains.  Everything here runs
+that forward recurrence (tridiagonal._three_term) in mpmath, whose unbounded
+exponent absorbs the growth that overflows float64, on the coefficients and
+ln pi_j the chain memoizes per working precision; values leave as
+sign/log-magnitude pairs or floats.  Support edges come from two routes: the
+extreme eigenvalues of the Jacobi truncation, and bisection on the
+sign pattern of Q_1..Q_N that marks a point outside the support.
 """
 
 from __future__ import annotations
