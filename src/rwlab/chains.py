@@ -103,6 +103,7 @@ class ChainSpec:
         return (self.p.array(n), self.q.array(n), self.r.array(n), self.kappa.array(n))
 
     def _memo(self) -> tuple[list, list, list, list, list]:
+        """(p, q, r, kappa, ln pi) mpf lists at the current precision."""
         memo = self._mpf.get(mp.mp.prec)
         if memo is None:
             memo = self._mpf[mp.mp.prec] = ([], [], [], [], [mp.mpf(0)])
@@ -112,8 +113,7 @@ class ChainSpec:
         """p, q, r, kappa as mpf lists covering j = 0..n (they may run
         longer) at the current working precision.  Each coefficient is
         converted once per precision and then read from the memo."""
-        memo = self._memo()
-        cols = memo[:4]
+        cols = self._memo()[:4]
         for j in range(len(cols[0]), n + 1):
             for col, v in zip(cols, self.at(j)):
                 col.append(mpf_from_fraction(v))
@@ -172,7 +172,7 @@ def is_periodic(chain: ChainSpec) -> bool:
 def log_pi_mpf(chain: ChainSpec, n: int) -> list:
     """ln pi_j for j = 0..n at the current working precision (the running
     sum of ln p_j - ln q_{j+1}, memoized with the chain's mpf columns)."""
-    logs = chain._memo()[4]
+    *_, logs = chain._memo()
     if len(logs) <= n:
         p, q, _, _ = chain.mpf_coefficients(n)
         for j in range(len(logs) - 1, n):
