@@ -122,7 +122,6 @@ def golub_welsch_mpf(chain, size: int, digits: int):
         dg, eg = jacobi_arrays_mpf(chain, size)
         a = [mp.mpf(0)] + eg  # a[k], k = 1..size-1
         b = dg
-        a_up = a[1:]
         nodes = []
         weights = []
         for s in seeds:
@@ -132,7 +131,7 @@ def golub_welsch_mpf(chain, size: int, digits: int):
                 if du == 0:
                     break
                 x = x - u / du
-            vals = [mp.mpf(1), *_three_term(x, a_up, a, b, size - 1)]
+            vals = [mp.mpf(1), *_three_term(x, eg, a, b, size - 1)]
             weights.append(1 / mp.fsum(v * v for v in vals))
             nodes.append(x)
         order = sorted(range(size), key=lambda k: nodes[k])
