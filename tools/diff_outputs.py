@@ -28,10 +28,13 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(ROOT, "configs")
 
-CHAIN_ONLY = ("chain-info", "polys", "edges", "christoffel", "normalize",
-              "srlp", "absorb", "mc")
-WEIGHT_ONLY = ("recover", "dt-check")
-EITHER = ("measure", "cn", "conjecture")
+# subcommand -> the config sections it runs on
+ACCEPTS = {
+    **dict.fromkeys(("chain-info", "polys", "edges", "christoffel", "normalize",
+                     "srlp", "absorb", "mc"), {"chain"}),
+    **dict.fromkeys(("recover", "dt-check"), {"weight"}),
+    **dict.fromkeys(("measure", "cn", "conjecture"), {"chain", "weight"}),
+}
 
 HIGH_PRECISION = [
     (sub, name, ("--precision", "34", *flags))
@@ -57,14 +60,7 @@ def job_matrix() -> list[tuple[str, str, tuple[str, ...]]]:
     jobs = []
     for cfg in sorted(f[:-4] for f in os.listdir(CONFIGS) if f.endswith(".cfg")):
         have = _sections(os.path.join(CONFIGS, cfg + ".cfg"))
-        for sub in CHAIN_ONLY + WEIGHT_ONLY + EITHER:
-            needs_chain = sub in CHAIN_ONLY
-            needs_weight = sub in WEIGHT_ONLY
-            if needs_chain and "chain" not in have or needs_weight and "weight" not in have:
-                continue
-            if sub in EITHER and not have & {"chain", "weight"}:
-                continue
-            jobs.append((sub, cfg, ()))
+        jobs += [(sub, cfg, ()) for sub, sections in ACCEPTS.items() if sections & have]
     return jobs + HIGH_PRECISION
 
 
