@@ -15,6 +15,8 @@ from rwlab.measures import (
     compute_Cn,
     matrix_transition_vector,
     moment,
+    monte_carlo_absorption,
+    monte_carlo_eventual_absorption,
     monte_carlo_transition,
     quadrature_from_chain,
     spectral_transition,
@@ -173,6 +175,21 @@ def test_monte_carlo_killing():
     est, se = monte_carlo_transition(chain, 0, 0, 2, 10**5, seed=7)
     v = matrix_transition_vector(chain, 0, 2)
     assert abs(est - float(v[0])) <= 4 * se
+
+
+def test_monte_carlo_streams_pinned():
+    # exact values of the seeded streams: the down/hold/up/kill decision of
+    # every uniform, the draw pattern and the standard errors must not move
+    chain_k = families.chain_k()
+    assert monte_carlo_transition(chain_k, 0, 0, 8, 10**4, seed=5) == (
+        0.0604, 0.0023822644689454613)
+    assert monte_carlo_absorption(
+        families.chain_transient_killing(), 0, 300, 10**4, seed=3
+    ) == (0.395, 0.0048885069295235735)
+    res = monte_carlo_eventual_absorption(chain_k, 0, 10**4, seed=2)
+    assert res.estimate == 0.9950145569620252
+    assert res.std_error == 0.0020173437422400437
+    assert res.absorbed_fractions == (0.9519, 0.978, 0.9883)
 
 
 def test_srlp_predictions(chain_b):
