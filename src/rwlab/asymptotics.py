@@ -29,6 +29,7 @@ from .measures import DiscreteMeasure, cn_series, quadrature_from_chain
 from .numeric import mpf_from_fraction
 from .polynomials import (
     SupportEdges,
+    _two_sided_sums,
     christoffel_ratio_sequence,
     q_values,
     support_edges,
@@ -217,7 +218,7 @@ class BlumenthalPrediction:
     premises: dict
 
 
-def blumenthal_edges(chain: ChainSpec, digits: int = DEFAULT_DIGITS, horizon: int = 4000) -> BlumenthalPrediction:
+def blumenthal_edges(chain: ChainSpec, digits: int = DEFAULT_DIGITS) -> BlumenthalPrediction:
     from . import expressions as ex
 
     premises: dict = {}
@@ -235,7 +236,7 @@ def blumenthal_edges(chain: ChainSpec, digits: int = DEFAULT_DIGITS, horizon: in
         return BlumenthalPrediction(False, None, None, premises)
     eta = 2 * math.sqrt(beta)
     try:
-        crit = ratio_vanishing_criterion(chain, eta, min(horizon, 2000), digits)
+        crit = ratio_vanishing_criterion(chain, eta, 2000, digits)
         premises["l_tilde"] = crit.l_tilde.verdict
         if crit.l_tilde.verdict == "diverges":
             return BlumenthalPrediction(False, None, None, premises)
@@ -250,21 +251,22 @@ class RegularityResult:
     """n-th roots of the orthonormal leading coefficients, with the two
     candidate limits they are compared against: 2*eta and the capacity
     normalization 2/eta.  The candidates agree for eta = 1; both are
-    reported and neither is asserted."""
+    reported and neither is asserted.  `matches` names the candidates within
+    max(0.02, 5 uncertainties) of the estimate."""
 
     values: np.ndarray
     estimate: LimitEstimate
     candidate_two_eta: float
     candidate_two_over_eta: float
 
-    def matches(self, tol: float = 0.02) -> str:
+    def matches(self) -> str:
         hits = []
         if self.estimate.is_finite:
             for name, cand in (
                 ("2*eta", self.candidate_two_eta),
                 ("2/eta", self.candidate_two_over_eta),
             ):
-                if abs(self.estimate.value - cand) <= max(tol, 5 * self.estimate.uncertainty):
+                if abs(self.estimate.value - cand) <= max(0.02, 5 * self.estimate.uncertainty):
                     hits.append(name)
         return ",".join(hits) if hits else "neither"
 
@@ -323,35 +325,21 @@ def edge_scaled_christoffel(
     eta: float,
     n_max: int,
     digits: int = DEFAULT_DIGITS,
-    count: int = 24,
 ) -> EdgeScalingResult:
     """One forward pass collecting rho_n(+-eta) at geometrically spaced n."""
     n_max = int(min(n_max, chain.depth - 1))
-    marks = sorted({int(v) for v in np.geomspace(max(8, n_max // 64), n_max, count)})
+    # below n_max = 8 the grid overshoots; rho_n needs n <= n_max + 1
+    marks = sorted({int(v) for v in np.geomspace(max(8, n_max // 64), n_max, 24)
+                    if int(v) <= n_max + 1})
     dps = digits + 8
-    pos = q_values(chain, n_max, eta, dps)
+    _, _, s_pos, s_neg = _two_sided_sums(chain, n_max, eta, dps)
     with mp.workdps(dps):
-        neg = q_values(chain, n_max, -mp.mpf(eta), dps)
-        s_pos = mp.mpf(0)
-        s_neg = mp.mpf(0)
-        rows = []
-        mark_set = set(marks)
-        for j, log_pi in enumerate(log_pi_mpf(chain, n_max)):
-            w = mp.exp(log_pi)
-            s_pos += w * pos[j] * pos[j]
-            s_neg += w * neg[j] * neg[j]
-            n = j + 1
-            if n in mark_set:
-                rows.append(
-                    (
-                        n,
-                        float(mp.mpf(n) ** (2 * exps.alpha + 2) / s_pos),
-                        float(mp.mpf(n) ** (2 * exps.beta + 2) / s_neg),
-                    )
-                )
-    ns = np.array([r[0] for r in rows])
-    top = np.array([r[1] for r in rows])
-    bottom = np.array([r[2] for r in rows])
+        # rho_n(+-eta) = 1 / s_{n-1}
+        top = np.array([float(mp.mpf(n) ** (2 * exps.alpha + 2) / s_pos[n - 1])
+                        for n in marks])
+        bottom = np.array([float(mp.mpf(n) ** (2 * exps.beta + 2) / s_neg[n - 1])
+                           for n in marks])
+    ns = np.array(marks)
     return EdgeScalingResult(
         ns,
         top,
@@ -437,13 +425,12 @@ def conjecture_report(
     truncation: int = 2000,
     sum_horizon: int = 4000,
     digits: int = DEFAULT_DIGITS,
-    edge_digits: int | None = None,
 ) -> ConjectureReport:
     """Full pipeline for one chain or one weight: build the measure side and
     the polynomial side, estimate both limits, classify, and compare.
 
-    edge_digits lets the (slow at high precision) edge solve run on the
-    float64 backend while everything else keeps the requested digits.
+    The edge solve (slow at high precision) runs on the float64 backend,
+    at min(digits, 15); everything else keeps the requested digits.
     """
     if (chain is None) == (weight is None):
         raise ValueError("supply exactly one of chain, weight")
@@ -466,7 +453,7 @@ def conjecture_report(
 
     trunc = int(min(truncation, chain.depth))
     edges = support_edges(chain, trunc, tol=1e-4 if trunc < 500 else 1e-6,
-                          digits=digits if edge_digits is None else edge_digits)
+                          digits=min(digits, 15))
     eta_hat = edges.eta_hat
     diagnostics["eta_hat"] = f"{eta_hat:.12g}"
 
@@ -569,9 +556,9 @@ def conjecture_report(
 
 
 def sup_tail_bound_check(
-    cn_values: np.ndarray, window_start: int, rho_limit: float, slack: float = 1e-3
+    cn_values: np.ndarray, window_start: int, rho_limit: float
 ) -> tuple[bool, float]:
     """Finite-horizon form of the limsup bound: the largest C_n over the
-    tail window must not exceed the Christoffel ratio limit plus slack."""
+    tail window must not exceed the Christoffel ratio limit plus 1e-3."""
     tail_max = float(np.max(cn_values[window_start:]))
-    return tail_max <= rho_limit + slack, tail_max
+    return tail_max <= rho_limit + 1e-3, tail_max

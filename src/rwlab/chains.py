@@ -78,9 +78,9 @@ def rule(prefix=(), tail: str | ex.Expr | None = None) -> CoeffRule:
 class ChainSpec:
     """One-step transition parameters of a birth-death chain on 0,1,2,...
 
-    Invariants (checked by validate): q_0 = 0, p_j > 0, q_{j+1} > 0,
-    r_j >= 0, kappa_j >= 0 and p+q+r+kappa = 1 (exactly for rational tails,
-    within 1e-14 for floating prefixes).
+    Invariants (checked by validate on j <= 200): q_0 = 0, p_j > 0,
+    q_{j+1} > 0, r_j >= 0, kappa_j >= 0 and p+q+r+kappa = 1 (exactly for
+    rational tails, within 1e-14 for floating prefixes).
     """
 
     label: str
@@ -126,11 +126,11 @@ class ChainSpec:
             return False
         return not ex.is_zero(self.kappa.tail, start=len(self.kappa.prefix))
 
-    def validate(self, check_depth: int = 200) -> None:
+    def validate(self) -> None:
         if self.q.at(0) != 0:
             raise MalformedChainError(f"{self.label}: q_0 must be 0")
         depth = self.depth
-        top = int(min(check_depth, depth - 1))
+        top = int(min(200, depth - 1))
         for j in range(top + 1):
             p, q, r, k = self.at(j)
             if p <= 0:
@@ -218,21 +218,20 @@ def _aitken_last(seq: np.ndarray) -> float:
     return float(x2 - (x2 - x1) ** 2 / d2)
 
 
-def classify_series(
-    partial: np.ndarray,
-    summands: np.ndarray,
-    divergence_bound: float = 1e8,
-    stabilize_rtol: float = 1e-6,
-    slope_margin: float = 0.02,
-) -> DivergenceVerdict:
+DIVERGENCE_BOUND = 1e8
+STABILIZE_RTOL = 1e-6
+SLOPE_MARGIN = 0.02
+
+
+def classify_series(partial: np.ndarray, summands: np.ndarray) -> DivergenceVerdict:
     """Heuristic trinary divergence verdict.
 
     converges: summands identically zero, or Aitken-accelerated partial sums
-    stable to stabilize_rtol across two decades of indices, or a clean
-    power-law summand fit with exponent <= -1 - slope_margin (bound then
+    stable to STABILIZE_RTOL across two decades of indices, or a clean
+    power-law summand fit with exponent <= -1 - SLOPE_MARGIN (bound then
     includes the extrapolated tail).
-    diverges: partial sums (raw or accelerated) exceed divergence_bound, or
-    the summand tail fits c*j^s with s >= -1 + slope_margin.
+    diverges: partial sums (raw or accelerated) exceed DIVERGENCE_BOUND, or
+    the summand tail fits c*j^s with s >= -1 + SLOPE_MARGIN.
     Everything else is undecided.
     """
     partial = np.asarray(partial, dtype=float)
@@ -246,18 +245,18 @@ def classify_series(
         acc = [_aitken_last(partial[: k + 1]) for k in checkpoints]
         if all(math.isfinite(a) for a in acc):
             scale = max(abs(acc[-1]), 1e-300)
-            if (max(acc) - min(acc)) / scale < stabilize_rtol:
+            if (max(acc) - min(acc)) / scale < STABILIZE_RTOL:
                 return DivergenceVerdict(
                     partial, "converges",
                     f"aitken stable at {acc[-1]:.6g} over indices {checkpoints}",
                     acc[-1],
                 )
     last_acc = _aitken_last(partial)
-    if partial[-1] > divergence_bound or (
-        math.isfinite(last_acc) and last_acc > divergence_bound
+    if partial[-1] > DIVERGENCE_BOUND or (
+        math.isfinite(last_acc) and last_acc > DIVERGENCE_BOUND
     ):
         return DivergenceVerdict(
-            partial, "diverges", f"partial sums exceed bound {divergence_bound:g}"
+            partial, "diverges", f"partial sums exceed bound {DIVERGENCE_BOUND:g}"
         )
     # power-law fit of the summand over the last decade of indices
     j = np.arange(n, dtype=float)
@@ -270,12 +269,12 @@ def classify_series(
         s, intercept = np.polyfit(lj, lt, 1)
         resid = float(np.sqrt(np.mean((lt - (s * lj + intercept)) ** 2)))
         if resid < 0.2:
-            if s >= -1.0 + slope_margin:
+            if s >= -1.0 + SLOPE_MARGIN:
                 return DivergenceVerdict(
                     partial, "diverges",
                     f"summand ~ j^{s:.3f} >= 1/j over j in [{lo},{n - 1}]",
                 )
-            if s <= -1.0 - slope_margin:
+            if s <= -1.0 - SLOPE_MARGIN:
                 c = math.exp(intercept)
                 tail = c * (n - 1) ** (s + 1) / (-1.0 - s)
                 return DivergenceVerdict(

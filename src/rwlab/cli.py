@@ -96,12 +96,8 @@ def load_config(args) -> ExperimentConfig:
     chain = ff.chain_from_sections(sections) if "chain" in sections else None
     weight = ff.weight_from_sections(sections) if "weight" in sections else None
 
-    def pick(flag, key, default, cast=int):
-        if flag is not None:
-            return flag
-        if key in run:
-            return cast(run[key])
-        return default
+    def pick(flag, key, default):
+        return flag if flag is not None else _opt(run, key, default)
 
     precision = pick(args.precision, "precision", 34)
     if precision < 15:
@@ -116,10 +112,9 @@ def load_config(args) -> ExperimentConfig:
     return ExperimentConfig(chain, weight, precision, truncation, horizon, seed, out, options)
 
 
-def _opt(cfg: ExperimentConfig, key: str, default, cast=int):
-    if key in cfg.options:
-        return cast(cfg.options[key])
-    return default
+def _opt(options: dict, key: str, default):
+    """options[key] as an int, or default when the key is absent."""
+    return int(options[key]) if key in options else default
 
 
 def _path(cfg: ExperimentConfig, name: str) -> str:
@@ -159,7 +154,7 @@ def cmd_chain_info(cfg: ExperimentConfig) -> int:
 def cmd_polys(cfg: ExperimentConfig) -> int:
     chain = cfg.require_chain()
     x = cfg.options.get("x", "1/2")
-    n = _opt(cfg, "depth", int(min(64, chain.depth - 1)))
+    n = _opt(cfg.options, "depth", int(min(64, chain.depth - 1)))
     from fractions import Fraction
 
     trace = eval_Q(chain, n, Fraction(x), cfg.precision)
@@ -173,6 +168,13 @@ def cmd_polys(cfg: ExperimentConfig) -> int:
         csv_text(["n", "sign_Q", "log10_abs_Q", "sign_p", "log10_abs_p"], rows),
     )
     return 0
+
+
+def _edges_for(cfg: ExperimentConfig, chain: ChainSpec):
+    """support_edges at the run's precision, the truncation clamped to
+    [50, chain depth]."""
+    return support_edges(chain, int(min(max(50, cfg.truncation), chain.depth)),
+                         digits=cfg.precision)
 
 
 def cmd_edges(cfg: ExperimentConfig) -> int:
@@ -189,7 +191,7 @@ def cmd_edges(cfg: ExperimentConfig) -> int:
 
 def _measure_for(cfg: ExperimentConfig):
     if cfg.weight is not None:
-        grid = _opt(cfg, "grid", grid_size_for_depth(cfg.horizon))
+        grid = _opt(cfg.options, "grid", grid_size_for_depth(cfg.horizon))
         return discretize_weight(cfg.weight, grid, cfg.precision)
     chain = cfg.require_chain()
     return quadrature_from_chain(chain, cfg.truncation, cfg.precision)
@@ -221,8 +223,7 @@ def cmd_cn(cfg: ExperimentConfig) -> int:
 
 def cmd_christoffel(cfg: ExperimentConfig) -> int:
     chain = cfg.require_chain()
-    e = support_edges(chain, int(min(max(50, cfg.truncation), chain.depth)),
-                      digits=cfg.precision)
+    e = _edges_for(cfg, chain)
     n_max = int(min(cfg.horizon, chain.depth - 1))
     seq, est, spread = ratio_limit_with_edge_spread(chain, n_max, e.eta_hat, cfg.precision)
     atomic_write(
@@ -244,9 +245,8 @@ def cmd_christoffel(cfg: ExperimentConfig) -> int:
 
 def cmd_normalize(cfg: ExperimentConfig) -> int:
     chain = cfg.require_chain()
-    e = support_edges(chain, int(min(max(50, cfg.truncation), chain.depth)),
-                      digits=cfg.precision)
-    depth = _opt(cfg, "depth", int(min(256, chain.depth - 2)))
+    e = _edges_for(cfg, chain)
+    depth = _opt(cfg.options, "depth", int(min(256, chain.depth - 2)))
     norm = normalize(chain, e.eta_hat, depth, cfg.precision)
     text = ff.chain_to_text(
         norm.chain,
@@ -256,22 +256,25 @@ def cmd_normalize(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _grid_blame(grid: int, depth: int) -> str:
-    """Clause for a recovery failure on a grid too coarse for the depth."""
+def _recover_chain(cfg: ExperimentConfig, weight: WeightSpec, depth: int):
+    """Discretize the weight on the run's grid, run the Stieltjes recursion
+    to `depth` and recover the chain.  Returns the coefficients, the
+    recovery and the clause a failure record appends when the grid is too
+    coarse for the depth ("" otherwise)."""
     needed = grid_size_for_depth(depth)
-    if grid >= needed:
-        return ""
-    return (f"; grid = {grid} is below grid_size_for_depth({depth}) = {needed}, "
-            "so the failing index may be the grid's fault rather than the weight's")
+    grid = _opt(cfg.options, "grid", needed)
+    m = discretize_weight(weight, grid, cfg.precision)
+    coeffs = stieltjes_recurrence(m, depth, cfg.precision)
+    recovery = chain_from_recurrence(coeffs, label=weight.label + "-chain")
+    blame = "" if grid >= needed else (
+        f"; grid = {grid} is below grid_size_for_depth({depth}) = {needed}, "
+        "so the failing index may be the grid's fault rather than the weight's")
+    return coeffs, recovery, blame
 
 
 def cmd_recover(cfg: ExperimentConfig) -> int:
     weight = cfg.require_weight()
-    depth = _opt(cfg, "depth", 64)
-    grid = _opt(cfg, "grid", grid_size_for_depth(depth))
-    m = discretize_weight(weight, grid, cfg.precision)
-    coeffs = stieltjes_recurrence(m, depth, cfg.precision)
-    recovery = chain_from_recurrence(coeffs, label=weight.label + "-chain")
+    coeffs, recovery, blame = _recover_chain(cfg, weight, _opt(cfg.options, "depth", 64))
     atomic_write(
         _path(cfg, "recurrence.csv"),
         csv_text(["k", "a", "b"], (
@@ -281,7 +284,7 @@ def cmd_recover(cfg: ExperimentConfig) -> int:
     if not recovery.ok:
         _diagnostic("error", "not-a-random-walk-measure",
                     f"{weight.label}: {recovery.fail_reason} (index {recovery.fail_index})"
-                    + _grid_blame(grid, depth))
+                    + blame)
         return 3
     atomic_write(_path(cfg, "recovered_chain.txt"),
                  ff.chain_to_text(recovery.chain, comment=f"recovered from {weight.label}"))
@@ -290,12 +293,11 @@ def cmd_recover(cfg: ExperimentConfig) -> int:
 
 def cmd_srlp(cfg: ExperimentConfig) -> int:
     chain = cfg.require_chain()
-    e = support_edges(chain, int(min(max(50, cfg.truncation), chain.depth)),
-                      digits=cfg.precision)
-    i = _opt(cfg, "i", 0)
-    j = _opt(cfg, "j", 1)
-    k = _opt(cfg, "k", 0)
-    l = _opt(cfg, "l", 0)
+    e = _edges_for(cfg, chain)
+    i = _opt(cfg.options, "i", 0)
+    j = _opt(cfg.options, "j", 1)
+    k = _opt(cfg.options, "k", 0)
+    l = _opt(cfg.options, "l", 0)
     cmp_ = srlp_predicted_limit(chain, i, j, k, l, e.eta_hat, cfg.precision,
                                 horizon=min(cfg.horizon, 400))
     atomic_write(
@@ -317,7 +319,6 @@ def cmd_conjecture(cfg: ExperimentConfig) -> int:
         n_max=cfg.horizon,
         truncation=max(200, cfg.truncation),
         digits=cfg.precision,
-        edge_digits=min(cfg.precision, 15),
     )
     pairs = [
         ("label", rep.chain_label),
@@ -357,13 +358,10 @@ def cmd_conjecture(cfg: ExperimentConfig) -> int:
 def cmd_dt_check(cfg: ExperimentConfig) -> int:
     weight = cfg.require_weight()
     n_max = cfg.horizon
-    grid = _opt(cfg, "grid", grid_size_for_depth(n_max))
-    m = discretize_weight(weight, grid, cfg.precision)
-    coeffs = stieltjes_recurrence(m, n_max, cfg.precision)
-    recovery = chain_from_recurrence(coeffs, label=weight.label + "-chain")
+    _, recovery, blame = _recover_chain(cfg, weight, n_max)
     if not recovery.ok:
         _diagnostic("error", "not-a-random-walk-measure",
-                    str(recovery.fail_reason) + _grid_blame(grid, n_max))
+                    str(recovery.fail_reason) + blame)
         return 3
     exps = edge_exponents(weight, cfg.precision)
     e = support_edges(recovery.chain, min(cfg.truncation, n_max), digits=min(cfg.precision, 15))
@@ -389,7 +387,7 @@ def cmd_dt_check(cfg: ExperimentConfig) -> int:
 
 def cmd_absorb(cfg: ExperimentConfig) -> int:
     chain = cfg.require_chain()
-    j_max = _opt(cfg, "j_max", 8)
+    j_max = _opt(cfg.options, "j_max", 8)
     res = absorption_probabilities(chain, j_max, cfg.horizon, cfg.precision)
     atomic_write(
         _path(cfg, "absorption.csv"),
@@ -403,8 +401,8 @@ def cmd_absorb(cfg: ExperimentConfig) -> int:
 
 def cmd_mc(cfg: ExperimentConfig) -> int:
     chain = cfg.require_chain()
-    samples = _opt(cfg, "samples", 10**5)
-    steps = _opt(cfg, "steps", 4)
+    samples = _opt(cfg.options, "samples", 10**5)
+    steps = _opt(cfg.options, "steps", 4)
     rows = []
     for i, j in ((0, 0), (0, 1), (1, 1)):
         for n in range(1, steps + 1):

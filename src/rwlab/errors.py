@@ -52,17 +52,9 @@ class ZeroDenominatorError(RwlabError):
     """Denominator of a ratio functional vanishes (periodic chain, odd power)."""
 
 
-class DenominatorUnderflowError(RwlabError):
-    """Positive-part sum underflows working precision; log-scale value attached."""
-
-
 class DivisionSentinelError(RwlabError):
     """A Q value that must be nonzero at the true edge vanished numerically;
     signals a bad edge estimate."""
-
-
-class TruncationTooSmallError(RwlabError):
-    """Requested operator truncation cannot represent the exact result."""
 
 
 class StieltjesBreakdownError(RwlabError):

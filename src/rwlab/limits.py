@@ -50,9 +50,9 @@ def aitken(seq: np.ndarray) -> np.ndarray:
     return out
 
 
-def richardson_pair(coarse: float, fine: float, order: int = 2, ratio: float = 2.0) -> float:
-    """Eliminate the leading c/K^order error from values at K and K/ratio."""
-    return fine + (fine - coarse) / (ratio**order - 1.0)
+def richardson_pair(coarse: float, fine: float, order: int = 2) -> float:
+    """Eliminate the leading c/K^order error from values at K and K/2."""
+    return fine + (fine - coarse) / (2.0**order - 1.0)
 
 
 def _window(seq: np.ndarray) -> slice:

@@ -41,7 +41,6 @@ class DiscreteMeasure:
 
     nodes: np.ndarray
     weights: np.ndarray
-    source: str
     total_mass: float
     mp_nodes: tuple | None = None
     mp_weights: tuple | None = None
@@ -50,7 +49,7 @@ class DiscreteMeasure:
         return len(self.nodes)
 
 
-def _measure_from_arrays(nodes, weights, source) -> DiscreteMeasure:
+def _measure_from_arrays(nodes, weights) -> DiscreteMeasure:
     nodes64 = np.asarray([float(x) for x in nodes])
     weights64 = np.asarray([float(w) for w in weights])
     order = np.argsort(nodes64)
@@ -63,7 +62,6 @@ def _measure_from_arrays(nodes, weights, source) -> DiscreteMeasure:
     return DiscreteMeasure(
         nodes=nodes64,
         weights=weights64,
-        source=source,
         total_mass=float(weights64.sum()),
         mp_nodes=mp_nodes,
         mp_weights=mp_weights,
@@ -85,7 +83,7 @@ def quadrature_from_chain(chain: ChainSpec, N: int, digits: int = DEFAULT_DIGITS
         nodes, weights = golub_welsch_f64(d, e)
     else:
         nodes, weights = golub_welsch_mpf(chain, N, digits)
-    return _measure_from_arrays(nodes, weights, f"from-chain({chain.label}, N={N})")
+    return _measure_from_arrays(nodes, weights)
 
 
 def moment(measure: DiscreteMeasure, n: int, digits: int = DEFAULT_DIGITS) -> float:
@@ -109,16 +107,7 @@ class CnValue:
     log10_positive: float
 
 
-def _logsumexp(logs: np.ndarray) -> float:
-    if len(logs) == 0:
-        return NEG_INF
-    m = np.max(logs)
-    if m == NEG_INF:
-        return NEG_INF
-    return float(m + np.log(np.sum(np.exp(logs - m))))
-
-
-def compute_Cn(measure: DiscreteMeasure, n: int, digits: int = DEFAULT_DIGITS) -> CnValue:
+def compute_Cn(measure: DiscreteMeasure, n: int) -> CnValue:
     """Tail-moment ratio over the discrete measure; nodes at 0 are excluded
     from both sums, and the sums are formed in log space so the ratio
     survives underflow."""
@@ -129,12 +118,11 @@ def compute_Cn(measure: DiscreteMeasure, n: int, digits: int = DEFAULT_DIGITS) -
     if not np.any(pos):
         raise ZeroDenominatorError("measure has no positive nodes")
     with np.errstate(divide="ignore"):
-        log_pos = np.log(w[pos]) + n * np.log(x[pos])
-        log_neg = (
-            np.log(w[neg]) + n * np.log(-x[neg]) if np.any(neg) else np.array([])
-        )
-    lp = _logsumexp(log_pos)
-    ln = _logsumexp(log_neg)
+        lw_pos, lx_pos = np.log(w[pos]), np.log(x[pos])
+        lw_neg, lx_neg = np.log(w[neg]), np.log(-x[neg])
+    ns = np.array([[n]])
+    lp = float(_log_power_sums(lw_pos, lx_pos, ns)[0])
+    ln = float(_log_power_sums(lw_neg, lx_neg, ns)[0]) if np.any(neg) else NEG_INF
     value = 0.0 if ln == NEG_INF else math.exp(ln - lp)
     log10 = math.log10(math.e)
     return CnValue(n, value, ln * log10 if ln != NEG_INF else NEG_INF, lp * log10)
@@ -143,7 +131,7 @@ def compute_Cn(measure: DiscreteMeasure, n: int, digits: int = DEFAULT_DIGITS) -
 CN_BLOCK_ROWS = 256
 
 
-def cn_series(measure: DiscreteMeasure, n_max: int, digits: int = DEFAULT_DIGITS) -> np.ndarray:
+def cn_series(measure: DiscreteMeasure, n_max: int) -> np.ndarray:
     """C_n for n = 0..n_max (vectorized log-space evaluation).
 
     Rows n are processed CN_BLOCK_ROWS at a time, so memory stays at one
@@ -182,7 +170,6 @@ def L_functional(
     chain: ChainSpec,
     q_coefficients,
     n: int,
-    digits: int = DEFAULT_DIGITS,
 ) -> float:
     """L_n(f) = int x^n f dpsi / int x^n dpsi for f = sum_m c_m Q_m.
 
@@ -192,7 +179,7 @@ def L_functional(
     deg = len(coeffs) - 1
     x = measure.nodes
     w = measure.weights
-    qtab = _q_table_f64(chain, deg, tuple(x))
+    qtab = _q_table_f64(chain, deg, x)
     f = np.zeros_like(x)
     for m, c in enumerate(coeffs):
         if c != 0:
@@ -209,7 +196,7 @@ def L_functional(
     return num / den
 
 
-def _q_table_f64(chain: ChainSpec, deg: int, nodes: tuple) -> np.ndarray:
+def _q_table_f64(chain: ChainSpec, deg: int, nodes) -> np.ndarray:
     """Q_0..Q_deg at the given nodes, float64 (bounded on the support)."""
     x = np.asarray(nodes)
     p, q, r, _ = chain.arrays(max(deg, 1))
@@ -259,7 +246,7 @@ def spectral_transition(
 ) -> float:
     """pi_j int x^n Q_i Q_j dpsi over the discrete measure."""
     deg = max(i, j)
-    qtab = _q_table_f64(chain, max(deg, 1), tuple(measure.nodes))
+    qtab = _q_table_f64(chain, max(deg, 1), measure.nodes)
     with mp.workdps(20):
         pi_j = float(mp.exp(log_pi_mpf(chain, max(j, 1))[j]))
     x = measure.nodes
@@ -294,73 +281,71 @@ def transition_probability(
     return TransitionQuery(i, j, n, spect, matrix, mc)
 
 
+def _mc_thresholds(chain: ChainSpec, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cumulative step thresholds q, q+r, q+r+p over the states 0..size-1."""
+    p, q, r, _ = chain.arrays(size - 1)
+    thr_qr = q + r
+    return q, thr_qr, thr_qr + p
+
+
+def _mc_step(u: np.ndarray, s: np.ndarray, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """Kill mask and move (-1 down, 0 hold, +1 up) of walkers in states s
+    drawing the uniforms u.  p, r >= 0 make the float thresholds
+    nondecreasing, so u < q is down, q <= u < q+r hold, q+r <= u < q+r+p
+    up and u >= q+r+p killed (the move of a killed walker is meaningless)."""
+    thr_q, thr_qr, thr_qrp = thresholds
+    killed = u >= thr_qrp[s]
+    move = (u >= thr_q[s]).astype(np.int64) + (u >= thr_qr[s]) - 1
+    return killed, move
+
+
+def _binomial_estimate(count: int, samples: int) -> tuple[float, float]:
+    """Fraction count/samples with its binomial standard error, floored at
+    the one-event resolution 1/samples."""
+    est = count / samples
+    return est, math.sqrt(max(est * (1.0 - est), 1.0 / samples) / samples)
+
+
 def monte_carlo_transition(
     chain: ChainSpec, i: int, j: int, n: int, samples: int, seed: int
 ) -> tuple[float, float]:
     """Empirical P_ij(n) from `samples` trajectories (Philox counter-based
-    stream, deterministic for a given seed; killed walks park in a sink)."""
+    stream, deterministic for a given seed; killed walks park in a sink).
+    Every step draws `samples` uniforms and moves only the live walkers."""
     if samples < 10**3:
         raise ValueError("need at least 1e3 samples")
-    top = i + n + 2
-    p, q, r, _ = chain.arrays(top)
-    thr_q = q[:top]
-    thr_qr = q[:top] + r[:top]
-    thr_qrp = thr_qr + p[:top]
+    thresholds = _mc_thresholds(chain, i + n + 2)
     rng = np.random.Generator(np.random.Philox(key=seed))
     state = np.full(samples, i, dtype=np.int64)
     alive = np.ones(samples, dtype=bool)
     for _ in range(n):
         u = rng.random(samples)
-        s = state[alive]
-        ua = u[alive]
-        down = ua < thr_q[s]
-        hold = (~down) & (ua < thr_qr[s])
-        up = (~down) & (~hold) & (ua < thr_qrp[s])
-        killed = ~(down | hold | up)
-        s = s + up.astype(np.int64) - down.astype(np.int64)
-        state[alive] = s
+        killed, move = _mc_step(u[alive], state[alive], thresholds)
+        state[alive] += move
         sub = alive.copy()
         sub[alive] = ~killed
         alive = sub
-    hits = float(np.count_nonzero(alive & (state == j)))
-    est = hits / samples
-    se = math.sqrt(max(est * (1.0 - est), 1.0 / samples) / samples)
-    return est, se
+    return _binomial_estimate(int(np.count_nonzero(alive & (state == j))), samples)
 
 
 def monte_carlo_absorption(
-    chain: ChainSpec,
-    start: int,
-    horizon: int,
-    samples: int,
-    seed: int,
-    state_cap: int | None = None,
+    chain: ChainSpec, start: int, horizon: int, samples: int, seed: int
 ) -> tuple[float, float]:
     """Fraction of trajectories absorbed in the cemetery by `horizon` steps
     (a lower estimate of the eventual absorption probability; the censoring
-    bias decays with the horizon).  Deterministic for a given seed."""
-    cap = state_cap if state_cap is not None else start + horizon + 2
-    p, q, r, _ = chain.arrays(cap - 1)
-    thr_q = q[:cap]
-    thr_qr = thr_q + r[:cap]
-    thr_qrp = thr_qr + p[:cap]
+    bias decays with the horizon).  Deterministic for a given seed.  Every
+    step draws one uniform per live walker and drops the absorbed ones."""
+    thresholds = _mc_thresholds(chain, start + horizon + 2)
     rng = np.random.Generator(np.random.Philox(key=seed))
     state = np.full(samples, start, dtype=np.int64)
     absorbed = 0
     for _ in range(horizon):
-        m = len(state)
-        if m == 0:
+        if len(state) == 0:
             break
-        u = rng.random(m)
-        down = u < thr_q[state]
-        hold = (~down) & (u < thr_qr[state])
-        up = (~down) & (~hold) & (u < thr_qrp[state])
-        killed = ~(down | hold | up)
+        killed, move = _mc_step(rng.random(len(state)), state, thresholds)
         absorbed += int(np.count_nonzero(killed))
-        state = state[~killed] + up[~killed].astype(np.int64) - down[~killed].astype(np.int64)
-    est = absorbed / samples
-    se = math.sqrt(max(est * (1.0 - est), 1.0 / samples) / samples)
-    return est, se
+        state = (state + move)[~killed]
+    return _binomial_estimate(absorbed, samples)
 
 
 @dataclass(frozen=True)
@@ -380,9 +365,9 @@ class EventualAbsorption:
 
 
 def monte_carlo_eventual_absorption(
-    chain: ChainSpec, start: int, samples: int, seed: int, base_horizon: int = 2500
+    chain: ChainSpec, start: int, samples: int, seed: int
 ) -> EventualAbsorption:
-    horizons = (base_horizon, 4 * base_horizon, 16 * base_horizon)
+    horizons = (2500, 4 * 2500, 16 * 2500)
     fractions = []
     errors = []
     for k, T in enumerate(horizons):

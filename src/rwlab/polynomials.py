@@ -84,7 +84,6 @@ def eval_Q(
     n: int,
     x,
     digits: int = DEFAULT_DIGITS,
-    check_precision: bool = True,
 ) -> EvalTrace:
     """Forward-recurrence evaluation with sign/log representation.
 
@@ -96,7 +95,7 @@ def eval_Q(
         raise ValueError("n must be >= 0")
     dps = digits + 8
     vals = q_values(chain, n, x, dps)
-    if check_precision and n >= 1:
+    if n >= 1:
         half = q_values(chain, n, x, max(digits // 2, 6) + 8)
         with mp.workdps(dps):
             if _agreement_failed(vals[-1], half[-1], digits):
@@ -149,30 +148,40 @@ class RatioSequences:
     log10_ratios: np.ndarray
 
 
+def _two_sided_sums(chain: ChainSpec, n_max: int, eta, dps: int):
+    """Q_k(eta), Q_k(-eta) and the running sums sum_{j<=k} pi_j Q_j(+-eta)^2
+    (that is, 1/rho_{k+1}(+-eta)) for k = 0..n_max: four mpf lists from one
+    forward pass on each side at dps working digits."""
+    pos = q_values(chain, n_max, eta, dps)
+    with mp.workdps(dps):
+        neg = q_values(chain, n_max, -to_mpf(eta), dps)
+        sums_pos, sums_neg = [], []
+        s_pos = s_neg = mp.mpf(0)
+        for k, log_pi in enumerate(log_pi_mpf(chain, n_max)):
+            w = mp.exp(log_pi)
+            s_pos += w * pos[k] * pos[k]
+            s_neg += w * neg[k] * neg[k]
+            sums_pos.append(s_pos)
+            sums_neg.append(s_neg)
+    return pos, neg, sums_pos, sums_neg
+
+
 def christoffel_ratio_sequence(
     chain: ChainSpec, n_max: int, eta, digits: int = DEFAULT_DIGITS
 ) -> RatioSequences:
     """One forward pass at +eta and -eta; each ratio lies in (0, 1] up to
     the working precision."""
     dps = digits + 8
-    pos = q_values(chain, n_max, eta, dps)
+    pos, neg, s_pos, s_neg = _two_sided_sums(chain, n_max, eta, dps)
     with mp.workdps(dps):
-        neg = q_values(chain, n_max, -to_mpf(eta), dps)
-        logpi = log_pi_mpf(chain, n_max)
         ratios = np.empty(n_max)
         logr = np.empty(n_max)
-        qsq = np.empty(n_max + 1)
-        s_pos = mp.mpf(0)
-        s_neg = mp.mpf(0)
-        for k in range(n_max + 1):
-            w = mp.exp(logpi[k])
-            if k >= 1:
-                ratio = s_pos / s_neg
-                ratios[k - 1] = float(ratio)
-                logr[k - 1] = float(mp.log10(ratio)) if ratio > 0 else NEG_INF
-            s_pos += w * pos[k] * pos[k]
-            s_neg += w * neg[k] * neg[k]
-            qsq[k] = float((pos[k] / neg[k]) ** 2) if neg[k] != 0 else math.inf
+        for k in range(n_max):
+            ratio = s_pos[k] / s_neg[k]
+            ratios[k] = float(ratio)
+            logr[k] = float(mp.log10(ratio)) if ratio > 0 else NEG_INF
+        qsq = np.array([float((a / b) ** 2) if b != 0 else math.inf
+                        for a, b in zip(pos, neg)])
     return RatioSequences(float(eta), ratios, qsq, logr)
 
 

@@ -85,6 +85,14 @@ def make_weight(label, eta, alpha, beta, smooth="1", atoms=()) -> WeightSpec:
     return spec
 
 
+def _legendre(order: int, x):
+    """P_order(x) and its derivative, from the three-term recurrence."""
+    p_prev, p_cur = mp.mpf(1), x
+    for m in range(2, order + 1):
+        p_prev, p_cur = p_cur, ((2 * m - 1) * x * p_cur - (m - 1) * p_prev) / m
+    return p_cur, order * (x * p_cur - p_prev) / (x * x - 1)
+
+
 @lru_cache(maxsize=8)
 def _gauss_legendre_mpf(order: int, dps: int):
     """Gauss-Legendre nodes/weights on [-1, 1] at dps digits (Newton on the
@@ -95,18 +103,12 @@ def _gauss_legendre_mpf(order: int, dps: int):
         for k in range(1, order + 1):
             x = mp.cos(mp.pi * (4 * k - 1) / (4 * order + 2))
             for _ in range(40):
-                p_prev, p_cur = mp.mpf(1), x
-                for m in range(2, order + 1):
-                    p_prev, p_cur = p_cur, ((2 * m - 1) * x * p_cur - (m - 1) * p_prev) / m
-                dp = order * (x * p_cur - p_prev) / (x * x - 1)
+                p_cur, dp = _legendre(order, x)
                 dx = p_cur / dp
                 x -= dx
                 if abs(dx) < mp.mpf(10) ** (-(dps + 6)):
                     break
-            p_prev, p_cur = mp.mpf(1), x
-            for m in range(2, order + 1):
-                p_prev, p_cur = p_cur, ((2 * m - 1) * x * p_cur - (m - 1) * p_prev) / m
-            dp = order * (x * p_cur - p_prev) / (x * x - 1)
+            _, dp = _legendre(order, x)
             nodes.append(x)
             weights.append(2 / ((1 - x * x) * dp * dp))
     return tuple(nodes), tuple(weights)
@@ -148,65 +150,48 @@ def discretize_weight(spec: WeightSpec, M: int, digits: int = DEFAULT_DIGITS) ->
         raise ValueError("M must be >= 64")
     spec.validate()
     uniform = max(4, round(M / PANEL_ORDER) - 2 * (EDGE_LEVELS + 1))
-    dps = digits + 10
-    gl_x, gl_w = _gauss_legendre_mpf(PANEL_ORDER, digits)
-    with mp.workdps(dps):
-        eta = mpf_from_fraction(spec.eta)
-        alpha = mpf_from_fraction(spec.alpha)
-        beta = mpf_from_fraction(spec.beta)
-        nodes = []
-        weights = []
-        for lo, hi in _theta_panels(uniform):
-            mid = (lo + hi) / 2
-            rad = (hi - lo) / 2
-            for t, w in zip(gl_x, gl_w):
-                theta = mid + rad * t
-                sh = mp.sin(theta / 2)
-                ch = mp.cos(theta / 2)
-                x = eta * (ch * ch - sh * sh)
-                # eta - x = 2 eta sin^2(theta/2), eta + x = 2 eta cos^2(theta/2)
-                dens = (
-                    mp.power(2 * eta * sh * sh, alpha)
-                    * mp.power(2 * eta * ch * ch, beta)
-                    * ex.eval_mpf(spec.smooth, x)
-                    * eta
-                    * 2 * sh * ch
-                )
-                nodes.append(x)
-                weights.append(w * rad * dens)
+    with mp.workdps(digits + 10):
+        nodes, weights = map(list, zip(*_density_points(spec, uniform, digits)))
         total = mp.fsum(weights)
         for loc, mass in spec.atoms:
             nodes.append(mpf_from_fraction(loc))
             weights.append(mpf_from_fraction(mass))
             total += mpf_from_fraction(mass)
         weights = [w / total for w in weights]
-    return _measure_from_arrays(nodes, weights, f"from-weight-spec({spec.label}, M={M})")
+    return _measure_from_arrays(nodes, weights)
+
+
+def _density_points(spec: WeightSpec, uniform: int, digits: int):
+    """(x, w * rad * density) at every node of the composite rule on
+    _theta_panels(uniform), at the caller's working precision: the
+    unnormalized density times the Jacobian of x = eta*cos(theta)."""
+    gl_x, gl_w = _gauss_legendre_mpf(PANEL_ORDER, digits)
+    eta = mpf_from_fraction(spec.eta)
+    alpha = mpf_from_fraction(spec.alpha)
+    beta = mpf_from_fraction(spec.beta)
+    for lo, hi in _theta_panels(uniform):
+        mid = (lo + hi) / 2
+        rad = (hi - lo) / 2
+        for t, w in zip(gl_x, gl_w):
+            theta = mid + rad * t
+            sh = mp.sin(theta / 2)
+            ch = mp.cos(theta / 2)
+            x = eta * (ch * ch - sh * sh)
+            # eta - x = 2 eta sin^2(theta/2), eta + x = 2 eta cos^2(theta/2)
+            dens = (
+                mp.power(2 * eta * sh * sh, alpha)
+                * mp.power(2 * eta * ch * ch, beta)
+                * ex.eval_mpf(spec.smooth, x)
+                * eta
+                * 2 * sh * ch
+            )
+            yield x, w * rad * dens
 
 
 def raw_density_integral(spec: WeightSpec, digits: int = DEFAULT_DIGITS) -> mp.mpf:
     """Integral of the unnormalized density (excluding atoms)."""
-    gl_x, gl_w = _gauss_legendre_mpf(PANEL_ORDER, digits)
     with mp.workdps(digits + 10):
-        eta = mpf_from_fraction(spec.eta)
-        alpha = mpf_from_fraction(spec.alpha)
-        beta = mpf_from_fraction(spec.beta)
-        acc = []
-        for lo, hi in _theta_panels(8):
-            mid = (lo + hi) / 2
-            rad = (hi - lo) / 2
-            for t, w in zip(gl_x, gl_w):
-                theta = mid + rad * t
-                sh = mp.sin(theta / 2)
-                ch = mp.cos(theta / 2)
-                x = eta * (ch * ch - sh * sh)
-                acc.append(
-                    w * rad
-                    * mp.power(2 * eta * sh * sh, alpha)
-                    * mp.power(2 * eta * ch * ch, beta)
-                    * ex.eval_mpf(spec.smooth, x)
-                    * eta * 2 * sh * ch
-                )
-        return mp.fsum(acc)
+        return mp.fsum(w for _, w in _density_points(spec, 8, digits))
 
 
 # --- Stieltjes / Lanczos ------------------------------------------------------
@@ -363,10 +348,11 @@ class ChainRecovery:
     depth: int
 
 
+ZERO_TOL = 1e-13
+
+
 def chain_from_recurrence(
-    coeffs: RecurrenceCoefficients,
-    label: str = "recovered",
-    zero_tol: float = 1e-13,
+    coeffs: RecurrenceCoefficients, label: str = "recovered"
 ) -> ChainRecovery:
     """Prefix-only chain from recurrence coefficients.
 
@@ -376,7 +362,7 @@ def chain_from_recurrence(
     to exactly one while numerators and denominators stay near float size
     at any depth (exact division would grow them linearly with k).
 
-    Diagonal entries within zero_tol of 0 are treated as exactly 0 (so
+    Diagonal entries within ZERO_TOL of 0 are treated as exactly 0 (so
     symmetric measures recover periodic chains); a genuinely negative
     diagonal or an infeasible p_k reports failure at that index.
     """
@@ -386,11 +372,11 @@ def chain_from_recurrence(
     r: list[Fraction] = []
     for k in range(n):
         bk = float(coeffs.b[k])
-        if bk < -zero_tol:
+        if bk < -ZERO_TOL:
             return ChainRecovery(
                 False, None, k, f"r_{k} = {bk:.6g} < 0", k
             )
-        rk = Fraction(bk) if bk > zero_tol else Fraction(0)
+        rk = Fraction(bk) if bk > ZERO_TOL else Fraction(0)
         if k == 0:
             pk = 1 - rk
         else:
@@ -398,7 +384,7 @@ def chain_from_recurrence(
             qk = Fraction(ak * ak / float(p[k - 1]))
             q.append(qk)
             pk = 1 - rk - qk
-        if pk <= zero_tol:
+        if pk <= ZERO_TOL:
             reason = (
                 f"p_{k} = {float(pk):.6g} <= 0; positivity fails at depth {k}"
             )
