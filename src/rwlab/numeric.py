@@ -49,5 +49,5 @@ def signed_log(x) -> SignedLog:
 
 
 def mpf_from_fraction(f) -> mp.mpf:
-    """Exact-to-working-precision mpf of a Fraction."""
-    return mp.mpf(f.numerator) / f.denominator
+    """The mpf nearest to a Fraction at the working precision (one rounding)."""
+    return mp.make_mpf(mp.libmp.from_rational(f.numerator, f.denominator, mp.mp.prec, "n"))
