@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .chains import DEFAULT_DIGITS, ChainSpec, log_pi_mpf
+from .chains import DEFAULT_DIGITS, ChainSpec, is_periodic, log_pi_mpf
 from .errors import (
     ChainHasKillingError,
     DivisionSentinelError,
@@ -418,7 +418,17 @@ def srlp_predicted_limit(
     horizon: int = 200,
 ) -> SrlpComparison:
     """pi_j Q_i(eta) Q_j(eta) / (pi_l Q_k(eta) Q_l(eta)) and the companion
-    empirical sequence."""
+    empirical sequence.
+
+    Raises ZeroDenominatorError on a periodic chain (r = 0) when (j - i) -
+    (l - k) is odd: P_ij(n) vanishes unless n = j - i (mod 2), so the two
+    probabilities are never nonzero at the same n."""
+    if is_periodic(chain) and ((j - i) - (l - k)) % 2:
+        raise ZeroDenominatorError(
+            f"{chain.label}: periodic chain (r = 0) and (j - i) - (l - k) = "
+            f"{(j - i) - (l - k)} is odd, so P_{i},{j}(n) / P_{k},{l}(n) is 0 or "
+            "undefined at every n"
+        )
     top = max(i, j, k, l)
     dps = digits + 8
     qv = q_values(chain, max(top, 1), eta, dps)

@@ -201,3 +201,12 @@ def test_srlp_predictions(chain_b):
     cmp_ = srlp_predicted_limit(chain_b, 1, 1, 0, 0, 1.0, horizon=200)
     assert cmp_.predicted == pytest.approx(2.0, rel=1e-12)
     assert cmp_.ratios[-1] == pytest.approx(2.0, rel=0.01)
+
+
+def test_srlp_periodic_parity(chain_a):
+    # r = 0: P_ij(n) vanishes unless n = j - i (mod 2)
+    with pytest.raises(ZeroDenominatorError, match="is odd"):
+        srlp_predicted_limit(chain_a, 0, 1, 0, 0, 1.0)
+    cmp_ = srlp_predicted_limit(chain_a, 0, 0, 0, 0, 1.0, horizon=40)
+    assert cmp_.predicted == 1.0
+    assert list(cmp_.ns) == list(range(2, 41, 2))
