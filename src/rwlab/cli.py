@@ -172,14 +172,17 @@ def cmd_polys(cfg: ExperimentConfig) -> int:
 
 def _edges_for(cfg: ExperimentConfig, chain: ChainSpec):
     """support_edges at the run's precision, the truncation clamped to
-    [50, chain depth]."""
+    [50, chain depth]; a prefix-only chain needs depth >= 50."""
+    if chain.depth < 50:
+        raise InputError(f"{chain.label}: the edge solve needs depth >= 50, "
+                         f"the chain has depth {chain.depth}")
     return support_edges(chain, int(min(max(50, cfg.truncation), chain.depth)),
                          digits=cfg.precision)
 
 
 def cmd_edges(cfg: ExperimentConfig) -> int:
     chain = cfg.require_chain()
-    e = support_edges(chain, max(50, cfg.truncation), digits=cfg.precision)
+    e = _edges_for(cfg, chain)
     atomic_write(_path(cfg, "edges.txt"), keyvalue_text([
         ("eta_hat", e.eta_hat), ("zeta_hat", e.zeta_hat), ("method", e.method),
         ("truncation_size", e.truncation_size), ("discrepancy", e.discrepancy),

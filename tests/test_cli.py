@@ -8,6 +8,7 @@ import pytest
 
 from rwlab import fileformats as ff
 from rwlab import families
+from rwlab.chains import ChainSpec, CoeffRule
 from rwlab.cli import main
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -162,3 +163,36 @@ def test_srlp_subcommand(tmp_path):
     assert lines[0] == "n,empirical_ratio,predicted"
     last = lines[-1].split(",")
     assert float(last[1]) == pytest.approx(2.0, rel=0.02)
+
+
+def test_srlp_on_periodic_chain_names_the_parity(tmp_path, capsys):
+    # chain_a has r = 0 and the default (i, j, k, l) = (0, 1, 0, 0): P_01(n)
+    # and P_00(n) are never nonzero at the same n
+    out = str(tmp_path / "a")
+    assert run("srlp", "--config", cfg("chain_a.cfg"), "--out", out) == 3
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert len(records) == 1
+    assert records[0]["code"] == "ZeroDenominatorError"
+    assert "is odd" in records[0]["message"]
+    assert not os.path.exists(os.path.join(out, "srlp.csv"))
+
+
+def test_edge_subcommands_on_prefix_only_chains(tmp_path, capsys):
+    # chain_recovered.cfg holds a recovered chain of depth 64: the truncation
+    # is clamped to the depth
+    out = str(tmp_path / "r")
+    assert run("edges", "--config", cfg("chain_recovered.cfg"), "--out", out,
+               "--truncation", "400") == 0
+    assert "truncation_size = 64" in read(os.path.join(out, "edges.txt"))
+    # cut to depth 40, the chain is too short for the edge solve
+    chain = ff.chain_from_sections(ff.parse_file(cfg("chain_recovered.cfg")))
+    short = ChainSpec(chain.label, *(CoeffRule(rule.prefix[:40])
+                                     for rule in (chain.p, chain.q, chain.r, chain.kappa)))
+    config = tmp_path / "short.cfg"
+    config.write_text(ff.chain_to_text(short) + "\n[run]\nprecision = 15\n")
+    for sub in ("edges", "christoffel"):
+        assert run(sub, "--config", str(config), "--out", out) == 3
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert len(records) == 1
+        assert records[0]["code"] == "input"
+        assert "depth 40" in records[0]["message"]
