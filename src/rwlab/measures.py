@@ -322,9 +322,7 @@ def monte_carlo_transition(
         u = rng.random(samples)
         killed, move = _mc_step(u[alive], state[alive], thresholds)
         state[alive] += move
-        sub = alive.copy()
-        sub[alive] = ~killed
-        alive = sub
+        alive[alive] = ~killed
     return _binomial_estimate(int(np.count_nonzero(alive & (state == j))), samples)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath as mp
 import numpy as np
@@ -155,15 +156,9 @@ def _two_sided_sums(chain: ChainSpec, n_max: int, eta, dps: int):
     pos = q_values(chain, n_max, eta, dps)
     with mp.workdps(dps):
         neg = q_values(chain, n_max, -to_mpf(eta), dps)
-        sums_pos, sums_neg = [], []
-        s_pos = s_neg = mp.mpf(0)
-        for k, log_pi in enumerate(log_pi_mpf(chain, n_max)):
-            w = mp.exp(log_pi)
-            s_pos += w * pos[k] * pos[k]
-            s_neg += w * neg[k] * neg[k]
-            sums_pos.append(s_pos)
-            sums_neg.append(s_neg)
-    return pos, neg, sums_pos, sums_neg
+        w = [mp.exp(log_pi) for log_pi in log_pi_mpf(chain, n_max)]
+        sums = [list(accumulate(wk * v * v for wk, v in zip(w, vals))) for vals in (pos, neg)]
+    return pos, neg, *sums
 
 
 def christoffel_ratio_sequence(
@@ -174,12 +169,9 @@ def christoffel_ratio_sequence(
     dps = digits + 8
     pos, neg, s_pos, s_neg = _two_sided_sums(chain, n_max, eta, dps)
     with mp.workdps(dps):
-        ratios = np.empty(n_max)
-        logr = np.empty(n_max)
-        for k in range(n_max):
-            ratio = s_pos[k] / s_neg[k]
-            ratios[k] = float(ratio)
-            logr[k] = float(mp.log10(ratio)) if ratio > 0 else NEG_INF
+        quotients = [a / b for a, b in zip(s_pos[:n_max], s_neg)]
+        ratios = np.array([float(v) for v in quotients])
+        logr = np.array([float(mp.log10(v)) if v > 0 else NEG_INF for v in quotients])
         qsq = np.array([float((a / b) ** 2) if b != 0 else math.inf
                         for a, b in zip(pos, neg)])
     return RatioSequences(float(eta), ratios, qsq, logr)
