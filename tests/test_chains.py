@@ -100,6 +100,31 @@ def test_killing_sum(chain_a):
     assert killing_sum(families.chain_k(), 3000).verdict == "diverges"
 
 
+@pytest.mark.parametrize("series, family, n, verdict, detail", [
+    (series_L, "chain_asymmetric", 4000, "converges",
+     "aitken stable at 1.75 over indices [40, 400, 4000]"),
+    (series_L, "chain_shifted_arcsine", 2000, "diverges",
+     "summand ~ j^-0.000 >= 1/j over j in [200,2000]"),
+    (killing_sum, "chain_transient_killing", 4000, "converges",
+     "aitken stable at 0.666667 over indices [40, 400, 4000]"),
+    (killing_sum, "chain_constant_killing", 4000, "diverges",
+     "summand ~ j^1.000 >= 1/j over j in [400,4000]"),
+    (killing_sum, "chain_k", 3000, "diverges",
+     "summand ~ j^-0.000 >= 1/j over j in [300,3000]"),
+    (asymptotic_aperiodicity_sum, "chain_r4_transient", 2000, "converges",
+     "aitken stable at 2.10549 over indices [20, 200, 2000]"),
+    (asymptotic_aperiodicity_sum, "chain_polyhold", 4000, "diverges",
+     "summand ~ j^0.000 >= 1/j over j in [400,4000]"),
+    (rj_over_pj_sum, "chain_polyhold", 4000, "converges",
+     "summand ~ j^-2.000, extrapolated tail 0.0005"),
+])
+def test_series_verdicts_pinned(series, family, n, verdict, detail):
+    # the exact strings chain-info and conjecture print; the float64
+    # log-space summands must reproduce them at any working precision
+    v = series(getattr(families, family)(), n)
+    assert (v.verdict, v.tail_analysis) == (verdict, detail)
+
+
 def test_is_periodic(chain_a, chain_b):
     assert is_periodic(chain_a)
     assert not is_periodic(chain_b)
