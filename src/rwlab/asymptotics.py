@@ -16,8 +16,7 @@ from .chains import (
     ChainSpec,
     DEFAULT_DIGITS,
     DivergenceVerdict,
-    _series_float,
-    _weighted_double_sum,
+    _double_sum_verdict,
     classify_series,
     is_periodic,
     killing_sum,
@@ -182,9 +181,7 @@ def ratio_vanishing_criterion(
 def aperiodicity_sum_terms(chain: ChainSpec, n: int) -> DivergenceVerdict:
     """The r-weighted double sum without the honesty guard (used for killed
     chains, where it enters jointly with the killing sum)."""
-    p, _, r, _, logpi, _ = _series_float(chain, n)
-    terms = _weighted_double_sum(r, p, logpi)
-    return classify_series(np.cumsum(terms), terms)
+    return _double_sum_verdict(chain, n, "r")
 
 
 def condition_bounded_variation(chain: ChainSpec, j_max: int) -> tuple[bool, float]:

@@ -5,7 +5,9 @@ A chain is given by its one-step transition probabilities p_j (up), q_j
 rationals plus a closed-form tail rule in j.  Everything that can be read
 off the coefficients alone lives here: potential coefficients, the
 recurrence/transience series, the asymptotic-aperiodicity and killing
-double sums, and periodicity.
+double sums, and periodicity.  The four series take no working precision:
+classify_series reads float64 partial sums, so they run in float64 log
+space at any precision.
 """
 
 from __future__ import annotations
@@ -208,14 +210,16 @@ class DivergenceVerdict:
 
 
 def _aitken_last(seq: np.ndarray) -> float:
-    """Last Aitken-accelerated value of a sequence (nan when degenerate)."""
+    """Last Aitken-accelerated value of a sequence (nan when degenerate; the
+    inf or nan of overflowed partial sums comes back without a warning)."""
     if len(seq) < 3:
         return float("nan")
     x0, x1, x2 = seq[-3], seq[-2], seq[-1]
-    d2 = (x2 - x1) - (x1 - x0)
-    if d2 == 0:
-        return float(x2)
-    return float(x2 - (x2 - x1) ** 2 / d2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = (x2 - x1) - (x1 - x0)
+        if d2 == 0:
+            return float(x2)
+        return float(x2 - (x2 - x1) ** 2 / d2)
 
 
 DIVERGENCE_BOUND = 1e8
@@ -299,53 +303,27 @@ def _series_float(chain: ChainSpec, n: int):
     return p, q, r, k, logpi, inv_ppi
 
 
-def _weighted_double_sum(weights: np.ndarray, p: np.ndarray, logpi: np.ndarray):
-    """Summands of sum_j (1/(p_j pi_j)) sum_{m<=j} w_m pi_m in log space."""
+def _double_sum_verdict(chain: ChainSpec, n: int, which: str) -> DivergenceVerdict:
+    """Verdict on sum_j (1/(p_j pi_j)) sum_{m<=j} w_m pi_m for j = 0..n, with
+    w = r (which="r") or w = kappa (which="kappa"), summed in log space."""
+    p, _, r, k, logpi, _ = _series_float(chain, n)
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        inner_log = np.logaddexp.accumulate(np.log(weights) + logpi)
+        inner_log = np.logaddexp.accumulate(np.log(r if which == "r" else k) + logpi)
         term_log = inner_log - (np.log(p) + logpi)
         terms = np.exp(term_log)
     terms[np.isneginf(term_log)] = 0.0
-    return terms
-
-
-def _inverse_ppi_terms_mpf(chain: ChainSpec, n: int, digits: int) -> np.ndarray:
-    with mp.workdps(digits):
-        p, _, _, _ = chain.mpf_coefficients(n)
-        log_pi = log_pi_mpf(chain, n)
-        return np.array([float(mp.exp(-(mp.log(p[j]) + log_pi[j]))) for j in range(n + 1)])
-
-
-def _double_sum_terms_mpf(chain: ChainSpec, n: int, which: str, digits: int) -> np.ndarray:
-    with mp.workdps(digits):
-        p, _, r, k = chain.mpf_coefficients(n)
-        weight = r if which == "r" else k
-        terms = np.empty(n + 1)
-        inner = mp.mpf(0)
-        for j, lp in enumerate(log_pi_mpf(chain, n)):
-            pi_j = mp.exp(lp)
-            inner += weight[j] * pi_j
-            terms[j] = float(inner / (p[j] * pi_j))
-    return terms
-
-
-FLOAT_SERIES_DIGITS = 16
-
-
-def series_L(chain: ChainSpec, n: int, digits: int = DEFAULT_DIGITS) -> DivergenceVerdict:
-    """Partial sums of sum_j 1/(p_j pi_j): diverges iff the chain is recurrent."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if digits <= FLOAT_SERIES_DIGITS:
-        _, _, _, _, _, terms = _series_float(chain, n)
-    else:
-        terms = _inverse_ppi_terms_mpf(chain, n, digits)
     return classify_series(np.cumsum(terms), terms)
 
 
-def asymptotic_aperiodicity_sum(
-    chain: ChainSpec, n: int, digits: int = DEFAULT_DIGITS
-) -> DivergenceVerdict:
+def series_L(chain: ChainSpec, n: int) -> DivergenceVerdict:
+    """Partial sums of sum_j 1/(p_j pi_j): diverges iff the chain is recurrent."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    *_, terms = _series_float(chain, n)
+    return classify_series(np.cumsum(terms), terms)
+
+
+def asymptotic_aperiodicity_sum(chain: ChainSpec, n: int) -> DivergenceVerdict:
     """Double sum sum_j (1/(p_j pi_j)) sum_{m<=j} r_m pi_m.
 
     Divergence is equivalent to asymptotic aperiodicity for honest chains;
@@ -357,35 +335,20 @@ def asymptotic_aperiodicity_sum(
         raise ChainHasKillingError(
             f"{chain.label}: aperiodicity sum is defined for honest chains only"
         )
-    if digits <= FLOAT_SERIES_DIGITS:
-        p, _, r, _, logpi, _ = _series_float(chain, n)
-        terms = _weighted_double_sum(r, p, logpi)
-    else:
-        terms = _double_sum_terms_mpf(chain, n, "r", digits)
-    return classify_series(np.cumsum(terms), terms)
+    return _double_sum_verdict(chain, n, "r")
 
 
-def rj_over_pj_sum(chain: ChainSpec, n: int, digits: int = DEFAULT_DIGITS) -> DivergenceVerdict:
+def rj_over_pj_sum(chain: ChainSpec, n: int) -> DivergenceVerdict:
     """Partial sums of sum_j r_j/p_j (sufficient condition, dominated by the
     aperiodicity double sum termwise)."""
-    if digits <= FLOAT_SERIES_DIGITS:
-        p, _, r, _ = chain.arrays(n)
-        terms = r / p
-    else:
-        with mp.workdps(digits):
-            p, _, r, _ = chain.mpf_coefficients(n)
-            terms = np.array([float(r[j] / p[j]) for j in range(n + 1)])
+    p, _, r, _ = chain.arrays(n)
+    terms = r / p
     return classify_series(np.cumsum(terms), terms)
 
 
-def killing_sum(chain: ChainSpec, n: int, digits: int = DEFAULT_DIGITS) -> DivergenceVerdict:
+def killing_sum(chain: ChainSpec, n: int) -> DivergenceVerdict:
     """Double sum sum_j (1/(p_j pi_j)) sum_{m<=j} kappa_m pi_m.
 
     Divergence is equivalent to certain eventual absorption in the cemetery
     state (equivalently Q_n(1) -> infinity)."""
-    if digits <= FLOAT_SERIES_DIGITS:
-        p, _, _, k, logpi, _ = _series_float(chain, n)
-        terms = _weighted_double_sum(k, p, logpi)
-    else:
-        terms = _double_sum_terms_mpf(chain, n, "kappa", digits)
-    return classify_series(np.cumsum(terms), terms)
+    return _double_sum_verdict(chain, n, "kappa")

@@ -52,9 +52,6 @@ from .recover import (
     stieltjes_recurrence,
 )
 
-LOG10 = math.log(10.0)
-
-
 @dataclass
 class ExperimentConfig:
     """Validated run parameters assembled from the config file and flags."""
@@ -129,16 +126,16 @@ def cmd_chain_info(cfg: ExperimentConfig) -> int:
     n = int(min(cfg.horizon, chain.depth - 2))
     rows = [("label", chain.label), ("periodic", is_periodic(chain)),
             ("has_killing", chain.has_killing())]
-    recurrence = series_L(chain, n, cfg.precision)
+    recurrence = series_L(chain, n)
     rows.append(("recurrence_series", recurrence.verdict))
     rows.append(("recurrence_detail", recurrence.tail_analysis))
     if not chain.has_killing():
-        ar = asymptotic_aperiodicity_sum(chain, n, cfg.precision)
+        ar = asymptotic_aperiodicity_sum(chain, n)
         rows.append(("aperiodicity_sum", ar.verdict))
         rows.append(("aperiodicity_detail", ar.tail_analysis))
-    rp = rj_over_pj_sum(chain, n, cfg.precision)
+    rp = rj_over_pj_sum(chain, n)
     rows.append(("hold_over_up_sum", rp.verdict))
-    ks = killing_sum(chain, n, cfg.precision)
+    ks = killing_sum(chain, n)
     rows.append(("killing_sum", ks.verdict))
     pis = potential_coefficients(chain, min(n, 64), cfg.precision)
     atomic_write(_path(cfg, "chain_info.txt"), keyvalue_text(rows))
@@ -170,12 +167,17 @@ def cmd_polys(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _require_edge_depth(label: str, depth) -> None:
+    """The edge solve needs 50 coefficients: refuse a shorter chain."""
+    if depth < 50:
+        raise InputError(f"{label}: the edge solve needs depth >= 50, "
+                         f"the chain has depth {depth}")
+
+
 def _edges_for(cfg: ExperimentConfig, chain: ChainSpec):
     """support_edges at the run's precision, the truncation clamped to
     [50, chain depth]; a prefix-only chain needs depth >= 50."""
-    if chain.depth < 50:
-        raise InputError(f"{chain.label}: the edge solve needs depth >= 50, "
-                         f"the chain has depth {chain.depth}")
+    _require_edge_depth(chain.label, chain.depth)
     return support_edges(chain, int(min(max(50, cfg.truncation), chain.depth)),
                          digits=cfg.precision)
 
@@ -315,6 +317,9 @@ def cmd_srlp(cfg: ExperimentConfig) -> int:
 def cmd_conjecture(cfg: ExperimentConfig) -> int:
     if cfg.chain is None and cfg.weight is None:
         raise InputError("conjecture needs a [chain] or [weight] section")
+    if cfg.weight is not None:
+        # the chain recovered from the weight has depth = horizon
+        _require_edge_depth(f"{cfg.weight.label} at horizon {cfg.horizon}", cfg.horizon)
     rep = conjecture_report(
         chain=cfg.chain if cfg.weight is None else None,
         weight=cfg.weight,
@@ -361,13 +366,15 @@ def cmd_conjecture(cfg: ExperimentConfig) -> int:
 def cmd_dt_check(cfg: ExperimentConfig) -> int:
     weight = cfg.require_weight()
     n_max = cfg.horizon
+    _require_edge_depth(f"{weight.label} at horizon {n_max}", n_max)
     _, recovery, blame = _recover_chain(cfg, weight, n_max)
     if not recovery.ok:
         _diagnostic("error", "not-a-random-walk-measure",
                     str(recovery.fail_reason) + blame)
         return 3
     exps = edge_exponents(weight, cfg.precision)
-    e = support_edges(recovery.chain, min(cfg.truncation, n_max), digits=min(cfg.precision, 15))
+    e = support_edges(recovery.chain, max(50, min(cfg.truncation, n_max)),
+                      digits=min(cfg.precision, 15))
     result = edge_scaled_christoffel(recovery.chain, exps, e.eta_hat, n_max, cfg.precision)
     atomic_write(
         _path(cfg, "dt_scaled.csv"),

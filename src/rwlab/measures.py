@@ -107,10 +107,9 @@ class CnValue:
     log10_positive: float
 
 
-def compute_Cn(measure: DiscreteMeasure, n: int) -> CnValue:
-    """Tail-moment ratio over the discrete measure; nodes at 0 are excluded
-    from both sums, and the sums are formed in log space so the ratio
-    survives underflow."""
+def _log_parts(measure: DiscreteMeasure):
+    """ln w and ln |x| on the positive, then the negative nodes (none within
+    ZERO_NODE_TOL of 0); ZeroDenominatorError when no node is positive."""
     x = measure.nodes
     w = measure.weights
     pos = x > ZERO_NODE_TOL
@@ -118,11 +117,17 @@ def compute_Cn(measure: DiscreteMeasure, n: int) -> CnValue:
     if not np.any(pos):
         raise ZeroDenominatorError("measure has no positive nodes")
     with np.errstate(divide="ignore"):
-        lw_pos, lx_pos = np.log(w[pos]), np.log(x[pos])
-        lw_neg, lx_neg = np.log(w[neg]), np.log(-x[neg])
+        return np.log(w[pos]), np.log(x[pos]), np.log(w[neg]), np.log(-x[neg])
+
+
+def compute_Cn(measure: DiscreteMeasure, n: int) -> CnValue:
+    """Tail-moment ratio over the discrete measure; nodes at 0 are excluded
+    from both sums, and the sums are formed in log space so the ratio
+    survives underflow."""
+    lw_pos, lx_pos, lw_neg, lx_neg = _log_parts(measure)
     ns = np.array([[n]])
     lp = float(_log_power_sums(lw_pos, lx_pos, ns)[0])
-    ln = float(_log_power_sums(lw_neg, lx_neg, ns)[0]) if np.any(neg) else NEG_INF
+    ln = float(_log_power_sums(lw_neg, lx_neg, ns)[0]) if len(lw_neg) else NEG_INF
     value = 0.0 if ln == NEG_INF else math.exp(ln - lp)
     log10 = math.log10(math.e)
     return CnValue(n, value, ln * log10 if ln != NEG_INF else NEG_INF, lp * log10)
@@ -137,17 +142,9 @@ def cn_series(measure: DiscreteMeasure, n_max: int) -> np.ndarray:
     Rows n are processed CN_BLOCK_ROWS at a time, so memory stays at one
     block of (rows x nodes) arrays; each row's reduction is the same as
     over the full array."""
-    x = measure.nodes
-    w = measure.weights
-    pos = x > ZERO_NODE_TOL
-    neg = x < -ZERO_NODE_TOL
-    if not np.any(pos):
-        raise ZeroDenominatorError("measure has no positive nodes")
-    if not np.any(neg):
+    lw_pos, lx_pos, lw_neg, lx_neg = _log_parts(measure)
+    if not len(lw_neg):
         return np.zeros(n_max + 1)
-    with np.errstate(divide="ignore"):
-        lw_pos, lx_pos = np.log(w[pos]), np.log(x[pos])
-        lw_neg, lx_neg = np.log(w[neg]), np.log(-x[neg])
     out = np.empty(n_max + 1)
     for lo in range(0, n_max + 1, CN_BLOCK_ROWS):
         ns = np.arange(lo, min(lo + CN_BLOCK_ROWS, n_max + 1))[:, None]

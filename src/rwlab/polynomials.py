@@ -42,10 +42,6 @@ from .tridiagonal import (
 def to_mpf(x) -> mp.mpf:
     if isinstance(x, Fraction):
         return mpf_from_fraction(x)
-    if isinstance(x, str):
-        if "/" in x:
-            return mpf_from_fraction(Fraction(x))
-        return mp.mpf(x)
     return mp.mpf(x)
 
 
@@ -69,9 +65,9 @@ class EvalTrace:
         return self.values[k].value
 
 
-def _agreement_failed(full, half, digits: int) -> bool:
+def _agreement_failed(full, half) -> bool:
     """True when the half-precision run shares no digits with the full one,
-    i.e. fewer than digits/2 digits of the full run can be trusted."""
+    i.e. fewer than half the requested digits of the full run can be trusted."""
     if full == half:
         return False
     scale = max(abs(full), abs(half))
@@ -99,7 +95,7 @@ def eval_Q(
     if n >= 1:
         half = q_values(chain, n, x, max(digits // 2, 6) + 8)
         with mp.workdps(dps):
-            if _agreement_failed(vals[-1], half[-1], digits):
+            if _agreement_failed(vals[-1], half[-1]):
                 raise PrecisionExhaustedError(
                     f"Q_{n}({x}) carries fewer than {digits // 2} reliable digits "
                     f"at {digits}-digit working precision"
@@ -355,7 +351,7 @@ def absorption_probabilities(
     declared infinite when the killing double sum diverges (tau = 1)."""
     if not chain.has_killing():
         return AbsorptionResult(tuple(0.0 for _ in range(j_max + 1)), 1.0, "no-killing")
-    verdict = killing_sum(chain, n_trunc, digits)
+    verdict = killing_sum(chain, n_trunc)
     growth = q_at_one_growth(chain, max(j_max, n_trunc), digits)
     if verdict.verdict == "diverges":
         return AbsorptionResult(

@@ -1,6 +1,7 @@
 """Chain validation, potential coefficients and the divergence verdicts."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +124,23 @@ def test_series_verdicts_pinned(series, family, n, verdict, detail):
     # log-space summands must reproduce them at any working precision
     v = series(getattr(families, family)(), n)
     assert (v.verdict, v.tail_analysis) == (verdict, detail)
+
+
+@pytest.mark.parametrize("p, q, r, aperiodicity", [
+    ("3/10", "7/10", "0", "converges"),
+    ("1/5", "1/2", "3/10", "diverges"),
+])
+def test_overflowing_series_stay_quiet(p, q, r, aperiodicity):
+    # recurrent chains drifting to 0: 1/(p_j pi_j) overflows float64 and the
+    # partial sums reach inf, which reads as divergence without a warning
+    chain = ChainSpec("drift", p=rule([1], p), q=rule([0], q), r=rule([0], r))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        recurrence = series_L(chain, 4000)
+        aperiodic = asymptotic_aperiodicity_sum(chain, 4000)
+    assert recurrence.verdict == "diverges"
+    assert recurrence.tail_analysis == "partial sums exceed bound 1e+08"
+    assert aperiodic.verdict == aperiodicity
 
 
 def test_is_periodic(chain_a, chain_b):

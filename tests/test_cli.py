@@ -3,12 +3,13 @@
 import filecmp
 import json
 import os
+import warnings
 
 import pytest
 
 from rwlab import fileformats as ff
 from rwlab import families
-from rwlab.chains import ChainSpec, CoeffRule
+from rwlab.chains import ChainSpec, CoeffRule, rule
 from rwlab.cli import main
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -196,3 +197,39 @@ def test_edge_subcommands_on_prefix_only_chains(tmp_path, capsys):
         assert len(records) == 1
         assert records[0]["code"] == "input"
         assert "depth 40" in records[0]["message"]
+
+
+def test_weight_subcommands_refuse_short_horizons(tmp_path, capsys):
+    # the chain recovered from a weight has depth = horizon, and the edge
+    # solve needs 50 coefficients
+    out = str(tmp_path / "e")
+    for sub in ("dt-check", "conjecture"):
+        assert run(sub, "--config", cfg("weight_e.cfg"), "--out", out,
+                   "--horizon", "40") == 3
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert len(records) == 1
+        assert records[0]["code"] == "input"
+        assert "needs depth >= 50" in records[0]["message"]
+        assert "horizon 40" in records[0]["message"]
+    assert not os.path.exists(out)
+    # a truncation below 50 is clamped to 50, as for the chain subcommands
+    assert run("dt-check", "--config", cfg("weight_e.cfg"), "--out", out,
+               "--horizon", "60", "--truncation", "40") == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_chain_info_on_overflowing_series_is_quiet(tmp_path, capsys):
+    # p = 3/10 < q = 7/10 drifts to 0: 1/(p_j pi_j) overflows float64 and
+    # the partial sums reach inf, which reads as divergence without warnings
+    chain = ChainSpec("drift-to-zero", p=rule([1], "3/10"), q=rule([0], "7/10"),
+                      r=rule([0], "0"))
+    config = tmp_path / "drift.cfg"
+    config.write_text(ff.chain_to_text(chain) + "\n[run]\nprecision = 15\nhorizon = 4000\n")
+    out = str(tmp_path / "d")
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert run("chain-info", "--config", str(config), "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    text = read(os.path.join(out, "chain_info.txt"))
+    assert "recurrence_series = diverges" in text
+    assert "recurrence_detail = partial sums exceed bound 1e+08" in text

@@ -8,7 +8,8 @@ processes against each tree: every subcommand on every bundled config in
 this repository's `configs/` that has the section it needs, plus `edges`,
 `measure` and `christoffel` at `--precision 34` on chain_b and chain_s at
 small truncations, and `chain-info`, `polys` and `absorb` at
-`--precision 34` for the mpmath series, polynomial and absorption paths.
+`--precision 34` for the coefficient-level series, polynomial and
+absorption paths at the default working precision.
 The base and change runs of one job go side by side (two processes at a
 time).
 
@@ -42,9 +43,10 @@ HIGH_PRECISION = [
         ("edges", ("chain_b", "chain_s"), ("--truncation", "1000")),
         ("measure", ("chain_b", "chain_s"), ("--truncation", "60")),
         ("christoffel", ("chain_b", "chain_s"), ("--truncation", "200", "--horizon", "200")),
-        ("chain-info", ("chain_b", "chain_k"), ("--horizon", "400")),
+        ("chain-info", ("chain_a", "chain_b", "chain_c", "chain_k", "chain_s",
+                        "constant_killing", "chain_recovered"), ("--horizon", "400")),
         ("polys", ("chain_s",), ()),
-        ("absorb", ("chain_k",), ("--horizon", "400")),
+        ("absorb", ("chain_k", "constant_killing"), ("--horizon", "400")),
     )
     for name in names
 ]
