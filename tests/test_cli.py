@@ -187,8 +187,8 @@ def test_edge_subcommands_on_prefix_only_chains(tmp_path, capsys):
     assert "truncation_size = 64" in read(os.path.join(out, "edges.txt"))
     # cut to depth 40, the chain is too short for the edge solve
     chain = ff.chain_from_sections(ff.parse_file(cfg("chain_recovered.cfg")))
-    short = ChainSpec(chain.label, *(CoeffRule(rule.prefix[:40])
-                                     for rule in (chain.p, chain.q, chain.r, chain.kappa)))
+    short = ChainSpec(chain.label, *(CoeffRule(col.prefix[:40])
+                                     for col in (chain.p, chain.q, chain.r, chain.kappa)))
     config = tmp_path / "short.cfg"
     config.write_text(ff.chain_to_text(short) + "\n[run]\nprecision = 15\n")
     for sub in ("edges", "christoffel"):
