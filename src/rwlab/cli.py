@@ -174,6 +174,14 @@ def _require_edge_depth(label: str, depth) -> None:
                          f"the chain has depth {depth}")
 
 
+def _require_limit_horizon(label: str, horizon: int) -> None:
+    """The Christoffel-ratio limit needs 16 terms (estimate_limit's
+    min_len): refuse a shorter horizon."""
+    if horizon < 16:
+        raise InputError(f"{label}: the ratio limit needs horizon >= 16, "
+                         f"the run has horizon {horizon}")
+
+
 def _edges_for(cfg: ExperimentConfig, chain: ChainSpec):
     """support_edges at the run's precision, the truncation clamped to
     [50, chain depth]; a prefix-only chain needs depth >= 50."""
@@ -228,6 +236,7 @@ def cmd_cn(cfg: ExperimentConfig) -> int:
 
 def cmd_christoffel(cfg: ExperimentConfig) -> int:
     chain = cfg.require_chain()
+    _require_limit_horizon(chain.label, cfg.horizon)
     e = _edges_for(cfg, chain)
     n_max = int(min(cfg.horizon, chain.depth - 1))
     seq, est, spread = ratio_limit_with_edge_spread(chain, n_max, e.eta_hat, cfg.precision)
@@ -320,6 +329,8 @@ def cmd_conjecture(cfg: ExperimentConfig) -> int:
     if cfg.weight is not None:
         # the chain recovered from the weight has depth = horizon
         _require_edge_depth(f"{cfg.weight.label} at horizon {cfg.horizon}", cfg.horizon)
+    else:
+        _require_limit_horizon(cfg.chain.label, cfg.horizon)
     rep = conjecture_report(
         chain=cfg.chain if cfg.weight is None else None,
         weight=cfg.weight,

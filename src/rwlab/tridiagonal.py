@@ -2,10 +2,15 @@
 eigenvalues, and Golub-Welsch quadrature.
 
 Two backends share every interface: float64 (LAPACK via scipy) for
-digits <= 16, and mpmath for higher working precision.  High-precision
-eigenvalues come from Sturm-count bisection or Newton polishing of float64
-seeds; high-precision Golub-Welsch weights use the reciprocal
-sum-of-squares identity for the first eigenvector component.
+digits <= 16, and a high-precision one above.  The high-precision backend
+takes its Jacobi arrays as mpf and runs its hot loops in fixed point, on
+Python integers scaled by 2^F, where F is the working precision in bits
+plus _GUARD_BITS.  Extreme eigenvalues come from Sturm-count bisection.
+Golub-Welsch nodes are Newton-polished float64 seeds, all nodes at once on
+numpy object arrays.  Each weight is 1/sum v_j^2 for the node's eigenvector
+v with v_0 = 1, run forward from the first index and backward from the
+last and joined where the float64 eigenvector peaks, so an eigenvector that
+decays keeps its weight.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 FLOAT_DIGITS = 16
+_GUARD_BITS = 24
 
 
 def jacobi_arrays_f64(chain, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -44,19 +50,21 @@ def _three_term(x, p, q, r, n: int):
         yield cur
 
 
-def sturm_count(d: list, e: list, x) -> int:
-    """Number of eigenvalues of the tridiagonal (d, e) strictly below x."""
-    count = 0
+def _fixed(v, bits: int) -> int:
+    """round(v * 2^bits) for an mpf or float v."""
+    return int(mp.nint(mp.ldexp(v, bits)))
+
+
+def sturm_count(d: list, e2: list, x: int) -> int:
+    """Number of eigenvalues of the tridiagonal (d, e) strictly below x.
+
+    Fixed point: d and x are scaled by 2^F and e2 = e^2 by 2^(2F).  A zero
+    pivot becomes one unit, 2^-F."""
     t = d[0] - x
-    tiny = mp.mpf(10) ** (-mp.mp.dps * 3)
-    if t < 0:
-        count += 1
-    for k in range(1, len(d)):
-        if t == 0:
-            t = tiny
-        t = d[k] - x - e[k - 1] * e[k - 1] / t
-        if t < 0:
-            count += 1
+    count = int(t < 0)
+    for dk, ek in zip(d[1:], e2):
+        t = dk - x - ek // (t or 1)
+        count += t < 0
     return count
 
 
@@ -78,13 +86,16 @@ def extreme_eigen_mpf(d: list, e: list, which: str, digits: int) -> mp.mpf:
         radius.append(left + right)
     lo = min(d[k] - radius[k] for k in range(n)) - 1
     hi = max(d[k] + radius[k] for k in range(n)) + 1
+    bits = mp.mp.prec + _GUARD_BITS
+    fd = [_fixed(v, bits) for v in d]
+    fe2 = [_fixed(v * v, bits) << bits for v in e]
     # lambda_max: largest x with at most n-1 eigenvalues below it;
     # lambda_min: largest x with no eigenvalue below it
     threshold = n - 1 if which == "max" else 0
     eps = mp.mpf(10) ** (-(digits - 2))
     while hi - lo > eps * max(1, abs(hi), abs(lo)):
         mid = (lo + hi) / 2
-        if sturm_count(d, e, mid) <= threshold:
+        if sturm_count(fd, fe2, _fixed(mid, bits)) <= threshold:
             lo = mid
         else:
             hi = mid
@@ -97,44 +108,50 @@ def golub_welsch_f64(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return w, v[0, :] ** 2
 
 
-def _char_and_derivative(a: list, b: list, x, n: int):
-    """Characteristic-polynomial surrogate for the n x n truncation and its
-    derivative: u = (x - b_{n-1}) p_{n-1} - a_{n-1} p_{n-2}, whose zeros are
-    the eigenvalues (the final orthonormal rescaling is irrelevant)."""
-    p_prev, p_cur = mp.mpf(1), (x - b[0]) / a[1]
-    d_prev, d_cur = mp.mpf(0), mp.mpf(1) / a[1]
-    for k in range(1, n - 1):
-        p_nxt = ((x - b[k]) * p_cur - a[k] * p_prev) / a[k + 1]
-        d_nxt = (p_cur + (x - b[k]) * d_cur - a[k] * d_prev) / a[k + 1]
-        p_prev, p_cur = p_cur, p_nxt
-        d_prev, d_cur = d_cur, d_nxt
-    u = (x - b[n - 1]) * p_cur - a[n - 1] * p_prev
-    du = p_cur + (x - b[n - 1]) * d_cur - a[n - 1] * d_prev
-    return u, du
+def _eigenvector_sums(x, a: list, b: list, inv: list, peak, bits: int):
+    """(sum_{j<peak} v_j^2 at scale 2^(2F), v_peak at scale 2^F) per node of
+    v_0 = 1, v_{j+1} = ((x - b_j) v_j - a_j v_{j-1}) / a_{j+1}."""
+    prev, cur = 0, np.full(len(x), 1 << bits, dtype=object)
+    total, at_peak = 0, cur
+    for j in range(int(peak.max())):
+        total = total + np.where(peak > j, cur * cur, 0)
+        prev, cur = cur, ((x - b[j]) * cur - a[j] * prev) * inv[j + 1] >> 2 * bits
+        at_peak = np.where(peak == j + 1, cur, at_peak)
+    return total, at_peak
 
 
 def golub_welsch_mpf(chain, size: int, digits: int):
-    """High-precision nodes/weights: float64 seeds, Newton-polished roots of
-    the degree-`size` orthonormal polynomial, weights 1/sum_{j<size} p_j^2."""
+    """High-precision nodes/weights: four Newton steps from the float64
+    seeds on u = a_size p_size and u'; weights from the eigenvector run
+    forward to, and backward from the end to, its float64 peak."""
     d64, e64 = jacobi_arrays_f64(chain, size)
-    seeds, _ = golub_welsch_f64(d64, e64)
+    seeds, vectors = eigh_tridiagonal(d64, e64)
+    peak = np.argmax(np.abs(vectors), axis=0)
     with mp.workdps(digits + 10):
         dg, eg = jacobi_arrays_mpf(chain, size)
-        a = [mp.mpf(0)] + eg  # a[k], k = 1..size-1
-        b = dg
-        nodes = []
-        weights = []
-        for s in seeds:
-            x = mp.mpf(float(s))
-            for _ in range(4):
-                u, du = _char_and_derivative(a, b, x, size)
-                if du == 0:
-                    break
-                x = x - u / du
-            vals = [mp.mpf(1), *_three_term(x, eg, a, b, size - 1)]
-            weights.append(1 / mp.fsum(v * v for v in vals))
-            nodes.append(x)
-        order = sorted(range(size), key=lambda k: nodes[k])
-        nodes = [nodes[k] for k in order]
-        weights = [weights[k] for k in order]
+        bits = mp.mp.prec + _GUARD_BITS
+        b = [_fixed(v, bits) for v in dg]
+        a = [0, *(_fixed(v, bits) for v in eg), 0]  # a[k], k = 1..size-1; a[size] = 0
+        inv = [0, *(_fixed(1 / v, bits) for v in eg), 0]
+        x = np.array([_fixed(s, bits) for s in seeds], dtype=object)
+        for _ in range(4):
+            p_prev, p, dp_prev, dp = 0, 1 << bits, 0, 0
+            for k in range(size):
+                xb = x - b[k]
+                u = xb * p - a[k] * p_prev
+                du = (p << bits) + xb * dp - a[k] * dp_prev
+                p_prev, p = p, u * inv[k + 1] >> 2 * bits
+                dp_prev, dp = dp, du * inv[k + 1] >> 2 * bits
+            moved = du != 0
+            x[moved] -= (u[moved] << bits) // du[moved]
+        lower, fm = _eigenvector_sums(x, a, b, inv, peak, bits)
+        upper, gm = _eigenvector_sums(x, a[::-1], b[::-1], inv[::-1], size - 1 - peak, bits)
+        # the backward solution, rescaled to meet the forward one at the peak
+        total = lower + fm * fm + upper * fm * fm // (gm * gm)
+        order = sorted(range(size), key=lambda k: x[k])
+        # the guard bits only absorb the loops' rounding: return the nodes on
+        # the grid 2^-prec, so that a node at zero comes out as exactly 0
+        x = (x + (1 << _GUARD_BITS - 1)) >> _GUARD_BITS
+        nodes = [mp.ldexp(x[k], -mp.mp.prec) for k in order]
+        weights = [mp.ldexp(1 / mp.mpf(total[k]), 2 * bits) for k in order]
     return nodes, weights

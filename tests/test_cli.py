@@ -218,6 +218,21 @@ def test_weight_subcommands_refuse_short_horizons(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_ratio_limit_subcommands_refuse_short_horizons(tmp_path, capsys):
+    # the Christoffel-ratio limit extrapolates from at least 16 terms
+    out = str(tmp_path / "h")
+    for sub, horizon in (("conjecture", "15"), ("christoffel", "10")):
+        assert run(sub, "--config", cfg("chain_b.cfg"), "--out", out,
+                   "--horizon", horizon) == 3
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert len(records) == 1
+        assert records[0]["code"] == "input"
+        assert f"needs horizon >= 16, the run has horizon {horizon}" in records[0]["message"]
+    assert not os.path.exists(out)
+    assert run("christoffel", "--config", cfg("chain_b.cfg"), "--out", out,
+               "--horizon", "16") == 0
+
+
 def test_chain_info_on_overflowing_series_is_quiet(tmp_path, capsys):
     # p = 3/10 < q = 7/10 drifts to 0: 1/(p_j pi_j) overflows float64 and
     # the partial sums reach inf, which reads as divergence without warnings

@@ -1,0 +1,75 @@
+"""The high-precision tridiagonal kernels against an independent oracle
+(mpmath's dense symmetric eigensolver at 60 digits), and the quadrature
+weights of a chain whose lowest eigenvector decays."""
+
+import mpmath as mp
+import pytest
+
+from rwlab.chains import ChainSpec, rule
+from rwlab.measures import quadrature_from_chain
+from rwlab.tridiagonal import extreme_eigen_mpf, jacobi_arrays_mpf, sturm_count
+
+SIZE = 24
+# fixed-point scale of the Sturm-count inputs; the kernel takes any scale
+SCALE_BITS = 256
+
+
+def _oracle(chain):
+    """(d, e, eigenvalues, first eigenvector components squared) of the
+    SIZE x SIZE Jacobi truncation, at 60 digits."""
+    with mp.workdps(60):
+        d, e = jacobi_arrays_mpf(chain, SIZE)
+        matrix = mp.zeros(SIZE, SIZE)
+        for k in range(SIZE):
+            matrix[k, k] = d[k]
+        for k in range(SIZE - 1):
+            matrix[k, k + 1] = matrix[k + 1, k] = e[k]
+        values, vectors = mp.eigsy(matrix)
+        order = sorted(range(SIZE), key=lambda k: values[k])
+        return (d, e, [values[k] for k in order],
+                [vectors[0, k] ** 2 for k in order])
+
+
+def _scaled(v, bits=SCALE_BITS):
+    return int(mp.nint(mp.ldexp(v, bits)))
+
+
+@pytest.mark.parametrize("name", ["chain_a", "chain_b", "chain_c", "chain_s"])
+def test_kernels_match_dense_oracle(name, request):
+    chain = request.getfixturevalue(name)
+    d, e, values, weights = _oracle(chain)
+    m = quadrature_from_chain(chain, SIZE, digits=34)
+    with mp.workdps(60):
+        for k in range(SIZE):
+            assert abs(m.mp_nodes[k] - values[k]) < mp.mpf("1e-40"), (name, k)
+            assert abs(m.mp_weights[k] / weights[k] - 1) < mp.mpf("1e-38"), (name, k)
+        fd = [_scaled(v) for v in d]
+        fe2 = [_scaled(v * v, 2 * SCALE_BITS) for v in e]
+        for i, lam in enumerate(values):
+            assert sturm_count(fd, fe2, _scaled(lam - mp.mpf("1e-40"))) == i
+            assert sturm_count(fd, fe2, _scaled(lam + mp.mpf("1e-40"))) == i + 1
+    with mp.workdps(42):
+        d, e = jacobi_arrays_mpf(chain, SIZE)
+        assert abs(extreme_eigen_mpf(d, e, "max", 34) - values[-1]) < mp.mpf("1e-31")
+        assert abs(extreme_eigen_mpf(d, e, "min", 34) - values[0]) < mp.mpf("1e-31")
+
+
+def test_weights_of_a_decaying_eigenvector():
+    # the eigenvalue -1/9 lies below the band [3/5, 1] and its eigenvector
+    # decays geometrically; a forward recurrence alone loses its weight 8/9
+    chain = ChainSpec("outlier", p=rule([1], "1/10"), q=rule([0], "1/10"),
+                      r=rule([0], "4/5"))
+    m = quadrature_from_chain(chain, 100, digits=34)
+    with mp.workdps(50):
+        tol = mp.mpf("1e-30")
+        assert abs(mp.fsum(m.mp_weights) - 1) < tol
+        assert abs(m.mp_nodes[0] + mp.mpf(1) / 9) < tol
+        assert abs(m.mp_weights[0] - mp.mpf(8) / 9) < tol
+
+
+@pytest.mark.parametrize("digits", [20, 34])
+def test_zero_node_of_a_symmetric_spectrum(chain_a, chain_c, digits):
+    # r = 0 makes the spectrum symmetric, so an odd truncation has the node 0
+    for chain in (chain_a, chain_c):
+        m = quadrature_from_chain(chain, 61, digits=digits)
+        assert m.mp_nodes[30] == 0

@@ -6,10 +6,12 @@ BASE_SRC and CHANGE_SRC are checkouts of the repository (or their `src`
 directories).  A fixed matrix of `rwlab` subcommands runs in fresh
 processes against each tree: every subcommand on every bundled config in
 this repository's `configs/` that has the section it needs, plus `edges`,
-`measure` and `christoffel` at `--precision 34` on chain_b and chain_s at
-small truncations, and `chain-info`, `polys` and `absorb` at
-`--precision 34` for the coefficient-level series, polynomial and
-absorption paths at the default working precision.
+`measure` and `christoffel` at `--precision 34` on chain_b and chain_s
+(`measure` at truncation 60 and at the benchmark's 400), `measure` and
+`edges` at `--precision 60` on chain_c for a second fixed-point width, and
+`chain-info`, `polys` and `absorb` at `--precision 34` for the
+coefficient-level series, polynomial and absorption paths at the default
+working precision.
 The base and change runs of one job go side by side (two processes at a
 time).
 
@@ -38,15 +40,19 @@ ACCEPTS = {
 }
 
 HIGH_PRECISION = [
-    (sub, name, ("--precision", "34", *flags))
-    for sub, names, flags in (
-        ("edges", ("chain_b", "chain_s"), ("--truncation", "1000")),
-        ("measure", ("chain_b", "chain_s"), ("--truncation", "60")),
-        ("christoffel", ("chain_b", "chain_s"), ("--truncation", "200", "--horizon", "200")),
+    (sub, name, ("--precision", digits, *flags))
+    for sub, names, digits, flags in (
+        ("edges", ("chain_b", "chain_s"), "34", ("--truncation", "1000")),
+        ("measure", ("chain_b", "chain_s"), "34", ("--truncation", "60")),
+        ("measure", ("chain_b", "chain_s"), "34", ("--truncation", "400")),
+        ("measure", ("chain_c",), "60", ("--truncation", "100")),
+        ("edges", ("chain_c",), "60", ("--truncation", "200")),
+        ("christoffel", ("chain_b", "chain_s"), "34",
+         ("--truncation", "200", "--horizon", "200")),
         ("chain-info", ("chain_a", "chain_b", "chain_c", "chain_k", "chain_s",
-                        "constant_killing", "chain_recovered"), ("--horizon", "400")),
-        ("polys", ("chain_s",), ()),
-        ("absorb", ("chain_k", "constant_killing"), ("--horizon", "400")),
+                        "constant_killing", "chain_recovered"), "34", ("--horizon", "400")),
+        ("polys", ("chain_s",), "34", ()),
+        ("absorb", ("chain_k", "constant_killing"), "34", ("--horizon", "400")),
     )
     for name in names
 ]
