@@ -1,11 +1,13 @@
 """Symmetric tridiagonal toolbox: Jacobi matrices of chains, extreme
 eigenvalues, and Golub-Welsch quadrature.
 
-Two backends share every interface: float64 (LAPACK via scipy) for
-digits <= 16, and a high-precision one above.  The high-precision backend
-takes its Jacobi arrays as mpf and runs its hot loops in fixed point, on
-Python integers scaled by 2^F, where F is the working precision in bits
-plus _GUARD_BITS.  Extreme eigenvalues come from Sturm-count bisection.
+Two backends share every interface: float64 (numpy) for digits <= 16, and
+a high-precision one above.  Extreme eigenvalues come from bisection on one
+Sturm-count kernel in fixed point, on Python integers scaled by 2^F, where
+F is the working precision in bits (53 for float64) plus _GUARD_BITS; the
+float64 bisection runs until its bracket ends are adjacent doubles.
+Float64 Golub-Welsch is numpy's dense symmetric eigensolver on the Jacobi
+matrix.  The high-precision backend takes its Jacobi arrays as mpf.  Its
 Golub-Welsch nodes are Newton-polished float64 seeds, all nodes at once on
 numpy object arrays.  Each weight is 1/sum v_j^2 for the node's eigenvector
 v with v_0 = 1, run forward from the first index and backward from the
@@ -15,9 +17,10 @@ decays keeps its weight.
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 FLOAT_DIGITS = 16
 _GUARD_BITS = 24
@@ -68,30 +71,48 @@ def sturm_count(d: list, e2: list, x: int) -> int:
     return count
 
 
-def extreme_eigen_f64(d: np.ndarray, e: np.ndarray, which: str) -> float:
+def _gershgorin(d, e):
+    """An interval holding every eigenvalue of the tridiagonal (d, e),
+    widened by 1 on each side."""
     n = len(d)
-    idx = n - 1 if which == "max" else 0
-    w = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                         select_range=(idx, idx))
-    return float(w[0])
+    radius = [abs(e[0]) if n > 1 else 0]
+    for k in range(1, n):
+        radius.append(abs(e[k - 1]) + (abs(e[k]) if k < n - 1 else 0))
+    return (min(d[k] - radius[k] for k in range(n)) - 1,
+            max(d[k] + radius[k] for k in range(n)) + 1)
+
+
+def extreme_eigen_f64(d: np.ndarray, e: np.ndarray, which: str) -> float:
+    """Extreme eigenvalue by Sturm bisection in float64, counted on the
+    fixed-point grid 2^-F with F = 53 + _GUARD_BITS: the lower end of a
+    bracket whose ends are adjacent doubles.  Doubles are finer than the
+    grid only within 2^-24 of 0, where the bracket stops at the grid
+    spacing.  The grid is absolute, which suits a chain's Jacobi entries
+    (all at most 1)."""
+    bits = 53 + _GUARD_BITS
+    d, e = d.tolist(), e.tolist()
+    lo, hi = _gershgorin(d, e)
+    fd = [round(math.ldexp(v, bits)) for v in d]
+    fe2 = [round(math.ldexp(v, bits)) ** 2 for v in e]
+    threshold = len(d) - 1 if which == "max" else 0
+    grid = math.ldexp(1.0, -bits)
+    while hi - lo > grid and lo < (mid := (lo + hi) / 2) < hi:
+        if sturm_count(fd, fe2, round(math.ldexp(mid, bits))) <= threshold:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def extreme_eigen_mpf(d: list, e: list, which: str, digits: int) -> mp.mpf:
     """Extreme eigenvalue by Sturm bisection at working precision."""
-    n = len(d)
-    radius = [abs(e[0]) if n > 1 else mp.mpf(0)]
-    for k in range(1, n):
-        left = abs(e[k - 1])
-        right = abs(e[k]) if k < n - 1 else mp.mpf(0)
-        radius.append(left + right)
-    lo = min(d[k] - radius[k] for k in range(n)) - 1
-    hi = max(d[k] + radius[k] for k in range(n)) + 1
+    lo, hi = _gershgorin(d, e)
     bits = mp.mp.prec + _GUARD_BITS
     fd = [_fixed(v, bits) for v in d]
     fe2 = [_fixed(v * v, bits) << bits for v in e]
     # lambda_max: largest x with at most n-1 eigenvalues below it;
     # lambda_min: largest x with no eigenvalue below it
-    threshold = n - 1 if which == "max" else 0
+    threshold = len(d) - 1 if which == "max" else 0
     eps = mp.mpf(10) ** (-(digits - 2))
     while hi - lo > eps * max(1, abs(hi), abs(lo)):
         mid = (lo + hi) / 2
@@ -102,9 +123,18 @@ def extreme_eigen_mpf(d: list, e: list, which: str, digits: int) -> mp.mpf:
     return (lo + hi) / 2
 
 
+def _eigh(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and unit eigenvectors (columns) of the
+    tridiagonal (d, e), from the dense symmetric solver."""
+    n = len(d)
+    matrix = np.diag(d)
+    matrix[np.arange(1, n), np.arange(n - 1)] = e  # eigh reads the lower triangle
+    return np.linalg.eigh(matrix)
+
+
 def golub_welsch_f64(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the quadrature rule of a unit-mass Jacobi matrix."""
-    w, v = eigh_tridiagonal(d, e)
+    w, v = _eigh(d, e)
     return w, v[0, :] ** 2
 
 
@@ -125,7 +155,7 @@ def golub_welsch_mpf(chain, size: int, digits: int):
     seeds on u = a_size p_size and u'; weights from the eigenvector run
     forward to, and backward from the end to, its float64 peak."""
     d64, e64 = jacobi_arrays_f64(chain, size)
-    seeds, vectors = eigh_tridiagonal(d64, e64)
+    seeds, vectors = _eigh(d64, e64)
     peak = np.argmax(np.abs(vectors), axis=0)
     with mp.workdps(digits + 10):
         dg, eg = jacobi_arrays_mpf(chain, size)

@@ -3,10 +3,13 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import rwlab
 from rwlab import fileformats as ff
 from rwlab import families
 from rwlab.chains import ChainSpec, CoeffRule, rule
@@ -26,6 +29,17 @@ def run(*args):
 def read(path):
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def test_import_leaves_scipy_unloaded():
+    # the CLI pays no scipy import: a fresh interpreter that imports it has
+    # no scipy module loaded
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rwlab.__file__)))
+    code = ("import sys, rwlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_chain_file_roundtrip(tmp_path, chain_s):

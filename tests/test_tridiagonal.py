@@ -1,13 +1,21 @@
-"""The high-precision tridiagonal kernels against an independent oracle
+"""The tridiagonal kernels of both backends against an independent oracle
 (mpmath's dense symmetric eigensolver at 60 digits), and the quadrature
 weights of a chain whose lowest eigenvector decays."""
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from rwlab.chains import ChainSpec, rule
 from rwlab.measures import quadrature_from_chain
-from rwlab.tridiagonal import extreme_eigen_mpf, jacobi_arrays_mpf, sturm_count
+from rwlab.tridiagonal import (
+    extreme_eigen_f64,
+    extreme_eigen_mpf,
+    golub_welsch_f64,
+    jacobi_arrays_f64,
+    jacobi_arrays_mpf,
+    sturm_count,
+)
 
 SIZE = 24
 # fixed-point scale of the Sturm-count inputs; the kernel takes any scale
@@ -52,6 +60,21 @@ def test_kernels_match_dense_oracle(name, request):
         d, e = jacobi_arrays_mpf(chain, SIZE)
         assert abs(extreme_eigen_mpf(d, e, "max", 34) - values[-1]) < mp.mpf("1e-31")
         assert abs(extreme_eigen_mpf(d, e, "min", 34) - values[0]) < mp.mpf("1e-31")
+    d64, e64 = jacobi_arrays_f64(chain, SIZE)
+    nodes, weights64 = golub_welsch_f64(d64, e64)
+    for k in range(SIZE):
+        assert abs(nodes[k] - values[k]) < 1e-15, (name, k)
+        assert abs(weights64[k] / weights[k] - 1) < 1e-12, (name, k)
+    tol = 4 * np.finfo(float).eps * float(max(abs(values[0]), abs(values[-1])))
+    assert abs(extreme_eigen_f64(d64, e64, "max") - values[-1]) <= tol
+    assert abs(extreme_eigen_f64(d64, e64, "min") - values[0]) <= tol
+
+
+@pytest.mark.parametrize("entry", [0.3, -0.7, 0.0])
+def test_float_extreme_eigen_of_one_entry(entry):
+    # n = 1: no off-diagonal, the eigenvalue is the entry itself
+    d, e = np.array([entry]), np.array([])
+    assert extreme_eigen_f64(d, e, "max") == extreme_eigen_f64(d, e, "min") == entry
 
 
 def test_weights_of_a_decaying_eigenvector():
@@ -65,6 +88,10 @@ def test_weights_of_a_decaying_eigenvector():
         assert abs(mp.fsum(m.mp_weights) - 1) < tol
         assert abs(m.mp_nodes[0] + mp.mpf(1) / 9) < tol
         assert abs(m.mp_weights[0] - mp.mpf(8) / 9) < tol
+    m = quadrature_from_chain(chain, 100, digits=15)
+    assert abs(m.total_mass - 1) < 1e-15
+    assert abs(m.nodes[0] + 1 / 9) < 1e-15
+    assert abs(m.weights[0] - 8 / 9) < 1e-15
 
 
 @pytest.mark.parametrize("digits", [20, 34])

@@ -8,10 +8,11 @@ processes against each tree: every subcommand on every bundled config in
 this repository's `configs/` that has the section it needs, plus `edges`,
 `measure` and `christoffel` at `--precision 34` on chain_b and chain_s
 (`measure` at truncation 60 and at the benchmark's 400), `measure` and
-`edges` at `--precision 60` on chain_c for a second fixed-point width, and
+`edges` at `--precision 60` on chain_c for a second fixed-point width,
 `chain-info`, `polys` and `absorb` at `--precision 34` for the
 coefficient-level series, polynomial and absorption paths at the default
-working precision.
+working precision, and `measure --precision 15 --truncation 1000` on chain_b
+and chain_s for float64 Golub-Welsch above the configs' truncation 400.
 The base and change runs of one job go side by side (two processes at a
 time).
 
@@ -39,7 +40,7 @@ ACCEPTS = {
     **dict.fromkeys(("measure", "cn", "conjecture"), {"chain", "weight"}),
 }
 
-HIGH_PRECISION = [
+EXTRA = [
     (sub, name, ("--precision", digits, *flags))
     for sub, names, digits, flags in (
         ("edges", ("chain_b", "chain_s"), "34", ("--truncation", "1000")),
@@ -53,6 +54,7 @@ HIGH_PRECISION = [
                         "constant_killing", "chain_recovered"), "34", ("--horizon", "400")),
         ("polys", ("chain_s",), "34", ()),
         ("absorb", ("chain_k", "constant_killing"), "34", ("--horizon", "400")),
+        ("measure", ("chain_b", "chain_s"), "15", ("--truncation", "1000")),
     )
     for name in names
 ]
@@ -69,7 +71,7 @@ def job_matrix() -> list[tuple[str, str, tuple[str, ...]]]:
     for cfg in sorted(f[:-4] for f in os.listdir(CONFIGS) if f.endswith(".cfg")):
         have = _sections(os.path.join(CONFIGS, cfg + ".cfg"))
         jobs += [(sub, cfg, ()) for sub, sections in ACCEPTS.items() if sections & have]
-    return jobs + HIGH_PRECISION
+    return jobs + EXTRA
 
 
 def _src(tree: str) -> str:
