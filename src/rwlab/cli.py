@@ -38,6 +38,7 @@ from .errors import InputError, RwlabError
 from .fileformats import atomic_write, csv_text, keyvalue_text
 from .measures import (
     cn_series,
+    monte_carlo_transitions,
     quadrature_from_chain,
     srlp_predicted_limit,
     transition_probability,
@@ -198,6 +199,8 @@ def cmd_edges(cfg: ExperimentConfig) -> int:
         ("truncation_size", e.truncation_size), ("discrepancy", e.discrepancy),
         ("eta_eigen", e.eta_eigen), ("eta_bisection", e.eta_bisection),
         ("zeta_eigen", e.zeta_eigen), ("zeta_bisection", e.zeta_bisection),
+        ("eta_richardson_step", abs(e.eta_hat - e.eta_eigen)),
+        ("zeta_richardson_step", abs(e.zeta_hat - e.zeta_eigen)),
     ]))
     return 0
 
@@ -424,15 +427,20 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
     chain = cfg.require_chain()
     samples = _opt(cfg.options, "samples", 10**5)
     steps = _opt(cfg.options, "steps", 4)
-    rows = []
-    for i, j in ((0, 0), (0, 1), (1, 1)):
-        for n in range(1, steps + 1):
-            tq = transition_probability(
-                chain, i, j, n, digits=min(cfg.precision, 15),
-                mc_samples=samples, seed=cfg.seed + 17 * n + i + 3 * j,
-            )
-            est, se = tq.value_mc
-            rows.append((i, j, n, tq.value_spectral, tq.value_matrix, est, se))
+    queries = [
+        transition_probability(chain, i, j, n, digits=min(cfg.precision, 15))
+        for i, j in ((0, 0), (0, 1), (1, 1))
+        for n in range(1, steps + 1)
+    ]
+    # one walk per start state i, on seed + i, counted at every (n, j)
+    walks = {
+        i: monte_carlo_transitions(chain, i, js, steps, samples, cfg.seed + i)
+        for i, js in ((0, (0, 1)), (1, (1,)))
+    }
+    rows = (
+        (tq.i, tq.j, tq.n, tq.value_spectral, tq.value_matrix, *walks[tq.i][tq.n, tq.j])
+        for tq in queries
+    )
     atomic_write(
         _path(cfg, "mc.csv"),
         csv_text(["i", "j", "n", "spectral", "matrix", "mc_est", "mc_se"], rows),

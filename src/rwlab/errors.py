@@ -74,4 +74,5 @@ class InputError(RwlabError):
 class NumericalRouteWarning(UserWarning):
     """A numerical stage left its default route for a safer, slower one
     (for example, the Stieltjes recursion fell back to full
-    reorthogonalization); the result is still valid."""
+    reorthogonalization) or set aside input it could not use (estimate_limit
+    dropping non-finite entries); the result is still valid."""

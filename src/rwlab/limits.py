@@ -8,9 +8,12 @@ sequences are flagged rather than averaged.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import NumericalRouteWarning
 
 INF = float("inf")
 
@@ -66,12 +69,18 @@ def estimate_limit(seq, min_len: int = 16) -> LimitEstimate:
     Tail-window mean; Aitken acceleration when the tail is monotone;
     'oscillating/none' when the even and odd subsequences settle at visibly
     different values; '+infinity' when the tail grows without sign changes
-    past 1e12.
+    past 1e12.  Non-finite entries are dropped with a NumericalRouteWarning
+    that gives their count.
     """
     s = np.asarray([float(v) for v in seq], dtype=float)
     # positions in the caller's sequence of the finite entries kept, so
     # n_used indexes seq even when non-finite entries are dropped
     index = np.flatnonzero(np.isfinite(s))
+    if len(index) < len(s):
+        warnings.warn(NumericalRouteWarning(
+            f"estimate_limit dropped {len(s) - len(index)} non-finite of "
+            f"{len(s)} entries"
+        ), stacklevel=2)
     s = s[index]
     if len(s) < min_len:
         raise ValueError(f"need at least {min_len} finite entries, got {len(s)}")

@@ -205,15 +205,13 @@ def _q_table_f64(chain: ChainSpec, deg: int, nodes) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransitionQuery:
-    """P_ij(n) by the spectral formula and by matrix powers, optionally with
-    a Monte Carlo estimate (estimate, standard error)."""
+    """P_ij(n) by the spectral formula and by matrix powers."""
 
     i: int
     j: int
     n: int
     value_spectral: float
     value_matrix: float
-    value_mc: tuple[float, float] | None = None
 
 
 def matrix_transition_vector(chain: ChainSpec, i: int, n: int, dim: int | None = None) -> np.ndarray:
@@ -258,8 +256,6 @@ def transition_probability(
     N: int | None = None,
     digits: int = DEFAULT_DIGITS,
     measure: DiscreteMeasure | None = None,
-    mc_samples: int = 0,
-    seed: int = 0,
 ) -> TransitionQuery:
     """Cross-checked n-step transition probability.
 
@@ -272,28 +268,31 @@ def transition_probability(
     spect = spectral_transition(chain, measure, i, j, n)
     v = matrix_transition_vector(chain, i, n)
     matrix = float(v[j]) if j < len(v) else 0.0
-    mc = None
-    if mc_samples:
-        mc = monte_carlo_transition(chain, i, j, n, mc_samples, seed)
-    return TransitionQuery(i, j, n, spect, matrix, mc)
+    return TransitionQuery(i, j, n, spect, matrix)
 
 
-def _mc_thresholds(chain: ChainSpec, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cumulative step thresholds q, q+r, q+r+p over the states 0..size-1."""
+def _mc_thresholds(chain: ChainSpec, size: int) -> tuple:
+    """Cumulative step thresholds q, q+r, q+r+p over the states 0..size-1.
+    The last is None when every q+r+p is >= 1: no uniform in [0, 1) kills."""
     p, q, r, _ = chain.arrays(size - 1)
     thr_qr = q + r
-    return q, thr_qr, thr_qr + p
+    thr_qrp = thr_qr + p
+    return q, thr_qr, None if np.all(thr_qrp >= 1.0) else thr_qrp
 
 
-def _mc_step(u: np.ndarray, s: np.ndarray, thresholds) -> tuple[np.ndarray, np.ndarray]:
-    """Kill mask and move (-1 down, 0 hold, +1 up) of walkers in states s
-    drawing the uniforms u.  p, r >= 0 make the float thresholds
-    nondecreasing, so u < q is down, q <= u < q+r hold, q+r <= u < q+r+p
-    up and u >= q+r+p killed (the move of a killed walker is meaningless)."""
+def _mc_step(u: np.ndarray, state: np.ndarray, thresholds) -> np.ndarray | None:
+    """Move the walkers in `state` (in place) by the uniforms u; returns the
+    kill mask, or None when the thresholds cannot kill.  p, r >= 0 make the
+    float thresholds nondecreasing, so u < q is down, q <= u < q+r hold,
+    q+r <= u < q+r+p up and u >= q+r+p killed (the move of a killed walker
+    is meaningless)."""
     thr_q, thr_qr, thr_qrp = thresholds
-    killed = u >= thr_qrp[s]
-    move = (u >= thr_q[s]).astype(np.int64) + (u >= thr_qr[s]) - 1
-    return killed, move
+    killed = None if thr_qrp is None else u >= thr_qrp[state]
+    up = u >= thr_qr[state]
+    state += u >= thr_q[state]
+    state += up
+    state -= 1
+    return killed
 
 
 def _binomial_estimate(count: int, samples: int) -> tuple[float, float]:
@@ -303,24 +302,81 @@ def _binomial_estimate(count: int, samples: int) -> tuple[float, float]:
     return est, math.sqrt(max(est * (1.0 - est), 1.0 / samples) / samples)
 
 
+# an appended state that holds on every uniform and never kills; killed
+# walkers park there at index -1, which no target state j >= 0 equals
+_SINK_THRESHOLDS = (0.0, 1.0, 1.0)
+
+
+def _transition_walk(
+    chain: ChainSpec, i: int, js, n_max: int, samples: int, seed: int
+) -> np.ndarray:
+    """counts[n, m]: walkers alive at js[m] after n = 0..n_max steps of one
+    walk of `samples` trajectories from i.  Every step draws `samples`
+    uniforms, one per walker, parked or not."""
+    if samples < 10**3:
+        raise ValueError("need at least 1e3 samples")
+    thresholds = _mc_thresholds(chain, i + n_max + 2)
+    if thresholds[2] is not None:
+        thresholds = tuple(np.append(t, h) for t, h in zip(thresholds, _SINK_THRESHOLDS))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    state = np.full(samples, i, dtype=np.int64)
+    counts = np.zeros((n_max + 1, len(js)), dtype=np.int64)
+    counts[0] = [samples if j == i else 0 for j in js]
+    for n in range(1, n_max + 1):
+        killed = _mc_step(rng.random(samples), state, thresholds)
+        if killed is not None:
+            state[killed] = -1
+        counts[n] = [np.count_nonzero(state == j) for j in js]
+    return counts
+
+
+def monte_carlo_transitions(
+    chain: ChainSpec, i: int, js, n_max: int, samples: int, seed: int
+) -> dict[tuple[int, int], tuple[float, float]]:
+    """Empirical P_ij(n), with its standard error, for every n = 0..n_max
+    and j in js, keyed (n, j), from one walk of `samples` trajectories
+    (Philox counter-based stream, deterministic for a given seed; killed
+    walks park in a sink)."""
+    counts = _transition_walk(chain, i, js, n_max, samples, seed)
+    return {
+        (n, j): _binomial_estimate(int(counts[n, m]), samples)
+        for n in range(n_max + 1)
+        for m, j in enumerate(js)
+    }
+
+
 def monte_carlo_transition(
     chain: ChainSpec, i: int, j: int, n: int, samples: int, seed: int
 ) -> tuple[float, float]:
-    """Empirical P_ij(n) from `samples` trajectories (Philox counter-based
-    stream, deterministic for a given seed; killed walks park in a sink).
-    Every step draws `samples` uniforms and moves only the live walkers."""
-    if samples < 10**3:
-        raise ValueError("need at least 1e3 samples")
-    thresholds = _mc_thresholds(chain, i + n + 2)
+    """Empirical P_ij(n) from `samples` trajectories: the walk of
+    `monte_carlo_transitions` to n, counted at j."""
+    return monte_carlo_transitions(chain, i, (j,), n, samples, seed)[n, j]
+
+
+def _absorption_walk(
+    chain: ChainSpec, start: int, horizons, samples: int, seed: int
+) -> list[int]:
+    """Walkers absorbed in the cemetery by each of the nondecreasing
+    `horizons`, from one walk of `samples` trajectories from `start`.
+    Every step draws one uniform per live walker and drops the absorbed
+    ones."""
+    thresholds = _mc_thresholds(chain, start + horizons[-1] + 2)
+    if thresholds[2] is None:
+        return [0] * len(horizons)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    state = np.full(samples, i, dtype=np.int64)
-    alive = np.ones(samples, dtype=bool)
-    for _ in range(n):
-        u = rng.random(samples)
-        killed, move = _mc_step(u[alive], state[alive], thresholds)
-        state[alive] += move
-        alive[alive] = ~killed
-    return _binomial_estimate(int(np.count_nonzero(alive & (state == j))), samples)
+    state = np.full(samples, start, dtype=np.int64)
+    absorbed = step = 0
+    tallies = []
+    for horizon in horizons:
+        while step < horizon and len(state):
+            killed = _mc_step(rng.random(len(state)), state, thresholds)
+            count = int(np.count_nonzero(killed))
+            if count:
+                absorbed += count
+                state = state[~killed]
+            step += 1
+        tallies.append(absorbed)
+    return tallies
 
 
 def monte_carlo_absorption(
@@ -328,19 +384,10 @@ def monte_carlo_absorption(
 ) -> tuple[float, float]:
     """Fraction of trajectories absorbed in the cemetery by `horizon` steps
     (a lower estimate of the eventual absorption probability; the censoring
-    bias decays with the horizon).  Deterministic for a given seed.  Every
-    step draws one uniform per live walker and drops the absorbed ones."""
-    thresholds = _mc_thresholds(chain, start + horizon + 2)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    state = np.full(samples, start, dtype=np.int64)
-    absorbed = 0
-    for _ in range(horizon):
-        if len(state) == 0:
-            break
-        killed, move = _mc_step(rng.random(len(state)), state, thresholds)
-        absorbed += int(np.count_nonzero(killed))
-        state = (state + move)[~killed]
-    return _binomial_estimate(absorbed, samples)
+    bias decays with the horizon).  Deterministic for a given seed."""
+    return _binomial_estimate(
+        _absorption_walk(chain, start, (horizon,), samples, seed)[0], samples
+    )
 
 
 @dataclass(frozen=True)
@@ -348,9 +395,9 @@ class EventualAbsorption:
     """Monte Carlo estimate of the eventual absorption probability.
 
     Censoring at a finite horizon biases the plain absorbed fraction low,
-    so the deficit is extrapolated across three geometric horizons: a
-    stalling deficit means genuine survivors (transient escape), a deficit
-    shrinking with ratio rho per horizon quadrupling is continued
+    so the deficit is extrapolated across three geometric horizons of one
+    walk: a stalling deficit means genuine survivors (transient escape), a
+    deficit shrinking with ratio rho per horizon quadrupling is continued
     geometrically to zero."""
 
     estimate: float
@@ -359,36 +406,42 @@ class EventualAbsorption:
     absorbed_fractions: tuple[float, ...]
 
 
+def _deficit_extrapolation(counts, samples: int) -> tuple[float, float]:
+    """Eventual survivor fraction and its standard error from the walkers
+    absorbed by three nested horizons T1 < T2 < T3 of one walk.
+
+    The fractions absorbed in (T1, T2] (X) and in (T2, T3] (Y) and the
+    survivors at T3 (d3) are cells of one multinomial sample.  The deficit
+    has stalled when Y is within 4 of its standard errors of 0; otherwise
+    it shrinks by rho = Y / X per horizon and continues geometrically to
+    d3 - Y^2 / (X - Y), whose standard error is the delta method over the
+    multinomial covariance of (X, Y, d3)."""
+    d1, d2, d3 = (1.0 - c / samples for c in counts)
+    diff12, diff23 = d1 - d2, d2 - d3
+    survivors_se = _binomial_estimate(counts[2], samples)[1]
+    if diff23 <= 4 * math.sqrt(diff23 * (1.0 - diff23) / samples) or diff12 <= 0:
+        # deficit has stalled: the survivors are genuine
+        return d3, survivors_se
+    rho = diff23 / diff12
+    if rho >= 0.95:
+        return d3, survivors_se
+    stalled = max(0.0, d3 - diff23 * (rho / (1.0 - rho)))
+    gap = diff12 - diff23
+    cells = (diff12, diff23, d3)
+    grad = ((diff23 / gap) ** 2, -diff23 * (2 * diff12 - diff23) / gap**2, 1.0)
+    mean = sum(g * c for g, c in zip(grad, cells))
+    second = sum(g * g * c for g, c in zip(grad, cells))
+    return stalled, math.sqrt((second - mean**2) / samples)
+
+
 def monte_carlo_eventual_absorption(
     chain: ChainSpec, start: int, samples: int, seed: int
 ) -> EventualAbsorption:
     horizons = (2500, 4 * 2500, 16 * 2500)
-    fractions = []
-    errors = []
-    for k, T in enumerate(horizons):
-        est, se = monte_carlo_absorption(chain, start, T, samples, seed + k)
-        fractions.append(est)
-        errors.append(se)
-    d1, d2, d3 = (1.0 - f for f in fractions)
-    diff12, diff23 = d1 - d2, d2 - d3
-    noise = math.sqrt(errors[1] ** 2 + errors[2] ** 2)
-    if diff23 <= 4 * noise or diff12 <= 0:
-        # deficit has stalled: the survivors are genuine
-        stalled = d3
-        se = errors[2]
-    else:
-        rho = diff23 / diff12
-        if 0 < rho < 0.95:
-            weight = rho / (1.0 - rho)
-            stalled = max(0.0, d3 - diff23 * weight)
-            se = math.sqrt(
-                ((1 + weight) * errors[2]) ** 2 + (weight * errors[1]) ** 2
-            )
-        else:
-            stalled = d3
-            se = errors[2]
+    counts = _absorption_walk(chain, start, horizons, samples, seed)
+    stalled, se = _deficit_extrapolation(counts, samples)
     return EventualAbsorption(
-        1.0 - stalled, se, horizons, tuple(fractions)
+        1.0 - stalled, se, horizons, tuple(c / samples for c in counts)
     )
 
 

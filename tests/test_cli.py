@@ -14,6 +14,7 @@ from rwlab import fileformats as ff
 from rwlab import families
 from rwlab.chains import ChainSpec, CoeffRule, rule
 from rwlab.cli import main
+from rwlab.measures import monte_carlo_transition
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -124,6 +125,31 @@ def test_determinism(tmp_path):
     for name in ("mc.csv", "chain_info.txt", "potential_coefficients.csv"):
         assert filecmp.cmp(os.path.join(out1, name), os.path.join(out2, name),
                            shallow=False), name
+
+
+def test_edges_richardson_step_covers_zeta_hat_of_chain_b(tmp_path):
+    # chain_b's bottom edge is 0: the step Richardson took from the raw
+    # eigenvalue exceeds zeta_hat's distance from the true edge
+    out = str(tmp_path / "b")
+    assert run("edges", "--config", cfg("chain_b.cfg"), "--out", out) == 0
+    kv = dict(line.split(" = ") for line in read(os.path.join(out, "edges.txt")).splitlines())
+    assert float(kv["zeta_richardson_step"]) >= abs(float(kv["zeta_hat"]) - 0.0)
+    assert float(kv["eta_richardson_step"]) == abs(
+        float(kv["eta_hat"]) - float(kv["eta_eigen"]))
+
+
+def test_mc_rows_come_from_one_walk_per_start_state(tmp_path):
+    # seed map: every row from start state i reads the walk on seed + i
+    out = str(tmp_path / "mc")
+    assert run("mc", "--config", cfg("chain_b.cfg"), "--out", out, "--seed", "40") == 0
+    lines = read(os.path.join(out, "mc.csv")).splitlines()
+    assert lines[0] == "i,j,n,spectral,matrix,mc_est,mc_se"
+    assert len(lines) == 1 + 3 * 4
+    chain = ff.chain_from_sections(ff.parse_file(cfg("chain_b.cfg")))
+    for line in lines[1:]:
+        i, j, n = (int(v) for v in line.split(",")[:3])
+        est, se = monte_carlo_transition(chain, i, j, n, 10**5, seed=40 + i)
+        assert line.split(",")[5:] == [repr(est), repr(se)]
 
 
 def test_edges_and_polys(tmp_path):

@@ -1,10 +1,12 @@
 """Limit estimation primitives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from rwlab.errors import NumericalRouteWarning
 from rwlab.limits import aitken, estimate_limit, richardson_pair
 
 
@@ -70,3 +72,14 @@ def test_n_used_indexes_caller_sequence_when_dropping_nonfinite():
     e = estimate_limit(geo)
     assert e.method == "aitken"
     assert e.n_used == (30, 39)
+
+
+def test_dropping_nonfinite_entries_warns_with_count():
+    seq = [1.0] * 40
+    seq[3] = math.nan
+    seq[35] = math.inf
+    with pytest.warns(NumericalRouteWarning, match="dropped 2 non-finite of 40 entries"):
+        assert estimate_limit(seq).value == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert estimate_limit([1.0] * 40).value == 1.0

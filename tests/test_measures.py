@@ -11,6 +11,8 @@ from rwlab import families
 from rwlab.errors import ChainHasKillingError, ZeroDenominatorError
 from rwlab.measures import (
     L_functional,
+    _deficit_extrapolation,
+    _mc_thresholds,
     cn_series,
     compute_Cn,
     matrix_transition_vector,
@@ -18,6 +20,7 @@ from rwlab.measures import (
     monte_carlo_absorption,
     monte_carlo_eventual_absorption,
     monte_carlo_transition,
+    monte_carlo_transitions,
     quadrature_from_chain,
     spectral_transition,
     srlp_predicted_limit,
@@ -187,9 +190,45 @@ def test_monte_carlo_streams_pinned():
         families.chain_transient_killing(), 0, 300, 10**4, seed=3
     ) == (0.395, 0.0048885069295235735)
     res = monte_carlo_eventual_absorption(chain_k, 0, 10**4, seed=2)
-    assert res.estimate == 0.9950145569620252
-    assert res.std_error == 0.0020173437422400437
-    assert res.absorbed_fractions == (0.9519, 0.978, 0.9883)
+    assert res.estimate == 0.9917979729729731
+    assert res.std_error == 0.0021372367121728197
+    assert res.absorbed_fractions == (0.9519, 0.9762, 0.9857)
+
+
+def test_eventual_checkpoints_match_single_horizon_walks():
+    # one checkpointed walk draws the stream of each shorter walk as a prefix
+    chain_k = families.chain_k()
+    res = monte_carlo_eventual_absorption(chain_k, 0, 10**4, seed=2)
+    for horizon, fraction in zip(res.horizons, res.absorbed_fractions):
+        assert monte_carlo_absorption(chain_k, 0, horizon, 10**4, seed=2)[0] == fraction
+
+
+@pytest.mark.parametrize("name,kills", [("chain_k", True), ("chain_shifted_arcsine", False)])
+def test_transitions_walk_matches_single_queries(name, kills):
+    # chain_k kills at state 0; chain_b takes the no-kill path
+    chain = getattr(families, name)()
+    assert (_mc_thresholds(chain, 10)[2] is not None) == kills
+    js = (0, 1, 2)
+    walk = monte_carlo_transitions(chain, 0, js, 6, 10**4, seed=11)
+    assert sorted(walk) == [(n, j) for n in range(7) for j in js]
+    for (n, j), value in walk.items():
+        assert monte_carlo_transition(chain, 0, j, n, 10**4, seed=11) == value
+
+
+def test_deficit_extrapolation_se_matches_multinomial_spread():
+    # cells (absorbed by T1, in (T1, T2] = X, in (T2, T3] = Y, surviving T3
+    # = d3) at chain_k's fractions from criterion 12: the delta-method
+    # standard error must match the spread of d3 - Y^2 / (X - Y) over
+    # repeated multinomial draws (unclamped, so the spread is that of the
+    # smooth function the delta method linearizes)
+    fractions = np.array([0.955179, 0.977698, 0.988856])
+    cells = np.diff(np.concatenate(([0.0], fractions, [1.0])))
+    samples = 10**5
+    draws = np.random.default_rng(12).multinomial(samples, cells, size=4000) / samples
+    x, y, d3 = draws[:, 1], draws[:, 2], draws[:, 3]
+    stalled, se = _deficit_extrapolation(tuple(samples * fractions), samples)
+    assert stalled == pytest.approx(cells[3] - cells[2] ** 2 / (cells[1] - cells[2]))
+    assert se == pytest.approx(np.std(d3 - y * y / (x - y), ddof=1), rel=0.1)
 
 
 def test_srlp_predictions(chain_b):
