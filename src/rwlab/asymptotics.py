@@ -20,7 +20,6 @@ from .chains import (
     classify_series,
     is_periodic,
     killing_sum,
-    log_pi_mpf,
 )
 from .errors import InconsistentWeightError, NonpositiveQError
 from .limits import LimitEstimate, estimate_limit
@@ -28,9 +27,10 @@ from .measures import DiscreteMeasure, cn_series, quadrature_from_chain
 from .numeric import mpf_from_fraction
 from .polynomials import (
     SupportEdges,
+    _guarded,
+    _q_pi,
     _two_sided_sums,
     christoffel_ratio_sequence,
-    q_values,
     support_edges,
 )
 from .recover import (
@@ -154,9 +154,8 @@ class RatioVanishingCriterion:
 def ratio_vanishing_criterion(
     chain: ChainSpec, eta, n: int, digits: int = DEFAULT_DIGITS
 ) -> RatioVanishingCriterion:
-    dps = digits + 8
-    qv = q_values(chain, n + 1, eta, dps)
-    with mp.workdps(dps):
+    with _guarded(digits):
+        qv, pis = _q_pi(chain, n + 1, eta)
         for j, v in enumerate(qv):
             if v <= 0:
                 raise NonpositiveQError(
@@ -166,8 +165,7 @@ def ratio_vanishing_criterion(
         inner = mp.mpf(0)
         terms = np.empty(n + 1)
         lt_terms = np.empty(n + 1)
-        for j, log_pi in enumerate(log_pi_mpf(chain, n)):
-            pi_j = mp.exp(log_pi)
+        for j, pi_j in enumerate(pis[: n + 1]):
             inner += r[j] * pi_j * qv[j] * qv[j]
             denom = p[j] * pi_j * qv[j] * qv[j + 1]
             terms[j] = float(inner / denom)
@@ -328,9 +326,8 @@ def edge_scaled_christoffel(
     # below n_max = 8 the grid overshoots; rho_n needs n <= n_max + 1
     marks = sorted({int(v) for v in np.geomspace(max(8, n_max // 64), n_max, 24)
                     if int(v) <= n_max + 1})
-    dps = digits + 8
-    _, _, s_pos, s_neg = _two_sided_sums(chain, n_max, eta, dps)
-    with mp.workdps(dps):
+    with _guarded(digits):
+        _, _, s_pos, s_neg = _two_sided_sums(chain, n_max, eta)
         # rho_n(+-eta) = 1 / s_{n-1}
         top = np.array([float(mp.mpf(n) ** (2 * exps.alpha + 2) / s_pos[n - 1])
                         for n in marks])

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import ChainHasKillingError, MalformedChainError
+from .limits import aitken
 from .numeric import SignedLog, mpf_from_fraction
 
 SUM_TOL = Fraction(1, 10**14)
@@ -54,6 +55,13 @@ class CoeffRule:
     @property
     def depth(self) -> float:
         return math.inf if self.tail is not None else len(self.prefix)
+
+    def _vanishes(self) -> bool:
+        """True iff the family is zero at every index it defines (the tail
+        by the grammar's decidable zero test)."""
+        if any(v != 0 for v in self.prefix):
+            return False
+        return self.tail is None or ex.is_zero(self.tail, start=len(self.prefix))
 
     def array(self, n: int) -> np.ndarray:
         """float64 values for j = 0..n."""
@@ -122,11 +130,7 @@ class ChainSpec:
         return cols
 
     def has_killing(self) -> bool:
-        if any(v != 0 for v in self.kappa.prefix):
-            return True
-        if self.kappa.tail is None:
-            return False
-        return not ex.is_zero(self.kappa.tail, start=len(self.kappa.prefix))
+        return not self.kappa._vanishes()
 
     def validate(self) -> None:
         if self.q.at(0) != 0:
@@ -161,11 +165,7 @@ class ChainSpec:
 
 def is_periodic(chain: ChainSpec) -> bool:
     """True iff r_j = 0 for every j (decidable for supported tail forms)."""
-    if any(v != 0 for v in chain.r.prefix):
-        return False
-    if chain.r.tail is None:
-        return True
-    return ex.is_zero(chain.r.tail, start=len(chain.r.prefix))
+    return chain.r._vanishes()
 
 
 # --- potential coefficients --------------------------------------------------
@@ -210,16 +210,12 @@ class DivergenceVerdict:
 
 
 def _aitken_last(seq: np.ndarray) -> float:
-    """Last Aitken-accelerated value of a sequence (nan when degenerate; the
-    inf or nan of overflowed partial sums comes back without a warning)."""
-    if len(seq) < 3:
-        return float("nan")
-    x0, x1, x2 = seq[-3], seq[-2], seq[-1]
+    """Last Aitken-accelerated value of a sequence (nan when shorter than
+    three; the inf or nan of overflowed partial sums comes back without a
+    warning)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        d2 = (x2 - x1) - (x1 - x0)
-        if d2 == 0:
-            return float(x2)
-        return float(x2 - (x2 - x1) ** 2 / d2)
+        acc = aitken(seq[-3:])
+    return float(acc[-1]) if len(acc) else math.nan
 
 
 DIVERGENCE_BOUND = 1e8

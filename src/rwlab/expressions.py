@@ -148,29 +148,30 @@ class _Parser:
         raise ExpressionError(f"unexpected token {tok!r}")
 
 
+_ARITH = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+}
+
+
 def _make(op: str, left: Expr, right: Expr) -> Expr:
     """Build a node, folding constant subexpressions."""
     if isinstance(left, Const) and isinstance(right, Const):
         a, b = left.value, right.value
-        if op == "+":
-            return Const(a + b)
-        if op == "-":
-            return Const(a - b)
-        if op == "*":
-            return Const(a * b)
-        if op == "/":
-            if b == 0:
-                raise ExpressionError("constant division by zero")
-            return Const(a / b)
-        if op == "^":
-            if b.denominator != 1:
-                raise ExpressionError("exponent must be an integer")
-            k = int(b)
-            if abs(k) > _FOLD_EXP_CAP:
-                return BinOp(op, left, right)
-            if a == 0 and k <= 0:
-                raise ExpressionError("0 raised to a nonpositive power")
-            return Const(a**k)
+        if op == "/" and b == 0:
+            raise ExpressionError("constant division by zero")
+        if op in _ARITH:
+            return Const(_ARITH[op](a, b))
+        if b.denominator != 1:
+            raise ExpressionError("exponent must be an integer")
+        k = int(b)
+        if abs(k) > _FOLD_EXP_CAP:
+            return BinOp(op, left, right)
+        if a == 0 and k <= 0:
+            raise ExpressionError("0 raised to a nonpositive power")
+        return Const(a**k)
     if op == "^":
         if _depends(right) and not (isinstance(left, Const) and left.value > 0):
             raise ExpressionError(
@@ -237,69 +238,42 @@ def to_string(e: Expr) -> str:
 # --- evaluation -------------------------------------------------------------
 
 
+def _evaluate(e: Expr, value, const, power):
+    """The one tree walk: `value` is the backend's variable value, `const`
+    turns a Fraction into a backend value and `power(base, exponent)` takes
+    both sides in the backend."""
+    if isinstance(e, Const):
+        return const(e.value)
+    if isinstance(e, Var):
+        return value
+    assert isinstance(e, BinOp)
+    a = _evaluate(e.left, value, const, power)
+    b = _evaluate(e.right, value, const, power)
+    return power(a, b) if e.op == "^" else _ARITH[e.op](a, b)
+
+
+def _integer_exponent(k) -> int:
+    if k != int(k):
+        raise ExpressionError("exponent must be integer-valued")
+    return int(k)
+
+
 def eval_fraction(e: Expr, value: Fraction | int) -> Fraction:
     """Exact evaluation; raises ZeroDivisionError at poles."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return Fraction(value)
-    assert isinstance(e, BinOp)
-    if e.op == "^":
-        k = eval_fraction(e.right, value)
-        if k.denominator != 1:
-            raise ExpressionError("exponent must be integer-valued")
-        base = eval_fraction(e.left, value)
-        return base ** int(k)
-    a = eval_fraction(e.left, value)
-    b = eval_fraction(e.right, value)
-    if e.op == "+":
-        return a + b
-    if e.op == "-":
-        return a - b
-    if e.op == "*":
-        return a * b
-    return a / b
+    return _evaluate(e, Fraction(value), lambda c: c,
+                     lambda a, k: a ** _integer_exponent(k))
 
 
 def eval_mpf(e: Expr, value) -> mp.mpf:
     """Evaluation at the current mpmath working precision."""
-    if isinstance(e, Const):
-        return mp.mpf(e.value.numerator) / e.value.denominator
-    if isinstance(e, Var):
-        return mp.mpf(value)
-    assert isinstance(e, BinOp)
-    if e.op == "^":
-        k = eval_fraction(e.right, Fraction(value))
-        return mp.power(eval_mpf(e.left, value), int(k))
-    a = eval_mpf(e.left, value)
-    b = eval_mpf(e.right, value)
-    if e.op == "+":
-        return a + b
-    if e.op == "-":
-        return a - b
-    if e.op == "*":
-        return a * b
-    return a / b
+    return _evaluate(e, mp.mpf(value), lambda c: mp.mpf(c.numerator) / c.denominator,
+                     lambda a, k: mp.power(a, _integer_exponent(k)))
 
 
 def eval_numpy(e: Expr, values: np.ndarray) -> np.ndarray:
     """Vectorized float64 evaluation."""
-    if isinstance(e, Const):
-        return np.full_like(values, float(e.value), dtype=np.float64)
-    if isinstance(e, Var):
-        return np.asarray(values, dtype=np.float64)
-    assert isinstance(e, BinOp)
-    a = eval_numpy(e.left, values)
-    b = eval_numpy(e.right, values)
-    if e.op == "+":
-        return a + b
-    if e.op == "-":
-        return a - b
-    if e.op == "*":
-        return a * b
-    if e.op == "/":
-        return a / b
-    return np.power(a, b)
+    x = np.asarray(values, dtype=np.float64)
+    return _evaluate(e, x, lambda c: np.full_like(x, float(c)), np.power)
 
 
 # --- decidable zero test ----------------------------------------------------

@@ -19,7 +19,7 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .numeric import NEG_INF
-from .polynomials import q_values
+from .polynomials import _guarded, _q_pi
 from .tridiagonal import (
     FLOAT_DIGITS,
     _three_term,
@@ -415,7 +415,8 @@ def _deficit_extrapolation(counts, samples: int) -> tuple[float, float]:
     has stalled when Y is within 4 of its standard errors of 0; otherwise
     it shrinks by rho = Y / X per horizon and continues geometrically to
     d3 - Y^2 / (X - Y), whose standard error is the delta method over the
-    multinomial covariance of (X, Y, d3)."""
+    multinomial covariance of (X, Y, d3).  The limit is not clamped at 0:
+    a clamp would bias the estimate of a deficit near 0 upwards."""
     d1, d2, d3 = (1.0 - c / samples for c in counts)
     diff12, diff23 = d1 - d2, d2 - d3
     survivors_se = _binomial_estimate(counts[2], samples)[1]
@@ -425,7 +426,7 @@ def _deficit_extrapolation(counts, samples: int) -> tuple[float, float]:
     rho = diff23 / diff12
     if rho >= 0.95:
         return d3, survivors_se
-    stalled = max(0.0, d3 - diff23 * (rho / (1.0 - rho)))
+    stalled = d3 - diff23 * (rho / (1.0 - rho))
     gap = diff12 - diff23
     cells = (diff12, diff23, d3)
     grad = ((diff23 / gap) ** 2, -diff23 * (2 * diff12 - diff23) / gap**2, 1.0)
@@ -478,17 +479,15 @@ def srlp_predicted_limit(
             "undefined at every n"
         )
     top = max(i, j, k, l)
-    dps = digits + 8
-    qv = q_values(chain, max(top, 1), eta, dps)
-    with mp.workdps(dps):
-        logpi = log_pi_mpf(chain, max(top, 1))
+    with _guarded(digits):
+        qv, pis = _q_pi(chain, max(top, 1), eta)
         if qv[k] <= 0 or qv[l] <= 0 or qv[i] <= 0 or qv[j] <= 0:
             raise DivisionSentinelError(
                 f"{chain.label}: Q at eta-hat = {float(eta)} vanished or went "
                 "negative; the edge estimate sits below the true edge"
             )
         predicted = float(
-            mp.exp(logpi[j] - logpi[l]) * qv[i] * qv[j] / (qv[k] * qv[l])
+            pis[j] / pis[l] * qv[i] * qv[j] / (qv[k] * qv[l])
         )
     dim = int(min(max(i, k) + horizon + 2, chain.depth))
     vi = matrix_transition_vector(chain, i, 0, dim)

@@ -16,7 +16,7 @@ import mpmath as mp
 from .chains import ChainSpec, CoeffRule, DEFAULT_DIGITS
 from .errors import NonpositiveQError
 from .numeric import SignedLog, signed_log
-from .polynomials import EvalTrace, eval_Q, q_values, to_mpf
+from .polynomials import EvalTrace, _guarded, eval_Q, q_values, to_mpf
 
 
 def _fraction_from_mpf(x: mp.mpf) -> Fraction:
@@ -39,9 +39,8 @@ def normalize(chain: ChainSpec, eta, depth: int, digits: int = DEFAULT_DIGITS) -
     """Tilde coefficients through `depth`, computed in log-safe mpf
     arithmetic; raises NonpositiveQError when some Q_j(eta) <= 0 (the
     supplied eta sits below the true top support point)."""
-    dps = digits + 8
-    qv = q_values(chain, depth + 1, eta, dps)
-    with mp.workdps(dps):
+    with _guarded(digits):
+        qv = q_values(chain, depth + 1, eta)
         eta_m = to_mpf(eta)
         for j, v in enumerate(qv):
             if v <= 0:
@@ -85,11 +84,10 @@ def tilde_polynomials(
 ) -> TildeEval:
     normalized = normalize(chain, eta, n, digits)
     trace = eval_Q(normalized.chain, n, x, digits)
-    dps = digits + 8
-    with mp.workdps(dps):
+    with _guarded(digits):
         eta_m = to_mpf(eta)
-        scaled = q_values(chain, n, eta_m * to_mpf(x), dps)
-        at_eta = q_values(chain, n, eta_m, dps)
+        scaled = q_values(chain, n, eta_m * to_mpf(x))
+        at_eta = q_values(chain, n, eta_m)
         quotient = tuple(signed_log(s / e) for s, e in zip(scaled, at_eta))
         worst = 0.0
         for t, qt in zip(trace.values, quotient):

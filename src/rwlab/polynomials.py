@@ -3,11 +3,12 @@
 The Q_n satisfy x Q_n = q_n Q_{n-1} + r_n Q_n + p_n Q_{n+1} with Q_0 = 1 and
 p_0 Q_1 = x - r_0, so Q_n(1) = 1 for honest chains.  Everything here runs
 that forward recurrence (tridiagonal._three_term) in mpmath, whose unbounded
-exponent absorbs the growth that overflows float64, on the coefficients and
-ln pi_j the chain memoizes per working precision; values leave as
-sign/log-magnitude pairs or floats.  Support edges come from two routes: the
-extreme eigenvalues of the Jacobi truncation, and bisection on the
-sign pattern of Q_1..Q_N that marks a point outside the support.
+exponent absorbs the growth that overflows float64, at the requested digits
+plus _GUARD_DIGITS, on the coefficients and ln pi_j the chain memoizes per
+working precision; values leave as sign/log-magnitude pairs or floats.
+Support edges come from two routes: the extreme eigenvalues of the Jacobi
+truncation, and bisection on the sign pattern of Q_1..Q_N that marks a
+point outside the support.
 """
 
 from __future__ import annotations
@@ -45,21 +46,33 @@ def to_mpf(x) -> mp.mpf:
     return mp.mpf(x)
 
 
-def q_values(chain: ChainSpec, n: int, x, dps: int) -> list:
-    """Q_0(x)..Q_n(x) as mpf at dps working digits (no overflow possible)."""
-    with mp.workdps(dps):
-        p, q, r, _ = chain.mpf_coefficients(max(n - 1, 0))
-        return [mp.mpf(1), *_three_term(to_mpf(x), p, q, r, n)]
+# digits carried beyond the requested precision by every polynomial-side pass
+_GUARD_DIGITS = 8
+
+
+def _guarded(digits: int):
+    """mpmath working-precision context at `digits` plus the guard digits."""
+    return mp.workdps(digits + _GUARD_DIGITS)
+
+
+def q_values(chain: ChainSpec, n: int, x) -> list:
+    """Q_0(x)..Q_n(x) as mpf at the current working precision (no overflow
+    possible)."""
+    p, q, r, _ = chain.mpf_coefficients(max(n - 1, 0))
+    return [mp.mpf(1), *_three_term(to_mpf(x), p, q, r, n)]
+
+
+def _q_pi(chain: ChainSpec, n: int, x) -> tuple[list, list]:
+    """Q_0(x)..Q_n(x) and pi_0..pi_n as mpf at the current working precision."""
+    return q_values(chain, n, x), [mp.exp(lp) for lp in log_pi_mpf(chain, n)]
 
 
 @dataclass(frozen=True)
 class EvalTrace:
     """Sign/log-magnitude values of Q_0..Q_n and p_0..p_n at one point."""
 
-    point: float
     values: tuple[SignedLog, ...]
     orthonormal_values: tuple[SignedLog, ...]
-    chain_label: str
 
     def q_float(self, k: int) -> float:
         return self.values[k].value
@@ -90,24 +103,21 @@ def eval_Q(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    dps = digits + 8
-    vals = q_values(chain, n, x, dps)
-    if n >= 1:
-        half = q_values(chain, n, x, max(digits // 2, 6) + 8)
-        with mp.workdps(dps):
-            if _agreement_failed(vals[-1], half[-1]):
-                raise PrecisionExhaustedError(
-                    f"Q_{n}({x}) carries fewer than {digits // 2} reliable digits "
-                    f"at {digits}-digit working precision"
-                )
-    with mp.workdps(dps):
-        logpi = log_pi_mpf(chain, n)
+    with _guarded(max(digits // 2, 6)):
+        half = q_values(chain, n, x)[-1]
+    with _guarded(digits):
+        vals, pis = _q_pi(chain, n, x)
+        if n >= 1 and _agreement_failed(vals[-1], half):
+            raise PrecisionExhaustedError(
+                f"Q_{n}({x}) carries fewer than {digits // 2} reliable digits "
+                f"at {digits}-digit working precision"
+            )
         traces = tuple(signed_log(v) for v in vals)
         ortho = tuple(
-            SignedLog(t.sign, float(t.log + 0.5 * lp)) if t.sign != 0 else t
-            for t, lp in zip(traces, logpi)
+            SignedLog(t.sign, float(t.log + 0.5 * mp.log(pi))) if t.sign != 0 else t
+            for t, pi in zip(traces, pis)
         )
-    return EvalTrace(float(x), traces, ortho, chain.label)
+    return EvalTrace(traces, ortho)
 
 
 def leading_coefficient(chain: ChainSpec, n: int, digits: int = DEFAULT_DIGITS) -> SignedLog:
@@ -126,12 +136,9 @@ def christoffel(chain: ChainSpec, n: int, x, digits: int = DEFAULT_DIGITS) -> mp
     """rho_n(x) = 1 / sum_{j<n} p_j(x)^2 (strictly positive mpf)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    dps = digits + 8
-    vals = q_values(chain, n - 1, x, dps)
-    with mp.workdps(dps):
-        logpi = log_pi_mpf(chain, n - 1)
-        s = mp.fsum(mp.exp(lp) * v * v for lp, v in zip(logpi, vals))
-        return 1 / s
+    with _guarded(digits):
+        vals, pis = _q_pi(chain, n - 1, x)
+        return 1 / mp.fsum(pi * v * v for pi, v in zip(pis, vals))
 
 
 @dataclass(frozen=True)
@@ -145,15 +152,13 @@ class RatioSequences:
     log10_ratios: np.ndarray
 
 
-def _two_sided_sums(chain: ChainSpec, n_max: int, eta, dps: int):
+def _two_sided_sums(chain: ChainSpec, n_max: int, eta):
     """Q_k(eta), Q_k(-eta) and the running sums sum_{j<=k} pi_j Q_j(+-eta)^2
     (that is, 1/rho_{k+1}(+-eta)) for k = 0..n_max: four mpf lists from one
-    forward pass on each side at dps working digits."""
-    pos = q_values(chain, n_max, eta, dps)
-    with mp.workdps(dps):
-        neg = q_values(chain, n_max, -to_mpf(eta), dps)
-        w = [mp.exp(log_pi) for log_pi in log_pi_mpf(chain, n_max)]
-        sums = [list(accumulate(wk * v * v for wk, v in zip(w, vals))) for vals in (pos, neg)]
+    forward pass on each side at the current working precision."""
+    pos, w = _q_pi(chain, n_max, eta)
+    neg = q_values(chain, n_max, -to_mpf(eta))
+    sums = [list(accumulate(wk * v * v for wk, v in zip(w, vals))) for vals in (pos, neg)]
     return pos, neg, *sums
 
 
@@ -162,9 +167,8 @@ def christoffel_ratio_sequence(
 ) -> RatioSequences:
     """One forward pass at +eta and -eta; each ratio lies in (0, 1] up to
     the working precision."""
-    dps = digits + 8
-    pos, neg, s_pos, s_neg = _two_sided_sums(chain, n_max, eta, dps)
-    with mp.workdps(dps):
+    with _guarded(digits):
+        pos, neg, s_pos, s_neg = _two_sided_sums(chain, n_max, eta)
         quotients = [a / b for a, b in zip(s_pos[:n_max], s_neg)]
         ratios = np.array([float(v) for v in quotients])
         logr = np.array([float(mp.log10(v)) if v > 0 else NEG_INF for v in quotients])
@@ -181,17 +185,15 @@ def cd_identity_residual(
     (y - x) sum_{j<=n} pi_j Q_j(x) Q_j(y)."""
     if x == y:
         raise ValueError("x and y must differ")
-    dps = digits + 8
-    qx = q_values(chain, n + 1, x, dps)
-    qy = q_values(chain, n + 1, y, dps)
-    with mp.workdps(dps):
-        logpi = log_pi_mpf(chain, n + 1)
+    with _guarded(digits):
+        qx, pis = _q_pi(chain, n + 1, x)
+        qy = q_values(chain, n + 1, y)
         pn = chain.mpf_coefficients(n)[0][n]
-        lhs = pn * mp.exp(logpi[n]) * (qx[n] * qy[n + 1] - qy[n] * qx[n + 1])
+        lhs = pn * pis[n] * (qx[n] * qy[n + 1] - qy[n] * qx[n + 1])
         rhs = (to_mpf(y) - to_mpf(x)) * mp.fsum(
-            mp.exp(logpi[j]) * qx[j] * qy[j] for j in range(n + 1)
+            pis[j] * qx[j] * qy[j] for j in range(n + 1)
         )
-        scale = max(abs(lhs), abs(rhs), mp.mpf(10) ** (-dps))
+        scale = max(abs(lhs), abs(rhs), mp.mpf(10) ** (-mp.mp.dps))
         return float(abs(lhs - rhs) / scale)
 
 
@@ -229,10 +231,9 @@ def _positivity_infimum(
     sign = -1 the alternating bottom-edge one (bracket [-1 - pad,
     zeta + pad]).  Returns the end of the final bracket on which the
     predicate holds; `true_end` must satisfy it."""
-    dps = digits + 8
 
     def holds(xv: float) -> bool:
-        with mp.workdps(dps):
+        with _guarded(digits):
             p, q, r, _ = chain.mpf_coefficients(horizon - 1)
             for k, cur in enumerate(_three_term(mp.mpf(xv), p, q, r, horizon), 1):
                 negative = sign < 0 and k % 2
@@ -276,7 +277,7 @@ def support_edges(
         else:
             # the matrix entries carry the working precision the eigenvalues
             # are bisected at (the same memo entry serves the positivity route)
-            with mp.workdps(digits + 8):
+            with _guarded(digits):
                 d, e = jacobi_arrays_mpf(chain, sz)
                 ems.append((float(extreme_eigen_mpf(d, e, "max", digits)),
                             float(extreme_eigen_mpf(d, e, "min", digits))))
@@ -314,17 +315,15 @@ def support_edges(
 def q_at_one_growth(chain: ChainSpec, n: int, digits: int = DEFAULT_DIGITS) -> list[float]:
     """Q_0(1)..Q_n(1), computed by the recurrence and cross-checked against
     the killing double-sum identity; a mismatch is an arithmetic fault."""
-    dps = digits + 8
-    vals = q_values(chain, n, 1, dps)
-    with mp.workdps(dps):
-        logpi = log_pi_mpf(chain, n)
+    with _guarded(digits):
+        vals, pis = _q_pi(chain, n, 1)
         acc = mp.mpf(0)  # sum over j of (1/(p_j pi_j)) sum_{m<=j} kappa_m pi_m Q_m(1)
         inner = mp.mpf(0)
         tol = mp.mpf(10) ** (-(digits // 2))
         p, _, _, kappa = chain.mpf_coefficients(n)
         for j in range(n):
-            inner += kappa[j] * mp.exp(logpi[j]) * vals[j]
-            acc += inner / (p[j] * mp.exp(logpi[j]))
+            inner += kappa[j] * pis[j] * vals[j]
+            acc += inner / (p[j] * pis[j])
             identity = 1 + acc
             if abs(identity - vals[j + 1]) > tol * max(1, abs(identity)):
                 raise IdentityMismatchError(

@@ -239,6 +239,23 @@ def test_edge_subcommands_on_prefix_only_chains(tmp_path, capsys):
         assert "depth 40" in records[0]["message"]
 
 
+def test_weight_smooth_factor_takes_integer_powers(tmp_path):
+    # x^2 goes through the same evaluator as x*x: recover and conjecture
+    # succeed and write the same bytes for both spellings of the smooth factor
+    outs = {}
+    for name, smooth in (("power", "2 + x^2"), ("product", "2 + x*x")):
+        config = tmp_path / f"{name}.cfg"
+        config.write_text("[weight]\nlabel = w\neta = 1\nalpha = 1/2\nbeta = 1/2\n"
+                          f"smooth = {smooth}\natoms = none\n\n"
+                          "[run]\nprecision = 15\ntruncation = 200\nhorizon = 200\n")
+        outs[name] = str(tmp_path / name)
+        for sub in ("recover", "conjecture"):
+            assert run(sub, "--config", str(config), "--out", outs[name]) == 0
+    for name in ("recovered_chain.txt", "recurrence.csv", "conjecture.txt"):
+        assert filecmp.cmp(os.path.join(outs["power"], name),
+                           os.path.join(outs["product"], name), shallow=False), name
+
+
 def test_weight_subcommands_refuse_short_horizons(tmp_path, capsys):
     # the chain recovered from a weight has depth = horizon, and the edge
     # solve needs 50 coefficients

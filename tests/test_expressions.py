@@ -1,10 +1,12 @@
 """The coefficient mini-grammar: parsing, printing, evaluation, zero test."""
 
+import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from rwlab import expressions as ex
 from rwlab.errors import ExpressionError, UndecidableTailError
@@ -43,6 +45,11 @@ def test_values():
     out = ex.eval_numpy(e, np.array([0.0, 1.0, 2.0]))
     assert np.allclose(out, [1, 0.25, 0.0625])
     assert float(ex.eval_mpf(e, 2)) == 0.0625
+
+
+def test_integer_power_of_the_variable_at_an_mpf():
+    # the exponent is evaluated in the backend, so an mpf argument works
+    assert ex.eval_mpf(ex.parse("2 + x^2", "x"), mp.mpf("0.5")) == mp.mpf("2.25")
 
 
 def test_decimal_is_exact():
@@ -95,3 +102,95 @@ def test_arithmetic_matches_fractions(a, b, j):
     e = ex.BinOp("+", ex.BinOp("*", ex.Const(a), ex.Var("j")), ex.Const(b))
     assert ex.eval_fraction(e, j) == a * j + b
     assert ex.eval_numpy(e, np.array([float(j)]))[0] == pytest.approx(float(a * j + b))
+
+
+# --- one evaluator, three backends -------------------------------------------
+
+U = 2.0**-53  # unit roundoff of float64
+
+
+class _NearPole(Exception):
+    pass
+
+
+def _exact_and_bound(e, x):
+    """Exact value of e at x and a bound on the rounding error of evaluating
+    it in float64; raises _NearPole where a divisor or negative-power base
+    is within its own error of 0."""
+    if isinstance(e, ex.Const):
+        return e.value, abs(float(e.value)) * U
+    if isinstance(e, ex.Var):
+        return Fraction(x), 0.0
+    a, ea = _exact_and_bound(e.left, x)
+    b, eb = _exact_and_bound(e.right, x)
+    if e.op == "^":  # integer exponents are exact in every backend
+        k = int(b)
+        if k == 0:
+            return Fraction(1), 0.0
+        if a == 0:
+            if k < 0:
+                raise _NearPole
+            return Fraction(0), ea**k
+        rel = ea / abs(float(a))
+        if k < 0 and rel >= 0.5:
+            raise _NearPole
+        v = a**k
+        grow = math.expm1(k * math.log1p(rel if k > 0 else -rel))
+        return v, abs(float(v)) * (grow + 4 * U)
+    if e.op in "+-":
+        v = a + b if e.op == "+" else a - b
+        err = ea + eb
+    elif e.op == "*":
+        v = a * b
+        err = abs(float(a)) * eb + abs(float(b)) * ea + ea * eb
+    else:
+        if b == 0 or eb >= abs(float(b)) / 2:
+            raise _NearPole
+        v = a / b
+        err = (ea + abs(float(v)) * eb) / (abs(float(b)) - eb)
+    return v, err + U * (abs(float(v)) + err)
+
+
+def _trees(variable: str):
+    """Random expression trees over + - * /, constant integer powers and,
+    in j, c^j with c > 0."""
+    leaves = [st.fractions(min_value=-4, max_value=4, max_denominator=8).map(ex.Const),
+              st.just(ex.Var(variable))]
+    if variable == "j":
+        leaves.append(st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=8)
+                      .map(lambda c: ex.BinOp("^", ex.Const(c), ex.Var("j"))))
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from("+-*/"), children, children)
+            .map(lambda t: ex.BinOp(*t)),
+            st.tuples(children, st.integers(min_value=-3, max_value=3))
+            .map(lambda t: ex.BinOp("^", t[0], ex.Const(Fraction(t[1])))),
+        )
+
+    return st.recursive(st.one_of(leaves), extend, max_leaves=6)
+
+
+def _assert_backends_agree(e, exact_arg, mpf_arg, float_arg):
+    try:
+        exact, bound = _exact_and_bound(e, exact_arg)
+        scale = abs(float(exact))
+    except (ZeroDivisionError, OverflowError, _NearPole):
+        assume(False)
+    assume(bound <= 1e-6 * (1 + scale))
+    assert ex.eval_fraction(e, exact_arg) == exact
+    with mp.workdps(30):
+        assert abs(float(ex.eval_mpf(e, mpf_arg)) - float(exact)) <= bound + U * scale
+    assert abs(ex.eval_numpy(e, np.array([float_arg]))[0] - float(exact)) <= bound + U * scale
+
+
+@given(e=_trees("j"), j=st.integers(min_value=0, max_value=20))
+def test_backends_agree_at_integer_j(e, j):
+    _assert_backends_agree(e, j, j, float(j))
+
+
+@given(e=_trees("x"), m=st.integers(min_value=-64, max_value=64))
+def test_backends_agree_at_fraction_mpf_and_float_x(e, m):
+    # x = m/32 is exact in all three backends
+    x = Fraction(m, 32)
+    _assert_backends_agree(e, x, mp.mpf(m) / 32, float(x))

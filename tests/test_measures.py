@@ -231,6 +231,16 @@ def test_deficit_extrapolation_se_matches_multinomial_spread():
     assert se == pytest.approx(np.std(d3 - y * y / (x - y), ddof=1), rel=0.1)
 
 
+def test_deficit_extrapolation_keeps_negative_limits():
+    # chain_k's exact cells at 10^6 walkers (survival fractions 0.044981,
+    # 0.022548 and 0.011281 from matrix powers): the geometric limit of a
+    # deficit that is truly 0 comes out slightly below 0 and stays there,
+    # so the eventual-absorption estimate can exceed 1 by its noise
+    stalled, se = _deficit_extrapolation((955019, 977452, 988719), 10**6)
+    assert stalled == pytest.approx(-8.79e-5, rel=1e-3)
+    assert abs(stalled) < 4 * se
+
+
 def test_srlp_predictions(chain_b):
     cmp_ = srlp_predicted_limit(chain_b, 0, 0, 0, 0, 1.0, horizon=32)
     assert cmp_.predicted == 1.0
