@@ -7,6 +7,7 @@ verdict comparing the two empirical limits.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import mpmath as mp
@@ -21,7 +22,7 @@ from .chains import (
     is_periodic,
     killing_sum,
 )
-from .errors import InconsistentWeightError, NonpositiveQError
+from .errors import InconsistentWeightError, NonpositiveQError, NumericalRouteWarning
 from .limits import LimitEstimate, estimate_limit
 from .measures import DiscreteMeasure, cn_series, quadrature_from_chain
 from .numeric import mpf_from_fraction
@@ -29,6 +30,8 @@ from .polynomials import (
     SupportEdges,
     _guarded,
     _q_pi,
+    _q_pi_f64,
+    _two_sided_log_sums,
     _two_sided_sums,
     christoffel_ratio_sequence,
     support_edges,
@@ -41,6 +44,7 @@ from .recover import (
     raw_density_integral,
     stieltjes_recurrence,
 )
+from .tridiagonal import FLOAT_DIGITS
 
 CONSISTENCY_FLOOR = 0.02
 
@@ -154,22 +158,34 @@ class RatioVanishingCriterion:
 def ratio_vanishing_criterion(
     chain: ChainSpec, eta, n: int, digits: int = DEFAULT_DIGITS
 ) -> RatioVanishingCriterion:
-    with _guarded(digits):
-        qv, pis = _q_pi(chain, n + 1, eta)
-        for j, v in enumerate(qv):
-            if v <= 0:
-                raise NonpositiveQError(
-                    f"{chain.label}: Q_{j}(eta) <= 0 at eta = {float(eta)}"
-                )
-        p, _, r, _ = chain.mpf_coefficients(n)
-        inner = mp.mpf(0)
-        terms = np.empty(n + 1)
-        lt_terms = np.empty(n + 1)
-        for j, pi_j in enumerate(pis[: n + 1]):
-            inner += r[j] * pi_j * qv[j] * qv[j]
-            denom = p[j] * pi_j * qv[j] * qv[j + 1]
-            terms[j] = float(inner / denom)
-            lt_terms[j] = float(1 / denom)
+    if digits <= FLOAT_DIGITS:
+        (p, _, r, _, logpi), ((sign, logq),) = _q_pi_f64(chain, n + 1, eta)
+        if len(nonpositive := np.flatnonzero(sign <= 0)):
+            raise NonpositiveQError(
+                f"{chain.label}: Q_{nonpositive[0]}(eta) <= 0 at eta = {float(eta)}"
+            )
+        logpi, logq_j = logpi[: n + 1], logq[: n + 1]
+        log_denom = np.log(p[: n + 1]) + logpi + logq_j + logq[1:]
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            inner = np.logaddexp.accumulate(np.log(r[: n + 1]) + logpi + 2 * logq_j)
+            terms, lt_terms = np.exp(inner - log_denom), np.exp(-log_denom)
+    else:
+        with _guarded(digits):
+            qv, pis = _q_pi(chain, n + 1, eta)
+            for j, v in enumerate(qv):
+                if v <= 0:
+                    raise NonpositiveQError(
+                        f"{chain.label}: Q_{j}(eta) <= 0 at eta = {float(eta)}"
+                    )
+            p, _, r, _ = chain.mpf_coefficients(n)
+            inner = mp.mpf(0)
+            terms = np.empty(n + 1)
+            lt_terms = np.empty(n + 1)
+            for j, pi_j in enumerate(pis[: n + 1]):
+                inner += r[j] * pi_j * qv[j] * qv[j]
+                denom = p[j] * pi_j * qv[j] * qv[j + 1]
+                terms[j] = float(inner / denom)
+                lt_terms[j] = float(1 / denom)
     return RatioVanishingCriterion(
         classify_series(np.cumsum(terms), terms),
         classify_series(np.cumsum(lt_terms), lt_terms),
@@ -326,14 +342,21 @@ def edge_scaled_christoffel(
     # below n_max = 8 the grid overshoots; rho_n needs n <= n_max + 1
     marks = sorted({int(v) for v in np.geomspace(max(8, n_max // 64), n_max, 24)
                     if int(v) <= n_max + 1})
-    with _guarded(digits):
-        _, _, s_pos, s_neg = _two_sided_sums(chain, n_max, eta)
-        # rho_n(+-eta) = 1 / s_{n-1}
-        top = np.array([float(mp.mpf(n) ** (2 * exps.alpha + 2) / s_pos[n - 1])
-                        for n in marks])
-        bottom = np.array([float(mp.mpf(n) ** (2 * exps.beta + 2) / s_neg[n - 1])
-                           for n in marks])
     ns = np.array(marks)
+    if digits <= FLOAT_DIGITS:
+        *_, s_pos, s_neg = _two_sided_log_sums(chain, n_max, eta)
+        # ln rho_n(+-eta) = -ln s_{n-1}
+        with np.errstate(over="ignore", under="ignore"):
+            top = np.exp((2 * exps.alpha + 2) * np.log(ns) - s_pos[ns - 1])
+            bottom = np.exp((2 * exps.beta + 2) * np.log(ns) - s_neg[ns - 1])
+    else:
+        with _guarded(digits):
+            _, _, s_pos, s_neg = _two_sided_sums(chain, n_max, eta)
+            # rho_n(+-eta) = 1 / s_{n-1}
+            top = np.array([float(mp.mpf(n) ** (2 * exps.alpha + 2) / s_pos[n - 1])
+                            for n in marks])
+            bottom = np.array([float(mp.mpf(n) ** (2 * exps.beta + 2) / s_neg[n - 1])
+                               for n in marks])
     return EdgeScalingResult(
         ns,
         top,
@@ -469,9 +492,14 @@ def conjecture_report(
     ratio_seq, lim_rho_raw, spread = ratio_limit_with_edge_spread(
         chain, n_max, eta_hat, digits
     )
-    if np.nanmax(ratio_seq.ratios) > 1 + 1e-9:
+    if (top := np.nanmax(ratio_seq.ratios)) > 1 + 1e-9:
         # a ratio above 1 means the extrapolated edge fell below the true
         # one; the bisection end certifies positivity through the horizon
+        warnings.warn(NumericalRouteWarning(
+            f"{chain.label}: Christoffel ratio {top:.12g} > 1 at eta_hat = "
+            f"{eta_hat:.12g}; ratio passes rerun at the bisection edge "
+            f"{edges.eta_bisection:.12g}"
+        ), stacklevel=2)
         eta_hat = edges.eta_bisection
         diagnostics["eta_hat"] = f"{eta_hat:.12g} (bisection fallback)"
         ratio_seq, lim_rho_raw, spread = ratio_limit_with_edge_spread(

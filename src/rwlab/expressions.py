@@ -28,6 +28,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import ExpressionError, UndecidableTailError
+from .numeric import to_mpf
 
 _TOKEN_RE = re.compile(r"\s*(\d+\.\d+|\d+|[A-Za-z_]\w*|\*\*|[()+\-*/^])")
 
@@ -265,8 +266,9 @@ def eval_fraction(e: Expr, value: Fraction | int) -> Fraction:
 
 
 def eval_mpf(e: Expr, value) -> mp.mpf:
-    """Evaluation at the current mpmath working precision."""
-    return _evaluate(e, mp.mpf(value), lambda c: mp.mpf(c.numerator) / c.denominator,
+    """Evaluation at the current mpmath working precision; a Fraction
+    argument is rounded once."""
+    return _evaluate(e, to_mpf(value), lambda c: mp.mpf(c.numerator) / c.denominator,
                      lambda a, k: mp.power(a, _integer_exponent(k)))
 
 

@@ -15,8 +15,8 @@ import mpmath as mp
 
 from .chains import ChainSpec, CoeffRule, DEFAULT_DIGITS
 from .errors import NonpositiveQError
-from .numeric import SignedLog, signed_log
-from .polynomials import EvalTrace, _guarded, eval_Q, q_values, to_mpf
+from .numeric import SignedLog, signed_log, to_mpf
+from .polynomials import EvalTrace, _guarded, eval_Q, q_values
 
 
 def _fraction_from_mpf(x: mp.mpf) -> Fraction:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -51,3 +52,11 @@ def signed_log(x) -> SignedLog:
 def mpf_from_fraction(f) -> mp.mpf:
     """The mpf nearest to a Fraction at the working precision (one rounding)."""
     return mp.make_mpf(mp.libmp.from_rational(f.numerator, f.denominator, mp.mp.prec, "n"))
+
+
+def to_mpf(x) -> mp.mpf:
+    """An int, float, str, mpf or Fraction as an mpf at the working
+    precision; a Fraction is rounded once."""
+    if isinstance(x, Fraction):
+        return mpf_from_fraction(x)
+    return mp.mpf(x)

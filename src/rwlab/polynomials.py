@@ -1,27 +1,32 @@
 """Evaluation of the chain's polynomial family and derived quantities.
 
 The Q_n satisfy x Q_n = q_n Q_{n-1} + r_n Q_n + p_n Q_{n+1} with Q_0 = 1 and
-p_0 Q_1 = x - r_0, so Q_n(1) = 1 for honest chains.  Everything here runs
-that forward recurrence (tridiagonal._three_term) in mpmath, whose unbounded
-exponent absorbs the growth that overflows float64, at the requested digits
-plus _GUARD_DIGITS, on the coefficients and ln pi_j the chain memoizes per
-working precision; values leave as sign/log-magnitude pairs or floats.
-Support edges come from two routes: the extreme eigenvalues of the Jacobi
-truncation, and bisection on the sign pattern of Q_1..Q_N that marks a
-point outside the support.
+p_0 Q_1 = x - r_0, so Q_n(1) = 1 for honest chains.  Every pass runs that
+forward recurrence, the stable direction at and beyond the support edges,
+on one of two backends.  Above FLOAT_DIGITS it runs tridiagonal._three_term
+in mpmath, whose unbounded exponent absorbs the growth outside the support,
+at the requested digits plus _GUARD_DIGITS, on the coefficients and ln pi_j
+the chain memoizes per working precision.  At <= FLOAT_DIGITS the edge
+bisection, the Christoffel ratio and edge-scaling passes, the ratio-vanishing
+criterion and the Q_n(1) growth run tridiagonal._three_term_f64, float64
+with a power-of-two rescale per step, on the float64 coefficients and
+ln pi_j of chains._series_float, with running sums in log space.  eval_Q,
+christoffel and cd_identity_residual stay on mpmath at any precision.
+Values leave as sign/log-magnitude pairs or floats.  Support edges come from
+two routes: the extreme eigenvalues of the Jacobi truncation, and bisection
+on the sign pattern of Q_1..Q_N that marks a point outside the support.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 
 import mpmath as mp
 import numpy as np
 
-from .chains import DEFAULT_DIGITS, ChainSpec, killing_sum, log_pi_mpf
+from .chains import DEFAULT_DIGITS, ChainSpec, _series_float, killing_sum, log_pi_mpf
 from .errors import (
     IdentityMismatchError,
     MethodsDisagreeError,
@@ -29,7 +34,7 @@ from .errors import (
     UndecidedLimitError,
 )
 from .limits import estimate_limit, richardson_pair
-from .numeric import NEG_INF, SignedLog, mpf_from_fraction, signed_log
+from .numeric import NEG_INF, SignedLog, signed_log, to_mpf
 from .tridiagonal import (
     FLOAT_DIGITS,
     extreme_eigen_f64,
@@ -37,13 +42,8 @@ from .tridiagonal import (
     jacobi_arrays_f64,
     jacobi_arrays_mpf,
     _three_term,
+    _three_term_f64,
 )
-
-
-def to_mpf(x) -> mp.mpf:
-    if isinstance(x, Fraction):
-        return mpf_from_fraction(x)
-    return mp.mpf(x)
 
 
 # digits carried beyond the requested precision by every polynomial-side pass
@@ -65,6 +65,20 @@ def q_values(chain: ChainSpec, n: int, x) -> list:
 def _q_pi(chain: ChainSpec, n: int, x) -> tuple[list, list]:
     """Q_0(x)..Q_n(x) and pi_0..pi_n as mpf at the current working precision."""
     return q_values(chain, n, x), [mp.exp(lp) for lp in log_pi_mpf(chain, n)]
+
+
+def _q_pi_f64(chain: ChainSpec, n: int, *xs) -> tuple[tuple, list]:
+    """The float64 twin of _q_pi: the float64 columns p, q, r, kappa and
+    ln pi for j = 0..n (from chains._series_float), and at each x the pair
+    sign(Q_k(x)), ln|Q_k(x)| for k = 0..n (ln 0 = -inf)."""
+    cols = _series_float(chain, n)[:5]
+    p, q, r = (c.tolist() for c in cols[:3])
+    logs = []
+    for x in xs:
+        m, e = np.array([(1.0, 0), *_three_term_f64(float(x), p, q, r, n)]).T
+        with np.errstate(divide="ignore"):
+            logs.append((np.sign(m), np.log(np.abs(m)) + e * math.log(2.0)))
+    return cols, logs
 
 
 @dataclass(frozen=True)
@@ -162,11 +176,27 @@ def _two_sided_sums(chain: ChainSpec, n_max: int, eta):
     return pos, neg, *sums
 
 
+def _two_sided_log_sums(chain: ChainSpec, n_max: int, eta):
+    """The float64 twin of _two_sided_sums: sign and ln|Q_k(+-eta)| as two
+    (sign, log) pairs, and the logs of the two running sums, for
+    k = 0..n_max."""
+    (*_, logpi), (pos, neg) = _q_pi_f64(chain, n_max, eta, -float(eta))
+    sums = [np.logaddexp.accumulate(logpi + 2 * logq) for _, logq in (pos, neg)]
+    return pos, neg, *sums
+
+
 def christoffel_ratio_sequence(
     chain: ChainSpec, n_max: int, eta, digits: int = DEFAULT_DIGITS
 ) -> RatioSequences:
     """One forward pass at +eta and -eta; each ratio lies in (0, 1] up to
     the working precision."""
+    if digits <= FLOAT_DIGITS:
+        (_, log_pos), (sign_neg, log_neg), s_pos, s_neg = _two_sided_log_sums(chain, n_max, eta)
+        log_ratios = s_pos[:n_max] - s_neg[:n_max]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratios = np.exp(log_ratios)
+            qsq = np.where(sign_neg == 0, math.inf, np.exp(2 * (log_pos - log_neg)))
+        return RatioSequences(float(eta), ratios, qsq, log_ratios / math.log(10.0))
     with _guarded(digits):
         pos, neg, s_pos, s_neg = _two_sided_sums(chain, n_max, eta)
         quotients = [a / b for a, b in zip(s_pos[:n_max], s_neg)]
@@ -230,16 +260,25 @@ def _positivity_infimum(
     sign = 1 is the top-edge predicate (bracket [eta - pad, 1 + pad]),
     sign = -1 the alternating bottom-edge one (bracket [-1 - pad,
     zeta + pad]).  Returns the end of the final bracket on which the
-    predicate holds; `true_end` must satisfy it."""
+    predicate holds; `true_end` must satisfy it.  At <= FLOAT_DIGITS the
+    signs come from the rescaled float64 recurrence."""
+
+    def signs_hold(values) -> bool:
+        for k, cur in enumerate(values, 1):
+            negative = sign < 0 and k % 2
+            if (cur >= 0) if negative else (cur <= 0):
+                return False
+        return True
+
+    if digits <= FLOAT_DIGITS:
+        p64, q64, r64, _ = (c.tolist() for c in chain.arrays(horizon - 1))
 
     def holds(xv: float) -> bool:
+        if digits <= FLOAT_DIGITS:
+            return signs_hold(m for m, _ in _three_term_f64(xv, p64, q64, r64, horizon))
         with _guarded(digits):
             p, q, r, _ = chain.mpf_coefficients(horizon - 1)
-            for k, cur in enumerate(_three_term(mp.mpf(xv), p, q, r, horizon), 1):
-                negative = sign < 0 and k % 2
-                if (cur >= 0) if negative else (cur <= 0):
-                    return False
-        return True
+            return signs_hold(_three_term(mp.mpf(xv), p, q, r, horizon))
 
     if not holds(true_end):
         kind = "positivity predicate false at bracket end" if sign > 0 else (
@@ -314,7 +353,25 @@ def support_edges(
 
 def q_at_one_growth(chain: ChainSpec, n: int, digits: int = DEFAULT_DIGITS) -> list[float]:
     """Q_0(1)..Q_n(1), computed by the recurrence and cross-checked against
-    the killing double-sum identity; a mismatch is an arithmetic fault."""
+    the killing double-sum identity; a mismatch is an arithmetic fault.
+    At <= FLOAT_DIGITS both sides run in float64 log space."""
+    if digits <= FLOAT_DIGITS:
+        (p, _, _, kappa, logpi), ((sign, logq),) = _q_pi_f64(chain, n, 1)
+        with np.errstate(divide="ignore"):
+            inner = np.logaddexp.accumulate(np.log(kappa[:n]) + logpi[:n] + logq[:n])
+        # ln(1 + acc_j), to be compared with ln Q_{j+1}(1); Q_k(1) >= 1 > 0
+        identity = np.logaddexp(0.0, np.logaddexp.accumulate(inner - np.log(p[:n]) - logpi[:n]))
+        with np.errstate(over="ignore"):
+            values = sign * np.exp(logq)
+            moved = np.abs(np.expm1(logq[1:] - identity))
+        bad = np.flatnonzero((sign[1:] <= 0) | (moved > 10.0 ** (-(digits // 2))))
+        if len(bad):
+            j = bad[0]
+            raise IdentityMismatchError(
+                f"{chain.label}: Q_{j + 1}(1) recurrence/double-sum mismatch "
+                f"{values[j + 1]} vs {np.exp(identity[j])}"
+            )
+        return values.tolist()
     with _guarded(digits):
         vals, pis = _q_pi(chain, n, 1)
         acc = mp.mpf(0)  # sum over j of (1/(p_j pi_j)) sum_{m<=j} kappa_m pi_m Q_m(1)

@@ -13,6 +13,11 @@ numpy object arrays.  Each weight is 1/sum v_j^2 for the node's eigenvector
 v with v_0 = 1, run forward from the first index and backward from the
 last and joined where the float64 eigenvector peaks, so an eigenvector that
 decays keeps its weight.
+
+_three_term is the one forward recurrence of the polynomial family, on mpf
+or on float64 node arrays; _three_term_f64 is its scalar float64 form with a
+power-of-two rescale per step, which the polynomial passes at <= 16 digits
+run on.
 """
 
 from __future__ import annotations
@@ -51,6 +56,24 @@ def _three_term(x, p, q, r, n: int):
     for k in range(n):
         prev, cur = cur, ((x - r[k]) * cur - q[k] * prev) / p[k]
         yield cur
+
+
+def _three_term_f64(x: float, p: list, q: list, r: list, n: int):
+    """Yield (m_k, e_k) with Q_k(x) = m_k 2^e_k for k = 1..n: _three_term on
+    floats, where each step rescales Q_{k-1} and Q_k by the power of two
+    that brings |m_k| into [1/2, 1), so growth outside the support never
+    overflows.  sign(Q_k) = sign(m_k) and ln|Q_k| = ln|m_k| + e_k ln 2.
+
+    The rescale is exact, so the m_k 2^e_k are the unscaled float64
+    recurrence's values wherever those stay in the normal range."""
+    frexp, ldexp = math.frexp, math.ldexp
+    prev, cur, e = 0.0, 1.0, 0
+    for k in range(n):
+        prev, cur = cur, ((x - r[k]) * cur - q[k] * prev) / p[k]
+        cur, shift = frexp(cur)
+        if shift:
+            prev, e = ldexp(prev, -shift), e + shift
+        yield cur, e
 
 
 def _fixed(v, bits: int) -> int:

@@ -84,8 +84,7 @@ def report_e():
                              truncation=2000, digits=15)
 
 
-@pytest.fixture(scope="session")
-def chain_e600():
+def _recovered_chain(weight):
     from rwlab.recover import (
         chain_from_recurrence,
         discretize_weight,
@@ -93,7 +92,17 @@ def chain_e600():
         stieltjes_recurrence,
     )
 
-    m = discretize_weight(families.weight_e(), grid_size_for_depth(600), digits=15)
+    m = discretize_weight(weight, grid_size_for_depth(600), digits=15)
     rec = chain_from_recurrence(stieltjes_recurrence(m, 600, digits=15))
     assert rec.ok
     return rec.chain
+
+
+@pytest.fixture(scope="session")
+def chain_d600():
+    return _recovered_chain(families.weight_d())
+
+
+@pytest.fixture(scope="session")
+def chain_e600():
+    return _recovered_chain(families.weight_e())

@@ -19,7 +19,7 @@ from rwlab.asymptotics import (
     regularity_check,
     sup_tail_bound_check,
 )
-from rwlab.errors import InconsistentWeightError
+from rwlab.errors import InconsistentWeightError, NumericalRouteWarning
 from rwlab.recover import chain_from_recurrence, discretize_weight, stieltjes_recurrence
 
 
@@ -199,3 +199,25 @@ def test_killed_chain_report():
     assert rep.lim_cn is None
     assert rep.lim_rho_ratio.value == 1.0
     assert rep.verdict == "consistent"
+
+
+def test_bisection_fallback_is_reported(monkeypatch, chain_b):
+    import dataclasses
+
+    from rwlab import asymptotics
+
+    solve = asymptotics.support_edges
+
+    def misplaced_edges(chain, *args, **kwargs):
+        # eta_hat 0.01 below chain_b's bottom edge 0: Q_k(eta_hat)^2 then
+        # outgrows Q_k(-eta_hat)^2 and the Christoffel ratios exceed 1
+        edges = solve(chain, *args, **kwargs)
+        return dataclasses.replace(edges, eta_hat=edges.zeta_eigen - 0.01)
+
+    monkeypatch.setattr(asymptotics, "support_edges", misplaced_edges)
+    with pytest.warns(NumericalRouteWarning, match="rerun at the bisection edge"):
+        rep = conjecture_report(chain=chain_b, N=60, n_max=200, truncation=400,
+                                sum_horizon=400, digits=15)
+    assert rep.diagnostics["eta_hat"].endswith("(bisection fallback)")
+    assert float(rep.diagnostics["eta_hat"].split()[0]) == pytest.approx(1.0, abs=1e-5)
+    assert np.nanmax(rep.ratio_values) <= 1 + 1e-9

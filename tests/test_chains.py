@@ -1,6 +1,7 @@
 """Chain validation, potential coefficients and the divergence verdicts."""
 
 import math
+import os
 import warnings
 from fractions import Fraction
 
@@ -243,3 +244,28 @@ def test_no_hot_path_hashes_a_chain(monkeypatch):
     srlp_predicted_limit(chain, 0, 1, 0, 0, 1.0, horizon=50)
     christoffel_ratio_sequence(chain, 100, 1.0)
     absorption_probabilities(families.chain_k(), 4, 200)
+
+
+def test_fifteen_digit_passes_stay_off_mpmath(monkeypatch):
+    # at <= 16 digits the polynomial passes read float64 coefficients and
+    # ln pi, so neither mpf source is touched on these paths
+    import sys
+
+    from rwlab import chains as chains_module
+    from rwlab import fileformats as ff
+    from rwlab.asymptotics import conjecture_report
+    from rwlab.polynomials import absorption_probabilities
+
+    def refuse(*args):
+        raise AssertionError("an mpf coefficient pass ran at 15 digits")
+
+    monkeypatch.setattr(ChainSpec, "mpf_coefficients", refuse)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rwlab") and getattr(module, "log_pi_mpf", None) is chains_module.log_pi_mpf:
+            monkeypatch.setattr(module, "log_pi_mpf", refuse)
+    recovered = ff.chain_from_sections(ff.parse_file(
+        os.path.join(os.path.dirname(__file__), "..", "configs", "chain_recovered.cfg")))
+    for chain in (families.chain_shifted_arcsine(), families.chain_k(), recovered):
+        conjecture_report(chain=chain, N=60, n_max=200, truncation=400,
+                          sum_horizon=400, digits=15)
+    absorption_probabilities(families.chain_k(), 6, 2000, digits=15)

@@ -52,6 +52,16 @@ def test_integer_power_of_the_variable_at_an_mpf():
     assert ex.eval_mpf(ex.parse("2 + x^2", "x"), mp.mpf("0.5")) == mp.mpf("2.25")
 
 
+def test_eval_mpf_takes_a_fraction():
+    x = ex.parse("x", "x")
+    assert ex.eval_mpf(x, Fraction(1, 2)) == mp.mpf("0.5")
+    # rounded once: 1/3 is the mpf nearest to it at the working precision
+    with mp.workdps(15):
+        third = ex.eval_mpf(x, Fraction(1, 3))
+        assert third == mp.mpf(1) / 3
+        assert ex.eval_mpf(ex.parse("3*x", "x"), Fraction(1, 3)) == 3 * third
+
+
 def test_decimal_is_exact():
     assert ex.parse("0.1", "j") == ex.Const(Fraction(1, 10))
 

@@ -17,13 +17,19 @@ The base and change runs of one job go side by side (two processes at a
 time).
 
 Every output file, the exit code and stderr are compared byte for byte.
-Each differing file is printed with its first differing line.  The exit
-status is 1 on any difference and 0 when everything is identical.
+Each differing file is printed with its first differing line, the number
+of lines that differ, and the largest absolute and relative difference
+between the numeric fields of those lines (fields split at commas, `=` and
+whitespace; a field that does not parse as a float on both sides is
+skipped).  The exit status is 1 on any difference and 0 when everything is
+identical.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -110,6 +116,28 @@ def _first_difference(a: bytes, b: bytes) -> str:
             f"(base {len(la)} lines, change {len(lb)} lines)")
 
 
+def _numeric_moves(a: bytes, b: bytes) -> str:
+    """How many lines differ, and the largest absolute and relative
+    difference between the numeric fields of the differing lines."""
+    la, lb = a.decode(errors="replace").splitlines(), b.decode(errors="replace").splitlines()
+    pairs = [(x, y) for x, y in zip(la, lb) if x != y]
+    largest_abs = largest_rel = 0.0
+    for x, y in pairs:
+        for u, v in zip(re.split(r"[,=\s]+", x), re.split(r"[,=\s]+", y)):
+            try:
+                fu, fv = float(u), float(v)
+            except ValueError:
+                continue
+            if fu == fv or math.isnan(fu) or math.isnan(fv):
+                continue
+            move = abs(fu - fv)
+            largest_abs = max(largest_abs, move)
+            largest_rel = max(largest_rel, move / max(abs(fu), abs(fv))
+                              if math.isfinite(move) else math.inf)
+    return (f"{len(pairs) + abs(len(la) - len(lb))} lines differ, largest numeric move "
+            f"{largest_abs:.3g} absolute, {largest_rel:.3g} relative")
+
+
 def compare(job, base: tuple, change: tuple) -> list[str]:
     """Differences between the (exit code, stderr, files) of the two runs."""
     label = " ".join((job[0], job[1]) + job[2])
@@ -124,7 +152,8 @@ def compare(job, base: tuple, change: tuple) -> list[str]:
             side = "base" if name in files_a else "change"
             diffs.append(f"{label}: {name} written by {side} only")
         elif files_a[name] != files_b[name]:
-            diffs.append(f"{label}: {name} differs at "
+            diffs.append(f"{label}: {name} differs ("
+                         f"{_numeric_moves(files_a[name], files_b[name])}) at "
                          f"{_first_difference(files_a[name], files_b[name])}")
     return diffs
 
