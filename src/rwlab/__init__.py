@@ -47,6 +47,7 @@ from .recover import (
     discretize_weight,
     grid_size_for_depth,
     make_weight,
+    recover_chain,
     stieltjes_recurrence,
 )
 from .normalization import NormalizedChain, normalize, tilde_polynomials

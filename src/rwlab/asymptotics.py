@@ -36,14 +36,7 @@ from .polynomials import (
     christoffel_ratio_sequence,
     support_edges,
 )
-from .recover import (
-    WeightSpec,
-    chain_from_recurrence,
-    discretize_weight,
-    grid_size_for_depth,
-    raw_density_integral,
-    stieltjes_recurrence,
-)
+from .recover import WeightSpec, grid_size_for_depth, raw_density_integral, recover_chain
 from .tridiagonal import FLOAT_DIGITS
 
 CONSISTENCY_FLOOR = 0.02
@@ -446,8 +439,8 @@ def conjecture_report(
     """Full pipeline for one chain or one weight: build the measure side and
     the polynomial side, estimate both limits, classify, and compare.
 
-    The edge solve (slow at high precision) runs on the float64 backend,
-    at min(digits, 15); everything else keeps the requested digits.
+    The edge solve and the chain's quadrature run on the float64 backend, at
+    min(digits, FLOAT_DIGITS); everything else keeps the requested digits.
     """
     if (chain is None) == (weight is None):
         raise ValueError("supply exactly one of chain, weight")
@@ -455,9 +448,7 @@ def conjecture_report(
     measure = None
     diagnostics: dict = {}
     if weight is not None:
-        measure = discretize_weight(weight, grid_size_for_depth(n_max), digits)
-        coeffs = stieltjes_recurrence(measure, n_max, min(digits, 16))
-        recovery = chain_from_recurrence(coeffs, label=weight.label + "-chain")
+        measure, _, recovery = recover_chain(weight, n_max, grid_size_for_depth(n_max), digits)
         if not recovery.ok:
             raise InconsistentWeightError(
                 f"{weight.label}: not a random walk measure at index "
@@ -470,13 +461,13 @@ def conjecture_report(
 
     trunc = int(min(truncation, chain.depth))
     edges = support_edges(chain, trunc, tol=1e-4 if trunc < 500 else 1e-6,
-                          digits=min(digits, 15))
+                          digits=min(digits, FLOAT_DIGITS))
     eta_hat = edges.eta_hat
     diagnostics["eta_hat"] = f"{eta_hat:.12g}"
 
     killed = chain.has_killing()
     if measure is None and not killed:
-        measure = quadrature_from_chain(chain, N, min(digits, 16))
+        measure = quadrature_from_chain(chain, N, min(digits, FLOAT_DIGITS))
     cn_vals = None
     lim_cn = None
     if measure is not None:

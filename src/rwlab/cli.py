@@ -45,13 +45,8 @@ from .measures import (
 )
 from .normalization import normalize
 from .polynomials import absorption_probabilities, eval_Q, support_edges
-from .recover import (
-    WeightSpec,
-    chain_from_recurrence,
-    discretize_weight,
-    grid_size_for_depth,
-    stieltjes_recurrence,
-)
+from .recover import WeightSpec, discretize_weight, grid_size_for_depth, recover_chain
+from .tridiagonal import FLOAT_DIGITS
 
 @dataclass
 class ExperimentConfig:
@@ -113,6 +108,13 @@ def load_config(args) -> ExperimentConfig:
 def _opt(options: dict, key: str, default):
     """options[key] as an int, or default when the key is absent."""
     return int(options[key]) if key in options else default
+
+
+def _grid(cfg: ExperimentConfig, default: int) -> int:
+    """The [run] option grid, at least the 64 nodes discretize_weight needs."""
+    if (grid := _opt(cfg.options, "grid", default)) < 64:
+        raise InputError(f"grid must be >= 64, the run has grid = {grid}")
+    return grid
 
 
 def _path(cfg: ExperimentConfig, name: str) -> str:
@@ -207,8 +209,8 @@ def cmd_edges(cfg: ExperimentConfig) -> int:
 
 def _measure_for(cfg: ExperimentConfig):
     if cfg.weight is not None:
-        grid = _opt(cfg.options, "grid", grid_size_for_depth(cfg.horizon))
-        return discretize_weight(cfg.weight, grid, cfg.precision)
+        return discretize_weight(cfg.weight, _grid(cfg, grid_size_for_depth(cfg.horizon)),
+                                 cfg.precision)
     chain = cfg.require_chain()
     return quadrature_from_chain(chain, cfg.truncation, cfg.precision)
 
@@ -274,15 +276,11 @@ def cmd_normalize(cfg: ExperimentConfig) -> int:
 
 
 def _recover_chain(cfg: ExperimentConfig, weight: WeightSpec, depth: int):
-    """Discretize the weight on the run's grid, run the Stieltjes recursion
-    to `depth` and recover the chain.  Returns the coefficients, the
-    recovery and the clause a failure record appends when the grid is too
-    coarse for the depth ("" otherwise)."""
+    """(coefficients, recovery) from recover_chain on the run's grid, and the
+    clause a failure record appends when the grid is too coarse ("" if not)."""
     needed = grid_size_for_depth(depth)
-    grid = _opt(cfg.options, "grid", needed)
-    m = discretize_weight(weight, grid, cfg.precision)
-    coeffs = stieltjes_recurrence(m, depth, cfg.precision)
-    recovery = chain_from_recurrence(coeffs, label=weight.label + "-chain")
+    grid = _grid(cfg, needed)
+    _, coeffs, recovery = recover_chain(weight, depth, grid, cfg.precision)
     blame = "" if grid >= needed else (
         f"; grid = {grid} is below grid_size_for_depth({depth}) = {needed}, "
         "so the failing index may be the grid's fault rather than the weight's")
@@ -388,7 +386,7 @@ def cmd_dt_check(cfg: ExperimentConfig) -> int:
         return 3
     exps = edge_exponents(weight, cfg.precision)
     e = support_edges(recovery.chain, max(50, min(cfg.truncation, n_max)),
-                      digits=min(cfg.precision, 15))
+                      digits=min(cfg.precision, FLOAT_DIGITS))
     result = edge_scaled_christoffel(recovery.chain, exps, e.eta_hat, n_max, cfg.precision)
     atomic_write(
         _path(cfg, "dt_scaled.csv"),
@@ -428,7 +426,7 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
     samples = _opt(cfg.options, "samples", 10**5)
     steps = _opt(cfg.options, "steps", 4)
     queries = [
-        transition_probability(chain, i, j, n, digits=min(cfg.precision, 15))
+        transition_probability(chain, i, j, n, digits=min(cfg.precision, FLOAT_DIGITS))
         for i, j in ((0, 0), (0, 1), (1, 1))
         for n in range(1, steps + 1)
     ]

@@ -1,9 +1,10 @@
 """From an analytic edge-weight description to a chain: discretize the
 weight, run the Stieltjes/Lanczos inner-product recursion for recurrence
 coefficients, and solve for one-step probabilities under p + q + r = 1.
+recover_chain runs the three stages for the CLI and the conjecture pipeline.
 
-Each stage works at the precision its data carries.  On the float64
-backend the recursion runs without reorthogonalization and is kept only
+The weight is discretized at the requested digits; the recursion runs in
+float64 at every precision, without reorthogonalization, and is kept only
 when a measured loss of orthogonality certifies it; otherwise it is rerun
 with full reorthogonalization and a NumericalRouteWarning says so.  The
 recovered coefficients are float-rounded (small dyadic Fractions), with
@@ -30,7 +31,6 @@ from .chains import ChainSpec, CoeffRule, DEFAULT_DIGITS
 from .errors import InputError, NumericalRouteWarning, StieltjesBreakdownError
 from .measures import DiscreteMeasure, _measure_from_arrays
 from .numeric import mpf_from_fraction
-from .tridiagonal import FLOAT_DIGITS
 
 PANEL_ORDER = 60
 
@@ -211,35 +211,23 @@ class RecurrenceCoefficients:
         return len(self.b)
 
 
-def stieltjes_recurrence(
-    measure: DiscreteMeasure,
-    n: int,
-    digits: int = DEFAULT_DIGITS,
-    reorthogonalize: bool | None = None,
-) -> RecurrenceCoefficients:
+def stieltjes_recurrence(measure: DiscreteMeasure, n: int) -> RecurrenceCoefficients:
     """First n recurrence coefficients of the discrete measure by the
-    inner-product (Stieltjes/Lanczos) recursion.
+    inner-product (Stieltjes/Lanczos) recursion in float64, at every
+    working precision of the measure: the coefficients are float64 arrays,
+    so a recursion with more digits would round its extra digits away.
 
-    On the float64 backend, reorthogonalize=True reorthogonalizes every
-    step against the whole basis and False never does.  The default (None)
-    runs the plain recursion and verifies it: the basis V is kept and the
-    loss of orthogonality max|V^T V - I| is measured once.  When it is at
-    most sqrt(eps) (semi-orthogonality), the plain coefficients are
+    The plain recursion runs first and is verified: the basis V is kept
+    and the loss of orthogonality max|V^T V - I| is measured once.  When it
+    is at most sqrt(eps) (semi-orthogonality), the plain coefficients are
     accurate to working precision (Simon 1984; Gautschi 2004, sec. 2.2)
     and are returned.  Otherwise (typically a grid too coarse for the
     depth), or when the plain recursion breaks down, the fully
-    reorthogonalized recursion is rerun, its result is returned
-    (bit-identical to True) and a NumericalRouteWarning reports the
-    fallback.  The high-precision backend relies on extra digits instead.
+    reorthogonalized recursion is rerun, its result is returned and a
+    NumericalRouteWarning reports the fallback.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > len(measure) // 2:
-        raise ValueError(f"n = {n} exceeds half the node count {len(measure)}")
-    if digits > FLOAT_DIGITS:
-        return _stieltjes_mpf(measure, n, digits)
-    if reorthogonalize is not None:
-        return _stieltjes_f64(measure, n, reorthogonalize)[0]
+    if not 1 <= n <= len(measure) // 2:
+        raise ValueError(f"n = {n} is outside [1, half the node count {len(measure)}]")
     tol = math.sqrt(np.finfo(float).eps)
     try:
         coeffs, basis = _stieltjes_f64(measure, n, False)
@@ -295,39 +283,6 @@ def _stieltjes_f64(measure, n, reorth) -> tuple[RecurrenceCoefficients, np.ndarr
         a_prev = norm
         basis[:, k + 1] = v
     return RecurrenceCoefficients(a, b), basis
-
-
-def _stieltjes_mpf(measure, n, digits) -> RecurrenceCoefficients:
-    if measure.mp_nodes is None:
-        raise ValueError("high-precision recursion needs an mp-built measure")
-    with mp.workdps(digits + 10):
-        x = list(measure.mp_nodes)
-        w = list(measure.mp_weights)
-        norm0 = mp.sqrt(mp.fsum(w))
-        v = [mp.sqrt(wk) / norm0 for wk in w]
-        v_prev = [mp.mpf(0)] * len(x)
-        a_prev = mp.mpf(0)
-        a = []
-        b = []
-        scale = max(abs(xk) for xk in x)
-        floor = mp.mpf(10) ** (-(digits + 4))
-        for k in range(n):
-            u = [xk * vk - a_prev * pk for xk, vk, pk in zip(x, v, v_prev)]
-            bk = mp.fsum(vk * uk for vk, uk in zip(v, u))
-            u = [uk - bk * vk for uk, vk in zip(u, v)]
-            norm = mp.sqrt(mp.fsum(uk * uk for uk in u))
-            if norm <= floor * scale:
-                raise StieltjesBreakdownError(
-                    f"norm underflow at coefficient {k + 1}"
-                )
-            b.append(bk)
-            a.append(norm)
-            v_prev = v
-            v = [uk / norm for uk in u]
-            a_prev = norm
-        return RecurrenceCoefficients(
-            np.array([float(ak) for ak in a]), np.array([float(bk) for bk in b])
-        )
 
 
 # --- coefficients -> chain ----------------------------------------------------
@@ -399,3 +354,18 @@ def chain_from_recurrence(
         kappa=CoeffRule(tuple(Fraction(0) for _ in range(n))),
     )
     return ChainRecovery(True, chain, None, None, n)
+
+
+def recover_chain(
+    spec: WeightSpec, depth: int, grid: int, digits: int = DEFAULT_DIGITS
+) -> tuple[DiscreteMeasure, RecurrenceCoefficients, ChainRecovery]:
+    """The weight's chain to `depth`: the weight discretized at `digits` on
+    `grid` nodes, its coefficients from the verified float64 Stieltjes
+    recursion, and their recovery.  A depth outside [1, half the node
+    count] is an InputError."""
+    measure = discretize_weight(spec, grid, digits)
+    if not 1 <= depth <= len(measure) // 2:
+        raise InputError(f"{spec.label}: depth = {depth} must be in [1, {len(measure) // 2}], "
+                         f"half the node count of grid = {grid}")
+    coeffs = stieltjes_recurrence(measure, depth)
+    return measure, coeffs, chain_from_recurrence(coeffs, label=spec.label + "-chain")

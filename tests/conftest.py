@@ -93,7 +93,7 @@ def _recovered_chain(weight):
     )
 
     m = discretize_weight(weight, grid_size_for_depth(600), digits=15)
-    rec = chain_from_recurrence(stieltjes_recurrence(m, 600, digits=15))
+    rec = chain_from_recurrence(stieltjes_recurrence(m, 600))
     assert rec.ok
     return rec.chain
 

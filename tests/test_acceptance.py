@@ -109,7 +109,7 @@ def test_criterion_03_transition_routes(core_chains, quad400):
 def test_criterion_04_roundtrip(core_chains, quad400):
     worst = 0.0
     for key, chain in core_chains.items():
-        rc = stieltjes_recurrence(quad400[key], 30, digits=15)
+        rc = stieltjes_recurrence(quad400[key], 30)
         p, q, r, _ = chain.arrays(30)
         a_true = np.sqrt(p[:29] * q[1:30])
         worst = max(worst, np.abs(rc.a[:29] - a_true).max())

@@ -36,7 +36,7 @@ def test_symmetric_prediction_implies_periodic_chain():
     # equal exponents with symmetric smooth factor predict 1, and the
     # recovered chain is indeed periodic
     m = discretize_weight(families.weight_semicircle(), 1000, digits=15)
-    rec = chain_from_recurrence(stieltjes_recurrence(m, 20, digits=15))
+    rec = chain_from_recurrence(stieltjes_recurrence(m, 20))
     from rwlab.chains import is_periodic
 
     assert rec.ok and is_periodic(rec.chain)
@@ -107,7 +107,7 @@ def test_edge_scaling_weight_d(report_d):
     from rwlab.recover import grid_size_for_depth
 
     m = discretize_weight(families.weight_d(), grid_size_for_depth(600), digits=15)
-    rec = chain_from_recurrence(stieltjes_recurrence(m, 600, digits=15))
+    rec = chain_from_recurrence(stieltjes_recurrence(m, 600))
     res = edge_scaled_christoffel(rec.chain, exps, report_d.edges.eta_hat, 590, 15)
     tail = res.scaled_bottom[-8:]
     assert np.all(np.isfinite(tail))

@@ -11,10 +11,11 @@ import pytest
 
 import rwlab
 from rwlab import fileformats as ff
-from rwlab import families
+from rwlab import asymptotics, families
 from rwlab.chains import ChainSpec, CoeffRule, rule
 from rwlab.cli import main
 from rwlab.measures import monte_carlo_transition
+from rwlab.polynomials import support_edges
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -106,6 +107,51 @@ def test_recover_reports_stieltjes_fallback(tmp_path, capsys, family, depth, cod
     failed = [r for r in records if r["level"] == "error"]
     assert len(failed) == (code != 0)
     assert all("grid_size_for_depth(600) = " in r["message"] for r in failed)
+
+
+@pytest.mark.parametrize("sub, run_options, message", [
+    (sub, "grid = 63", "grid must be >= 64, the run has grid = 63")
+    for sub in ("recover", "dt-check", "measure", "cn")
+] + [
+    ("recover", "depth = 0", "depth = 0 must be in [1, "),
+    ("recover", "grid = 64\ndepth = 2000", "depth = 2000 must be in [1, 1680]"),
+])
+def test_weight_grid_and_depth_options_are_input_errors(tmp_path, capsys, sub, run_options,
+                                                       message):
+    config = tmp_path / "w.cfg"
+    config.write_text(ff.weight_to_text(families.weight_e())
+                      + f"\n[run]\nprecision = 15\nhorizon = 64\n{run_options}\n")
+    out = str(tmp_path / "o")
+    assert run(sub, "--config", str(config), "--out", out) == 3
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert len(records) == 1
+    assert records[0]["code"] == "input"
+    assert message in records[0]["message"]
+    assert not os.path.exists(out)
+
+
+def test_conjecture_analyses_the_chain_recover_writes(tmp_path, monkeypatch):
+    # one weight-to-chain path: at 34 digits, conjecture_report runs its
+    # edge solve on exactly the chain that `rwlab recover` writes
+    config = tmp_path / "e.cfg"
+    config.write_text(ff.weight_to_text(families.weight_e()) + "\n[run]\ndepth = 64\n")
+    out = str(tmp_path / "o")
+    assert run("recover", "--config", str(config), "--out", out, "--precision", "34") == 0
+    written = ff.chain_from_sections(ff.parse_file(os.path.join(out, "recovered_chain.txt")))
+    seen = []
+
+    def spy(chain, *args, **kwargs):
+        seen.append(chain)
+        return support_edges(chain, *args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "support_edges", spy)
+    asymptotics.conjecture_report(weight=families.weight_e(), n_max=64, digits=34)
+    assert len(seen) == 1
+    for name in ("p", "q", "r", "kappa"):
+        analysed, recovered = getattr(seen[0], name).prefix, getattr(written, name).prefix
+        assert len(analysed) == len(recovered) == 64
+        for k, (x, y) in enumerate(zip(analysed, recovered)):
+            assert x == y, (name, k)
 
 
 def test_missing_section_exit_code(tmp_path):

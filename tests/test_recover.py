@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from rwlab import families
+from rwlab import families, recover
 from rwlab.errors import InputError, NumericalRouteWarning
 from rwlab.measures import moment
 from rwlab.recover import (
@@ -77,7 +77,7 @@ def test_weight_validation():
 
 
 def test_stieltjes_arcsine(quad400):
-    rc = stieltjes_recurrence(quad400["A"], 10, digits=15)
+    rc = stieltjes_recurrence(quad400["A"], 10)
     assert rc.a[0] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
     assert np.abs(rc.a[1:] - 0.5).max() < 1e-12
     assert np.abs(rc.b).max() < 1e-12
@@ -85,30 +85,24 @@ def test_stieltjes_arcsine(quad400):
 
 def test_stieltjes_semicircle_weight():
     m = discretize_weight(families.weight_semicircle(), 1000, digits=15)
-    rc = stieltjes_recurrence(m, 12, digits=15)
+    rc = stieltjes_recurrence(m, 12)
     assert np.abs(rc.a - 0.5).max() < 1e-12
     assert np.abs(rc.b).max() < 1e-13  # symmetric weight: diagonal vanishes
 
 
 def test_stieltjes_b0_is_mean():
     m = discretize_weight(families.weight_d(), 1000, digits=15)
-    rc = stieltjes_recurrence(m, 5, digits=15)
+    rc = stieltjes_recurrence(m, 5)
     assert rc.b[0] == pytest.approx(0.25, abs=1e-12)
-
-
-def test_stieltjes_mp_backend():
-    m = discretize_weight(families.weight_semicircle(), 600, digits=30)
-    rc = stieltjes_recurrence(m, 8, digits=30)
-    assert np.abs(rc.a - 0.5).max() < 1e-25
 
 
 def test_stieltjes_preconditions(quad400):
     with pytest.raises(ValueError):
-        stieltjes_recurrence(quad400["A"], 400, digits=15)  # n > nodes/2
+        stieltjes_recurrence(quad400["A"], 400)  # n > nodes/2
 
 
 def test_chain_recovery_known_families(quad400):
-    rc = stieltjes_recurrence(quad400["A"], 10, digits=15)
+    rc = stieltjes_recurrence(quad400["A"], 10)
     rec = chain_from_recurrence(rc)
     assert rec.ok
     assert float(rec.chain.p.at(0)) == pytest.approx(1.0, abs=1e-12)
@@ -116,7 +110,7 @@ def test_chain_recovery_known_families(quad400):
         assert float(rec.chain.p.at(j)) == pytest.approx(0.5, abs=1e-11)
         assert float(rec.chain.q.at(j)) == pytest.approx(0.5, abs=1e-11)
     m = discretize_weight(families.weight_semicircle(), 1000, digits=15)
-    rec = chain_from_recurrence(stieltjes_recurrence(m, 10, digits=15))
+    rec = chain_from_recurrence(stieltjes_recurrence(m, 10))
     assert rec.ok
     for j in range(9):
         want = (j + 2) / (2 * (j + 1))
@@ -132,13 +126,13 @@ def test_recovery_failure_negative_mean():
     assert rec.fail_index == 0
     assert "r_0" in rec.fail_reason
     m = discretize_weight(families.weight_negative_mean(), 500, digits=15)
-    rec = chain_from_recurrence(stieltjes_recurrence(m, 10, digits=15))
+    rec = chain_from_recurrence(stieltjes_recurrence(m, 10))
     assert not rec.ok and rec.fail_index == 0
 
 
 def test_roundtrip_all_core_families(core_chains, quad400):
     for key, chain in core_chains.items():
-        rc = stieltjes_recurrence(quad400[key], 30, digits=15)
+        rc = stieltjes_recurrence(quad400[key], 30)
         p, q, r, _ = chain.arrays(30)
         a_true = np.sqrt(p[:29] * q[1:30])
         assert np.abs(rc.a[:29] - a_true).max() < 1e-8, key
@@ -151,8 +145,8 @@ def test_normalization_invariance():
     scaled = make_weight("scaled", 1, "1/2", "1/2", "(2 + x) * 5")
     m1 = discretize_weight(base, 800, digits=15)
     m2 = discretize_weight(scaled, 800, digits=15)
-    r1 = stieltjes_recurrence(m1, 12, digits=15)
-    r2 = stieltjes_recurrence(m2, 12, digits=15)
+    r1 = stieltjes_recurrence(m1, 12)
+    r2 = stieltjes_recurrence(m2, 12)
     assert np.abs(r1.a - r2.a).max() < 1e-12
     assert np.abs(r1.b - r2.b).max() < 1e-12
 
@@ -162,11 +156,11 @@ def test_rw_condition_verified_to_depth():
     # weight E's decays geometrically below any working precision around
     # k = 12, so positivity is only checked on the resolvable range there
     md = discretize_weight(families.weight_d(), grid_size_for_depth(220), digits=15)
-    rec = chain_from_recurrence(stieltjes_recurrence(md, 220, digits=15))
+    rec = chain_from_recurrence(stieltjes_recurrence(md, 220))
     assert rec.ok
     assert all(rec.chain.r.at(j) > 0 for j in range(200))
     me = discretize_weight(families.weight_e(), grid_size_for_depth(220), digits=15)
-    rec = chain_from_recurrence(stieltjes_recurrence(me, 220, digits=15))
+    rec = chain_from_recurrence(stieltjes_recurrence(me, 220))
     assert rec.ok and rec.depth == 220
     assert all(rec.chain.r.at(j) > 0 for j in range(10))
     assert all(rec.chain.r.at(j) >= 0 for j in range(200))
@@ -182,8 +176,8 @@ def test_verified_plain_stieltjes_matches_reorthogonalized(measure_d600):
     # orthogonality check and agrees with full reorthogonalization
     with warnings.catch_warnings():
         warnings.simplefilter("error", NumericalRouteWarning)
-        plain = stieltjes_recurrence(measure_d600, 600, digits=15)
-    full = stieltjes_recurrence(measure_d600, 600, digits=15, reorthogonalize=True)
+        plain = stieltjes_recurrence(measure_d600, 600)
+    full = recover._stieltjes_f64(measure_d600, 600, True)[0]
     assert np.abs(plain.a - full.a).max() <= 1e-14
     assert np.abs(plain.b - full.b).max() <= 1e-14
 
@@ -194,16 +188,16 @@ def test_stieltjes_fallback_is_reorthogonalized_bit_for_bit():
     # coefficients exactly and say so
     m = discretize_weight(families.weight_d(), 64, digits=15)
     with pytest.warns(NumericalRouteWarning, match="reorthogonalization"):
-        default = stieltjes_recurrence(m, 600, digits=15)
-    full = stieltjes_recurrence(m, 600, digits=15, reorthogonalize=True)
-    plain = stieltjes_recurrence(m, 600, digits=15, reorthogonalize=False)
+        default = stieltjes_recurrence(m, 600)
+    full = recover._stieltjes_f64(m, 600, True)[0]
+    plain = recover._stieltjes_f64(m, 600, False)[0]
     assert np.array_equal(default.a, full.a)
     assert np.array_equal(default.b, full.b)
     assert np.abs(plain.a - full.a).max() > 1e-3  # the check is not idle here
 
 
 def test_recovered_coefficients_stay_small_with_exact_row_sums(measure_d600):
-    rec = chain_from_recurrence(stieltjes_recurrence(measure_d600, 600, digits=15))
+    rec = chain_from_recurrence(stieltjes_recurrence(measure_d600, 600))
     assert rec.ok
     p, q, r = rec.chain.p.prefix, rec.chain.q.prefix, rec.chain.r.prefix
     assert len(p) == len(q) == len(r) == 600

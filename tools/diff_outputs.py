@@ -11,8 +11,10 @@ this repository's `configs/` that has the section it needs, plus `edges`,
 `edges` at `--precision 60` on chain_c for a second fixed-point width,
 `chain-info`, `polys` and `absorb` at `--precision 34` for the
 coefficient-level series, polynomial and absorption paths at the default
-working precision, and `measure --precision 15 --truncation 1000` on chain_b
-and chain_s for float64 Golub-Welsch above the configs' truncation 400.
+working precision, `measure --precision 15 --truncation 1000` on chain_b
+and chain_s for float64 Golub-Welsch above the configs' truncation 400, and
+`recover` and `dt-check --horizon 64` at `--precision 34` on weight_d and
+weight_e for the weight-to-chain recovery above 16 digits.
 The base and change runs of one job go side by side (two processes at a
 time).
 
@@ -61,6 +63,8 @@ EXTRA = [
         ("polys", ("chain_s",), "34", ()),
         ("absorb", ("chain_k", "constant_killing"), "34", ("--horizon", "400")),
         ("measure", ("chain_b", "chain_s"), "15", ("--truncation", "1000")),
+        ("recover", ("weight_d", "weight_e"), "34", ()),
+        ("dt-check", ("weight_d", "weight_e"), "34", ("--horizon", "64")),
     )
     for name in names
 ]
