@@ -275,7 +275,7 @@ class RegularityResult:
         return ",".join(hits) if hits else "neither"
 
 
-def regularity_check(chain: ChainSpec, eta: float, n: int, digits: int = DEFAULT_DIGITS) -> RegularityResult:
+def regularity_check(chain: ChainSpec, eta: float, n: int) -> RegularityResult:
     n = int(min(n, chain.depth - 1))
     p, q, _, _ = chain.arrays(n)
     logs = np.log(p[:-1] * q[1:n + 1])
@@ -439,8 +439,9 @@ def conjecture_report(
     """Full pipeline for one chain or one weight: build the measure side and
     the polynomial side, estimate both limits, classify, and compare.
 
-    The edge solve and the chain's quadrature run on the float64 backend, at
-    min(digits, FLOAT_DIGITS); everything else keeps the requested digits.
+    The edge solve is float64 at every precision, and the chain's quadrature
+    runs on the float64 backend, at min(digits, FLOAT_DIGITS); everything
+    else keeps the requested digits.
     """
     if (chain is None) == (weight is None):
         raise ValueError("supply exactly one of chain, weight")
@@ -460,8 +461,7 @@ def conjecture_report(
     chain.validate()
 
     trunc = int(min(truncation, chain.depth))
-    edges = support_edges(chain, trunc, tol=1e-4 if trunc < 500 else 1e-6,
-                          digits=min(digits, FLOAT_DIGITS))
+    edges = support_edges(chain, trunc, tol=1e-4 if trunc < 500 else 1e-6)
     eta_hat = edges.eta_hat
     diagnostics["eta_hat"] = f"{eta_hat:.12g}"
 

@@ -98,9 +98,10 @@ class ChainSpec:
     q: CoeffRule
     r: CoeffRule
     kappa: CoeffRule = CoeffRule((), ZERO)
-    # mp.prec -> mpf columns p, q, r, kappa and the ln pi prefix; grows on
+    # the coefficient table: mp.prec -> mpf columns p, q, r, kappa and the
+    # ln pi prefix, "float64" -> the read-only float64 columns; grows on
     # demand and is invisible to ==, hash and repr
-    _mpf: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _table: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def depth(self) -> float:
@@ -109,14 +110,28 @@ class ChainSpec:
     def at(self, j: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.p.at(j), self.q.at(j), self.r.at(j), self.kappa.at(j))
 
+    def _float_columns(self, n: int) -> tuple[np.ndarray, ...]:
+        """Read-only float64 p, q, r, kappa and ln pi covering j = 0..n (they
+        may run longer), rebuilt to exactly n when n runs past the table."""
+        cols = self._table.get("float64")
+        if cols is None or len(cols[0]) <= n:
+            p, q, r, k = (c.array(n) for c in (self.p, self.q, self.r, self.kappa))
+            logpi = np.zeros(n + 1)
+            logpi[1:] = np.cumsum(np.log(p[:-1]) - np.log(q[1:]))
+            cols = self._table["float64"] = (p, q, r, k, logpi)
+            for c in cols:
+                c.flags.writeable = False
+        return cols
+
     def arrays(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return (self.p.array(n), self.q.array(n), self.r.array(n), self.kappa.array(n))
+        """Read-only float64 p, q, r, kappa for j = 0..n."""
+        return tuple(c[: n + 1] for c in self._float_columns(n)[:4])
 
     def _memo(self) -> tuple[list, list, list, list, list]:
         """(p, q, r, kappa, ln pi) mpf lists at the current precision."""
-        memo = self._mpf.get(mp.mp.prec)
+        memo = self._table.get(mp.mp.prec)
         if memo is None:
-            memo = self._mpf[mp.mp.prec] = ([], [], [], [], [mp.mpf(0)])
+            memo = self._table[mp.mp.prec] = ([], [], [], [], [mp.mpf(0)])
         return memo
 
     def mpf_coefficients(self, n: int) -> tuple[list, list, list, list]:
@@ -291,9 +306,7 @@ def _series_float(chain: ChainSpec, n: int):
     pi_j overflows float64 for transient chains, so everything stays in
     log space until the final (order-one) summands.
     """
-    p, q, r, k = chain.arrays(n)
-    logpi = np.zeros(n + 1)
-    logpi[1:] = np.cumsum(np.log(p[:-1]) - np.log(q[1:]))
+    p, q, r, k, logpi = (c[: n + 1] for c in chain._float_columns(n))
     with np.errstate(over="ignore", under="ignore"):
         inv_ppi = np.exp(-(np.log(p) + logpi))
     return p, q, r, k, logpi, inv_ppi

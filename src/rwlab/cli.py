@@ -99,6 +99,8 @@ def load_config(args) -> ExperimentConfig:
     if truncation < 2:
         raise InputError("truncation must be >= 2")
     horizon = pick(args.horizon, "horizon", 2 * truncation - 1)
+    if horizon < 0:
+        raise InputError("horizon must be >= 0")
     seed = pick(args.seed, "seed", 1234)
     out = args.out or run.get("out") or "out"
     options = {k: v for k, v in run.items()}
@@ -107,7 +109,10 @@ def load_config(args) -> ExperimentConfig:
 
 def _opt(options: dict, key: str, default):
     """options[key] as an int, or default when the key is absent."""
-    return int(options[key]) if key in options else default
+    try:
+        return int(options[key]) if key in options else default
+    except ValueError:
+        raise InputError(f"[run] {key} must be an integer, not {options[key]!r}") from None
 
 
 def _grid(cfg: ExperimentConfig, default: int) -> int:
@@ -127,6 +132,8 @@ def _path(cfg: ExperimentConfig, name: str) -> str:
 def cmd_chain_info(cfg: ExperimentConfig) -> int:
     chain = cfg.require_chain()
     n = int(min(cfg.horizon, chain.depth - 2))
+    if n < 1:
+        raise InputError(f"{chain.label}: chain-info needs horizon >= 1 and depth >= 3")
     rows = [("label", chain.label), ("periodic", is_periodic(chain)),
             ("has_killing", chain.has_killing())]
     recurrence = series_L(chain, n)
@@ -186,11 +193,10 @@ def _require_limit_horizon(label: str, horizon: int) -> None:
 
 
 def _edges_for(cfg: ExperimentConfig, chain: ChainSpec):
-    """support_edges at the run's precision, the truncation clamped to
-    [50, chain depth]; a prefix-only chain needs depth >= 50."""
+    """support_edges with the truncation clamped to [50, chain depth]; a
+    prefix-only chain needs depth >= 50."""
     _require_edge_depth(chain.label, chain.depth)
-    return support_edges(chain, int(min(max(50, cfg.truncation), chain.depth)),
-                         digits=cfg.precision)
+    return support_edges(chain, int(min(max(50, cfg.truncation), chain.depth)))
 
 
 def cmd_edges(cfg: ExperimentConfig) -> int:
@@ -385,8 +391,7 @@ def cmd_dt_check(cfg: ExperimentConfig) -> int:
                     str(recovery.fail_reason) + blame)
         return 3
     exps = edge_exponents(weight, cfg.precision)
-    e = support_edges(recovery.chain, max(50, min(cfg.truncation, n_max)),
-                      digits=min(cfg.precision, FLOAT_DIGITS))
+    e = support_edges(recovery.chain, max(50, min(cfg.truncation, n_max)))
     result = edge_scaled_christoffel(recovery.chain, exps, e.eta_hat, n_max, cfg.precision)
     atomic_write(
         _path(cfg, "dt_scaled.csv"),
@@ -425,6 +430,10 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
     chain = cfg.require_chain()
     samples = _opt(cfg.options, "samples", 10**5)
     steps = _opt(cfg.options, "steps", 4)
+    if samples < 10**3:
+        raise InputError(f"mc needs samples >= 1000, the run has samples = {samples}")
+    if cfg.seed < 0:
+        raise InputError(f"the seed must be >= 0, the run has seed = {cfg.seed}")
     queries = [
         transition_probability(chain, i, j, n, digits=min(cfg.precision, FLOAT_DIGITS))
         for i, j in ((0, 0), (0, 1), (1, 1))

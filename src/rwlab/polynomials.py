@@ -6,15 +6,16 @@ forward recurrence, the stable direction at and beyond the support edges,
 on one of two backends.  Above FLOAT_DIGITS it runs tridiagonal._three_term
 in mpmath, whose unbounded exponent absorbs the growth outside the support,
 at the requested digits plus _GUARD_DIGITS, on the coefficients and ln pi_j
-the chain memoizes per working precision.  At <= FLOAT_DIGITS the edge
-bisection, the Christoffel ratio and edge-scaling passes, the ratio-vanishing
-criterion and the Q_n(1) growth run tridiagonal._three_term_f64, float64
-with a power-of-two rescale per step, on the float64 coefficients and
-ln pi_j of chains._series_float, with running sums in log space.  eval_Q,
-christoffel and cd_identity_residual stay on mpmath at any precision.
-Values leave as sign/log-magnitude pairs or floats.  Support edges come from
-two routes: the extreme eigenvalues of the Jacobi truncation, and bisection
-on the sign pattern of Q_1..Q_N that marks a point outside the support.
+the chain memoizes per working precision.  At <= FLOAT_DIGITS the Christoffel
+ratio and edge-scaling passes, the ratio-vanishing criterion and the Q_n(1)
+growth run tridiagonal._three_term_f64, float64 with a power-of-two rescale
+per step, on the float64 coefficients and ln pi_j of chains._series_float,
+with running sums in log space.  eval_Q, christoffel and
+cd_identity_residual stay on mpmath at any precision.  Values leave as
+sign/log-magnitude pairs or floats.  Support edges are float64 at every
+precision and come from two routes: the extreme eigenvalues of the Jacobi
+truncation, and bisection on the sign pattern of Q_1..Q_N that marks a
+point outside the support.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 from .chains import DEFAULT_DIGITS, ChainSpec, _series_float, killing_sum, log_pi_mpf
 from .errors import (
     IdentityMismatchError,
+    InputError,
     MethodsDisagreeError,
     PrecisionExhaustedError,
     UndecidedLimitError,
@@ -38,9 +40,7 @@ from .numeric import NEG_INF, SignedLog, signed_log, to_mpf
 from .tridiagonal import (
     FLOAT_DIGITS,
     extreme_eigen_f64,
-    extreme_eigen_mpf,
     jacobi_arrays_f64,
-    jacobi_arrays_mpf,
     _three_term,
     _three_term_f64,
 )
@@ -253,32 +253,23 @@ class SupportEdges:
 
 def _positivity_infimum(
     chain: ChainSpec, horizon: int, true_end: float, other_end: float,
-    tol: float, digits: int, sign: int,
+    tol: float, sign: int,
 ) -> float:
     """Bisection end point of {x : sign^k Q_k(x) > 0 for all k <= horizon}.
 
     sign = 1 is the top-edge predicate (bracket [eta - pad, 1 + pad]),
     sign = -1 the alternating bottom-edge one (bracket [-1 - pad,
     zeta + pad]).  Returns the end of the final bracket on which the
-    predicate holds; `true_end` must satisfy it.  At <= FLOAT_DIGITS the
-    signs come from the rescaled float64 recurrence."""
+    predicate holds; `true_end` must satisfy it.  The signs come from the
+    rescaled float64 recurrence."""
+    p, q, r, _ = (c.tolist() for c in chain.arrays(horizon - 1))
 
-    def signs_hold(values) -> bool:
-        for k, cur in enumerate(values, 1):
+    def holds(xv: float) -> bool:
+        for k, (cur, _) in enumerate(_three_term_f64(xv, p, q, r, horizon), 1):
             negative = sign < 0 and k % 2
             if (cur >= 0) if negative else (cur <= 0):
                 return False
         return True
-
-    if digits <= FLOAT_DIGITS:
-        p64, q64, r64, _ = (c.tolist() for c in chain.arrays(horizon - 1))
-
-    def holds(xv: float) -> bool:
-        if digits <= FLOAT_DIGITS:
-            return signs_hold(m for m, _ in _three_term_f64(xv, p64, q64, r64, horizon))
-        with _guarded(digits):
-            p, q, r, _ = chain.mpf_coefficients(horizon - 1)
-            return signs_hold(_three_term(mp.mpf(xv), p, q, r, horizon))
 
     if not holds(true_end):
         kind = "positivity predicate false at bracket end" if sign > 0 else (
@@ -295,38 +286,25 @@ def _positivity_infimum(
     return true_end
 
 
-def support_edges(
-    chain: ChainSpec,
-    truncation: int = 2000,
-    tol: float = 1e-6,
-    digits: int = DEFAULT_DIGITS,
-) -> SupportEdges:
+def support_edges(chain: ChainSpec, truncation: int = 2000, tol: float = 1e-6) -> SupportEdges:
     """Edge estimates from (a) extreme eigenvalues of the truncated Jacobi
     matrix with Richardson extrapolation over truncation and truncation/2,
-    and (b) bisection on the finite-horizon positivity predicates."""
+    and (b) bisection on the finite-horizon positivity predicates, both in
+    float64 at every precision (a float64 Jacobi entry moves an eigenvalue
+    by about one ulp, far below the Richardson error of eta_hat)."""
     if truncation < 50:
         raise ValueError("truncation must be >= 50")
-    sizes = (truncation // 2, truncation)
     ems = []
-    for sz in sizes:
-        if digits <= FLOAT_DIGITS:
-            d, e = jacobi_arrays_f64(chain, sz)
-            ems.append((extreme_eigen_f64(d, e, "max"),
-                        extreme_eigen_f64(d, e, "min")))
-        else:
-            # the matrix entries carry the working precision the eigenvalues
-            # are bisected at (the same memo entry serves the positivity route)
-            with _guarded(digits):
-                d, e = jacobi_arrays_mpf(chain, sz)
-                ems.append((float(extreme_eigen_mpf(d, e, "max", digits)),
-                            float(extreme_eigen_mpf(d, e, "min", digits))))
+    for sz in (truncation // 2, truncation):
+        d, e = jacobi_arrays_f64(chain, sz)
+        ems.append((extreme_eigen_f64(d, e, "max"), extreme_eigen_f64(d, e, "min")))
     (eta_c, zeta_c), (eta_f, zeta_f) = ems
     eta_hat = richardson_pair(eta_c, eta_f, order=2)
     zeta_hat = richardson_pair(zeta_c, zeta_f, order=2)
 
     pad = max(10 * tol, 1e-9)
-    eta_bis = _positivity_infimum(chain, truncation, 1.0 + pad, eta_f - pad, tol, digits, 1)
-    zeta_bis = _positivity_infimum(chain, truncation, -1.0 - pad, zeta_f + pad, tol, digits, -1)
+    eta_bis = _positivity_infimum(chain, truncation, 1.0 + pad, eta_f - pad, tol, 1)
+    zeta_bis = _positivity_infimum(chain, truncation, -1.0 - pad, zeta_f + pad, tol, -1)
 
     discrepancy = max(abs(eta_bis - eta_f), abs(zeta_bis - zeta_f))
     if discrepancy > 10 * tol:
@@ -335,17 +313,8 @@ def support_edges(
             f"(tol {tol:g})"
         )
     method = "cross-checked" if discrepancy <= tol else "jacobi-eigen"
-    return SupportEdges(
-        eta_hat=float(eta_hat),
-        zeta_hat=float(zeta_hat),
-        method=method,
-        truncation_size=truncation,
-        discrepancy=float(discrepancy),
-        eta_eigen=float(eta_f),
-        eta_bisection=float(eta_bis),
-        zeta_eigen=float(zeta_f),
-        zeta_bisection=float(zeta_bis),
-    )
+    return SupportEdges(eta_hat, zeta_hat, method, truncation, discrepancy,
+                        eta_f, eta_bis, zeta_f, zeta_bis)
 
 
 # --- killing-side quantities ---------------------------------------------------
@@ -413,6 +382,9 @@ def absorption_probabilities(
         return AbsorptionResult(
             tuple(1.0 for _ in range(j_max + 1)), math.inf, "killing-sum-diverges"
         )
+    if len(growth) < 16:
+        raise InputError(f"{chain.label}: extrapolating Q_n(1) needs 16 terms, "
+                         f"max(j_max, n_trunc) = {len(growth) - 1} gives {len(growth)}")
     est = estimate_limit(growth)
     if est.kind == "infinite":
         return AbsorptionResult(

@@ -1,23 +1,22 @@
 """Symmetric tridiagonal toolbox: Jacobi matrices of chains, extreme
 eigenvalues, and Golub-Welsch quadrature.
 
-Two backends share every interface: float64 (numpy) for digits <= 16, and
-a high-precision one above.  Extreme eigenvalues come from bisection on one
-Sturm-count kernel in fixed point, on Python integers scaled by 2^F, where
-F is the working precision in bits (53 for float64) plus _GUARD_BITS; the
-float64 bisection runs until its bracket ends are adjacent doubles.
-Float64 Golub-Welsch is numpy's dense symmetric eigensolver on the Jacobi
-matrix.  The high-precision backend takes its Jacobi arrays as mpf.  Its
-Golub-Welsch nodes are Newton-polished float64 seeds, all nodes at once on
-numpy object arrays.  Each weight is 1/sum v_j^2 for the node's eigenvector
-v with v_0 = 1, run forward from the first index and backward from the
-last and joined where the float64 eigenvector peaks, so an eigenvector that
-decays keeps its weight.
+Extreme eigenvalues are float64 at every precision: Sturm bisection on a
+fixed-point grid, on Python integers scaled by 2^F with F = 53 +
+_GUARD_BITS, run until the bracket ends are adjacent doubles.  Golub-Welsch
+has two backends: float64 (numpy's dense symmetric eigensolver on the
+Jacobi matrix) for digits <= 16, and a high-precision one above, which
+takes its Jacobi arrays as mpf.  Its nodes are Newton-polished float64
+seeds, all nodes at once on numpy object arrays, in fixed point at the
+working precision in bits plus _GUARD_BITS.  Each weight is 1/sum v_j^2
+for the node's eigenvector v with v_0 = 1, run forward from the first
+index and backward from the last and joined where the float64 eigenvector
+peaks, so an eigenvector that decays keeps its weight.
 
 _three_term is the one forward recurrence of the polynomial family, on mpf
 or on float64 node arrays; _three_term_f64 is its scalar float64 form with a
-power-of-two rescale per step, which the polynomial passes at <= 16 digits
-run on.
+power-of-two rescale per step, which the edge bisection at every precision
+and the polynomial passes at <= 16 digits run on.
 """
 
 from __future__ import annotations
@@ -125,25 +124,6 @@ def extreme_eigen_f64(d: np.ndarray, e: np.ndarray, which: str) -> float:
         else:
             hi = mid
     return lo
-
-
-def extreme_eigen_mpf(d: list, e: list, which: str, digits: int) -> mp.mpf:
-    """Extreme eigenvalue by Sturm bisection at working precision."""
-    lo, hi = _gershgorin(d, e)
-    bits = mp.mp.prec + _GUARD_BITS
-    fd = [_fixed(v, bits) for v in d]
-    fe2 = [_fixed(v * v, bits) << bits for v in e]
-    # lambda_max: largest x with at most n-1 eigenvalues below it;
-    # lambda_min: largest x with no eigenvalue below it
-    threshold = len(d) - 1 if which == "max" else 0
-    eps = mp.mpf(10) ** (-(digits - 2))
-    while hi - lo > eps * max(1, abs(hi), abs(lo)):
-        mid = (lo + hi) / 2
-        if sturm_count(fd, fe2, _fixed(mid, bits)) <= threshold:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
 
 
 def _eigh(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

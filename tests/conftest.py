@@ -56,7 +56,7 @@ def edges2000(core_chains):
     out = {}
     for key, ch in core_chains.items():
         tol = 1e-4 if key == "B" else 1e-6
-        out[key] = support_edges(ch, truncation=2000, tol=tol, digits=15)
+        out[key] = support_edges(ch, truncation=2000, tol=tol)
     return out
 
 

@@ -77,13 +77,13 @@ def test_bounded_variation_condition(chain_s, chain_c):
 
 
 def test_regularity(chain_a, chain_c, chain_s):
-    r = regularity_check(chain_a, 1.0, 3000, 15)
+    r = regularity_check(chain_a, 1.0, 3000)
     assert abs(r.estimate.value - 2.0) < 2e-3
     assert "2*eta" in r.matches()
-    r = regularity_check(chain_s, 1.0, 3000, 15)
+    r = regularity_check(chain_s, 1.0, 3000)
     assert abs(r.estimate.value - 2.0) < 1e-6
     # eta != 1 separates the two candidate normalizations: capacity wins
-    r = regularity_check(chain_c, 2 * math.sqrt(0.21), 4000, 15)
+    r = regularity_check(chain_c, 2 * math.sqrt(0.21), 4000)
     assert r.matches() == "2/eta"
 
 

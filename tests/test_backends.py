@@ -1,8 +1,8 @@
 """The float64 polynomial passes at 15 digits against the mpmath route at
-34 digits: Christoffel ratio sequences, the positivity bisection, the
-ratio-vanishing criterion and the growth of Q_n(1), on the bundled chains,
-on recovered weight chains, and on random chains far enough beyond the
-edge that an unscaled float64 recurrence overflows."""
+34 digits: Christoffel ratio sequences, the ratio-vanishing criterion and
+the growth of Q_n(1), on the bundled chains, on recovered weight chains,
+and on random chains far enough beyond the edge that an unscaled float64
+recurrence overflows."""
 
 import math
 import os
@@ -17,12 +17,7 @@ from rwlab import fileformats as ff
 from rwlab.asymptotics import ratio_vanishing_criterion
 from rwlab.chains import ChainSpec, rule
 from rwlab.errors import NonpositiveQError
-from rwlab.polynomials import (
-    _positivity_infimum,
-    christoffel_ratio_sequence,
-    q_at_one_growth,
-    support_edges,
-)
+from rwlab.polynomials import christoffel_ratio_sequence, q_at_one_growth
 from rwlab.tridiagonal import _three_term
 
 RECOVERED = os.path.join(os.path.dirname(__file__), "..", "configs", "chain_recovered.cfg")
@@ -70,21 +65,6 @@ def test_ratio_sequences_agree_on_recovered_weight_chains(fixture, request):
     fast = christoffel_ratio_sequence(chain, 599, 1.0, 15)
     exact = christoffel_ratio_sequence(chain, 599, 1.0, 34)
     assert_ratios_agree(fast, exact, 1e-11)
-
-
-@pytest.mark.parametrize("name", ["chain_b", "chain_c", "chain_k", "chain_s", "chain_e600"])
-def test_positivity_bisection_ends_equal(name, request):
-    chain = (request.getfixturevalue(name) if name == "chain_e600"
-             else bundled_chains()[name][0])
-    horizon = 599 if name == "chain_e600" else 1000
-    # support_edges' brackets, from its float64 eigenvalues
-    edges = support_edges(chain, horizon, tol=1e-6, digits=15)
-    pad = 1e-5
-    for true_end, other_end, sign in ((1.0 + pad, edges.eta_eigen - pad, 1),
-                                      (-1.0 - pad, edges.zeta_eigen + pad, -1)):
-        ends = [_positivity_infimum(chain, horizon, true_end, other_end, 1e-6, digits, sign)
-                for digits in (15, 34)]
-        assert ends[0] == ends[1]
 
 
 @pytest.mark.parametrize("name, eta, n", [

@@ -12,6 +12,8 @@ from hypothesis import given, strategies as st
 from rwlab import families
 from rwlab.chains import (
     ChainSpec,
+    CoeffRule,
+    _series_float,
     asymptotic_aperiodicity_sum,
     classify_series,
     is_periodic,
@@ -238,7 +240,7 @@ def test_no_hot_path_hashes_a_chain(monkeypatch):
                       sum_horizon=200, digits=15)
     conjecture_report(weight=families.weight_e(), N=60, n_max=60, truncation=200,
                       sum_horizon=200, digits=15)
-    support_edges(chain, 60, tol=1e-4, digits=34)
+    support_edges(chain, 60, tol=1e-4)
     quadrature_from_chain(chain, 20, digits=34)
     normalize(chain, 1.0, 50)
     srlp_predicted_limit(chain, 0, 1, 0, 0, 1.0, horizon=50)
@@ -269,3 +271,24 @@ def test_fifteen_digit_passes_stay_off_mpmath(monkeypatch):
         conjecture_report(chain=chain, N=60, n_max=200, truncation=400,
                           sum_horizon=400, digits=15)
     absorption_probabilities(families.chain_k(), 6, 2000, digits=15)
+
+
+def test_float_columns_come_from_one_table(monkeypatch):
+    # the float64 columns are converted once, when a request first runs
+    # past the table, and are read-only slices of it afterwards
+    chain = families.chain_shifted_arcsine()
+    first = chain.arrays(300)
+    calls = []
+    build = CoeffRule.array
+    monkeypatch.setattr(CoeffRule, "array", lambda self, n: calls.append(n) or build(self, n))
+    for n in (300, 120, 0):
+        for col, again in zip(first, chain.arrays(n)):
+            assert np.array_equal(again, col[: n + 1])
+    p, q, *_ = _series_float(chain, 200)
+    assert calls == []
+    assert not any(col.flags.writeable for col in (*first, p, q))
+    # growing rebuilds to exactly the new length, with the same prefix
+    grown = chain.arrays(400)
+    assert calls == [400] * 4
+    for col, longer in zip(first, grown):
+        assert np.array_equal(longer[:301], col)

@@ -130,6 +130,34 @@ def test_weight_grid_and_depth_options_are_input_errors(tmp_path, capsys, sub, r
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("sub, family, run_options, flags, message", [
+    ("edges", "chain_shifted_arcsine", "truncation = abc", (),
+     "[run] truncation must be an integer, not 'abc'"),
+    ("mc", "chain_shifted_arcsine", "samples = 999", (),
+     "mc needs samples >= 1000, the run has samples = 999"),
+    ("mc", "chain_shifted_arcsine", "seed = -1", (), "the seed must be >= 0, the run has seed = -1"),
+    ("mc", "chain_shifted_arcsine", "", ("--seed", "-5"), "the seed must be >= 0"),
+    ("cn", "chain_shifted_arcsine", "", ("--horizon", "-3"), "horizon must be >= 0"),
+    ("chain-info", "chain_shifted_arcsine", "", ("--horizon", "0"),
+     "chain-info needs horizon >= 1"),
+    ("absorb", "chain_k", "j_max = 6", ("--horizon", "0"),
+     "extrapolating Q_n(1) needs 16 terms, max(j_max, n_trunc) = 6 gives 7"),
+], ids=["non-integer", "samples", "seed", "seed-flag", "negative-horizon",
+        "chain-info-horizon", "absorb-horizon"])
+def test_bad_run_values_are_input_errors(tmp_path, capsys, sub, family, run_options, flags,
+                                         message):
+    config = tmp_path / "c.cfg"
+    config.write_text(ff.chain_to_text(getattr(families, family)())
+                      + f"\n[run]\nprecision = 15\n{run_options}\n")
+    out = str(tmp_path / "o")
+    assert run(sub, "--config", str(config), "--out", out, *flags) == 3
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert len(records) == 1
+    assert records[0]["code"] == "input"
+    assert message in records[0]["message"]
+    assert not os.path.exists(out)
+
+
 def test_conjecture_analyses_the_chain_recover_writes(tmp_path, monkeypatch):
     # one weight-to-chain path: at 34 digits, conjecture_report runs its
     # edge solve on exactly the chain that `rwlab recover` writes
@@ -196,6 +224,18 @@ def test_mc_rows_come_from_one_walk_per_start_state(tmp_path):
         i, j, n = (int(v) for v in line.split(",")[:3])
         est, se = monte_carlo_transition(chain, i, j, n, 10**5, seed=40 + i)
         assert line.split(",")[5:] == [repr(est), repr(se)]
+
+
+@pytest.mark.parametrize("name", ["chain_b", "chain_s"])
+def test_edges_do_not_depend_on_the_precision(tmp_path, name):
+    # one float64 edge solve at every working precision
+    texts = []
+    for digits in ("15", "34"):
+        out = str(tmp_path / digits)
+        assert run("edges", "--config", cfg(f"{name}.cfg"), "--out", out,
+                   "--precision", digits, "--truncation", "1000") == 0
+        texts.append(read(os.path.join(out, "edges.txt")))
+    assert texts[0] == texts[1]
 
 
 def test_edges_and_polys(tmp_path):

@@ -170,28 +170,6 @@ def test_support_edges_known_values(edges2000):
         assert e.zeta_hat >= -e.eta_hat - 1e-9
 
 
-def test_support_edges_mp_backend(chain_a):
-    e = support_edges(chain_a, truncation=200, tol=1e-3, digits=34)
-    assert e.eta_hat == pytest.approx(1.0, abs=1e-5)
-
-
-def test_support_edges_mp_arrays_at_working_precision(monkeypatch, chain_s):
-    # the eigen route bisects to 10^-(digits-2), so the Jacobi entries must
-    # be built at the working precision digits + 8, not the ambient 15
-    import rwlab.polynomials
-
-    dps = []
-    build = rwlab.polynomials.jacobi_arrays_mpf
-
-    def recording(chain, size):
-        dps.append(mp.mp.dps)
-        return build(chain, size)
-
-    monkeypatch.setattr(rwlab.polynomials, "jacobi_arrays_mpf", recording)
-    support_edges(chain_s, 50, digits=34)
-    assert dps == [42, 42]
-
-
 def test_q_growth(chain_a):
     assert q_at_one_growth(chain_a, 5) == [1.0] * 6
     g = q_at_one_growth(families.chain_k(), 8)

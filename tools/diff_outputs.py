@@ -14,7 +14,9 @@ coefficient-level series, polynomial and absorption paths at the default
 working precision, `measure --precision 15 --truncation 1000` on chain_b
 and chain_s for float64 Golub-Welsch above the configs' truncation 400, and
 `recover` and `dt-check --horizon 64` at `--precision 34` on weight_d and
-weight_e for the weight-to-chain recovery above 16 digits.
+weight_e for the weight-to-chain recovery above 16 digits, and `normalize`
+and `srlp` at `--precision 34` on chain_b and chain_s for the two other
+subcommands that solve the support edges.
 The base and change runs of one job go side by side (two processes at a
 time).
 
@@ -65,6 +67,8 @@ EXTRA = [
         ("measure", ("chain_b", "chain_s"), "15", ("--truncation", "1000")),
         ("recover", ("weight_d", "weight_e"), "34", ()),
         ("dt-check", ("weight_d", "weight_e"), "34", ("--horizon", "64")),
+        ("normalize", ("chain_b", "chain_s"), "34", ()),
+        ("srlp", ("chain_b", "chain_s"), "34", ()),
     )
     for name in names
 ]
