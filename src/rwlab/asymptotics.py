@@ -1,7 +1,11 @@
 """Limit experiments: predicted values of lim C_n and of the Christoffel
 ratio limit from edge data, coefficient-level sufficient conditions, edge
-asymptotics with the scaling of Danka-Totik type, and the consistency
-verdict comparing the two empirical limits.
+asymptotics with the scaling of Danka-Totik type and its derived constant,
+and the consistency verdict comparing the two empirical limits.
+
+The Christoffel ratio and edge-scaling passes and the ratio-vanishing
+criterion run in float64 log space at every precision (see polynomials);
+they take no working precision.
 """
 
 from __future__ import annotations
@@ -28,11 +32,8 @@ from .measures import DiscreteMeasure, cn_series, quadrature_from_chain
 from .numeric import mpf_from_fraction
 from .polynomials import (
     SupportEdges,
-    _guarded,
-    _q_pi,
     _q_pi_f64,
     _two_sided_log_sums,
-    _two_sided_sums,
     christoffel_ratio_sequence,
     support_edges,
 )
@@ -148,37 +149,19 @@ class RatioVanishingCriterion:
     l_tilde: DivergenceVerdict
 
 
-def ratio_vanishing_criterion(
-    chain: ChainSpec, eta, n: int, digits: int = DEFAULT_DIGITS
-) -> RatioVanishingCriterion:
-    if digits <= FLOAT_DIGITS:
-        (p, _, r, _, logpi), ((sign, logq),) = _q_pi_f64(chain, n + 1, eta)
-        if len(nonpositive := np.flatnonzero(sign <= 0)):
-            raise NonpositiveQError(
-                f"{chain.label}: Q_{nonpositive[0]}(eta) <= 0 at eta = {float(eta)}"
-            )
-        logpi, logq_j = logpi[: n + 1], logq[: n + 1]
-        log_denom = np.log(p[: n + 1]) + logpi + logq_j + logq[1:]
-        with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            inner = np.logaddexp.accumulate(np.log(r[: n + 1]) + logpi + 2 * logq_j)
-            terms, lt_terms = np.exp(inner - log_denom), np.exp(-log_denom)
-    else:
-        with _guarded(digits):
-            qv, pis = _q_pi(chain, n + 1, eta)
-            for j, v in enumerate(qv):
-                if v <= 0:
-                    raise NonpositiveQError(
-                        f"{chain.label}: Q_{j}(eta) <= 0 at eta = {float(eta)}"
-                    )
-            p, _, r, _ = chain.mpf_coefficients(n)
-            inner = mp.mpf(0)
-            terms = np.empty(n + 1)
-            lt_terms = np.empty(n + 1)
-            for j, pi_j in enumerate(pis[: n + 1]):
-                inner += r[j] * pi_j * qv[j] * qv[j]
-                denom = p[j] * pi_j * qv[j] * qv[j + 1]
-                terms[j] = float(inner / denom)
-                lt_terms[j] = float(1 / denom)
+def ratio_vanishing_criterion(chain: ChainSpec, eta, n: int) -> RatioVanishingCriterion:
+    """Both series through j = n, with Q_j(eta) in float64 log space at
+    every precision; raises NonpositiveQError at the first Q_j(eta) <= 0."""
+    (p, _, r, _, logpi), ((sign, logq),) = _q_pi_f64(chain, n + 1, eta)
+    if len(nonpositive := np.flatnonzero(sign <= 0)):
+        raise NonpositiveQError(
+            f"{chain.label}: Q_{nonpositive[0]}(eta) <= 0 at eta = {float(eta)}"
+        )
+    logpi, logq_j = logpi[: n + 1], logq[: n + 1]
+    log_denom = np.log(p[: n + 1]) + logpi + logq_j + logq[1:]
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        inner = np.logaddexp.accumulate(np.log(r[: n + 1]) + logpi + 2 * logq_j)
+        terms, lt_terms = np.exp(inner - log_denom), np.exp(-log_denom)
     return RatioVanishingCriterion(
         classify_series(np.cumsum(terms), terms),
         classify_series(np.cumsum(lt_terms), lt_terms),
@@ -240,7 +223,7 @@ def blumenthal_edges(chain: ChainSpec, digits: int = DEFAULT_DIGITS) -> Blumenth
         return BlumenthalPrediction(False, None, None, premises)
     eta = 2 * math.sqrt(beta)
     try:
-        crit = ratio_vanishing_criterion(chain, eta, 2000, digits)
+        crit = ratio_vanishing_criterion(chain, eta, 2000)
         premises["l_tilde"] = crit.l_tilde.verdict
         if crit.l_tilde.verdict == "diverges":
             return BlumenthalPrediction(False, None, None, premises)
@@ -290,75 +273,52 @@ def regularity_check(chain: ChainSpec, eta: float, n: int) -> RegularityResult:
 
 @dataclass(frozen=True)
 class EdgeScalingResult:
-    """n^(2a+2) rho_n(eta) and n^(2b+2) rho_n(-eta) with printed-formula
-    constants and the calibration factor fixed by the closed-form
-    semicircle Christoffel values (neither asserted as ground truth)."""
+    """n^(2a+2) rho_n(eta) and n^(2b+2) rho_n(-eta) at geometrically spaced
+    n, their limit estimates, and the limits edge_constant derives for the
+    top and the bottom edge."""
 
     ns: np.ndarray
     scaled_top: np.ndarray
     scaled_bottom: np.ndarray
     limit_top: LimitEstimate
     limit_bottom: LimitEstimate
-    printed_constant_top: float
-    printed_constant_bottom: float
-    calibration_factor: float
+    constant_top: float
+    constant_bottom: float
 
 
-def printed_edge_constant(eta: float, exponent: float, w_value: float) -> float:
-    """(2 eta)^(-exponent-1) w Gamma(exponent+1) Gamma(exponent+2), the
-    Danka-Totik-style edge constant in the form it circulates in print."""
-    return float(
-        (2 * eta) ** (-exponent - 1)
-        * w_value
-        * mp.gamma(exponent + 1)
-        * mp.gamma(exponent + 2)
-    )
-
-
-def semicircle_calibration() -> float:
-    """Ratio of the exact semicircle scaled limit (3, from the closed form
-    rho_n(1) = 6/(n(n+1)(2n+1))) to the printed constant for the
-    semicircle parameters."""
-    printed = printed_edge_constant(1.0, 0.5, 2 / math.pi)
-    return 3.0 / printed
+def edge_constant(eta: float, a: float, b: float, w: float) -> float:
+    """lim n^(2a+2) rho_n(eta) for a density w (eta-x)^a (eta+x)^b near the
+    edge eta of [-eta, eta] (w normalized with the measure):
+    w (2 eta)^(a+b+1) Gamma(a+1) Gamma(a+2), Jacobi's endpoint Christoffel
+    sum transferred to a smooth factor.  The bottom edge is the same with
+    a and b swapped and w taken at -eta.  It is 3 for the semicircle, and
+    invariant under scaling the support, since w scales as eta^-(a+b+1)."""
+    return w * (2 * eta) ** (a + b + 1) * math.gamma(a + 1) * math.gamma(a + 2)
 
 
 def edge_scaled_christoffel(
-    chain: ChainSpec,
-    exps: EdgeExponents,
-    eta: float,
-    n_max: int,
-    digits: int = DEFAULT_DIGITS,
+    chain: ChainSpec, exps: EdgeExponents, eta: float, n_max: int
 ) -> EdgeScalingResult:
-    """One forward pass collecting rho_n(+-eta) at geometrically spaced n."""
+    """One float64 forward pass at +eta and -eta collecting rho_n(+-eta) at
+    geometrically spaced n, at every precision."""
     n_max = int(min(n_max, chain.depth - 1))
     # below n_max = 8 the grid overshoots; rho_n needs n <= n_max + 1
     marks = sorted({int(v) for v in np.geomspace(max(8, n_max // 64), n_max, 24)
                     if int(v) <= n_max + 1})
     ns = np.array(marks)
-    if digits <= FLOAT_DIGITS:
-        *_, s_pos, s_neg = _two_sided_log_sums(chain, n_max, eta)
-        # ln rho_n(+-eta) = -ln s_{n-1}
-        with np.errstate(over="ignore", under="ignore"):
-            top = np.exp((2 * exps.alpha + 2) * np.log(ns) - s_pos[ns - 1])
-            bottom = np.exp((2 * exps.beta + 2) * np.log(ns) - s_neg[ns - 1])
-    else:
-        with _guarded(digits):
-            _, _, s_pos, s_neg = _two_sided_sums(chain, n_max, eta)
-            # rho_n(+-eta) = 1 / s_{n-1}
-            top = np.array([float(mp.mpf(n) ** (2 * exps.alpha + 2) / s_pos[n - 1])
-                            for n in marks])
-            bottom = np.array([float(mp.mpf(n) ** (2 * exps.beta + 2) / s_neg[n - 1])
-                               for n in marks])
+    *_, s_pos, s_neg = _two_sided_log_sums(chain, n_max, eta)
+    # ln rho_n(+-eta) = -ln s_{n-1}
+    with np.errstate(over="ignore", under="ignore"):
+        top = np.exp((2 * exps.alpha + 2) * np.log(ns) - s_pos[ns - 1])
+        bottom = np.exp((2 * exps.beta + 2) * np.log(ns) - s_neg[ns - 1])
     return EdgeScalingResult(
         ns,
         top,
         bottom,
         estimate_limit(top, min_len=min(16, len(top))),
         estimate_limit(bottom, min_len=min(16, len(bottom))),
-        printed_edge_constant(eta, exps.alpha, exps.w_at_eta),
-        printed_edge_constant(eta, exps.beta, exps.w_at_minus_eta),
-        semicircle_calibration(),
+        edge_constant(eta, exps.alpha, exps.beta, exps.w_at_eta),
+        edge_constant(eta, exps.beta, exps.alpha, exps.w_at_minus_eta),
     )
 
 
@@ -386,24 +346,18 @@ class ConjectureReport:
     ratio_values: np.ndarray | None = None
 
 
-def ratio_limit_with_edge_spread(
-    chain: ChainSpec, n_max: int, eta_hat: float, digits: int = DEFAULT_DIGITS
-):
+def ratio_limit_with_edge_spread(chain: ChainSpec, n_max: int, eta_hat: float):
     """Christoffel ratio sequence at eta-hat and at eta-hat*(1 +- 1e-8);
     returns (sequences at eta-hat, limit estimate, spread across the
     bracket) so edge error shows up as an explicit error bar."""
     n_max = int(min(n_max, chain.depth - 1))
-    central = christoffel_ratio_sequence(chain, n_max, eta_hat, digits)
+    central = christoffel_ratio_sequence(chain, n_max, eta_hat)
     est = estimate_limit(central.ratios)
-    values = [est.value]
-    for bump in (1 - 1e-8, 1 + 1e-8):
-        try:
-            seq = christoffel_ratio_sequence(chain, n_max, eta_hat * bump, digits)
-            values.append(estimate_limit(seq.ratios).value)
-        except (NonpositiveQError, ZeroDivisionError):
-            continue
-    spread = max(values) - min(values) if len(values) > 1 else 0.0
-    return central, est, float(spread)
+    values = [est.value] + [
+        estimate_limit(christoffel_ratio_sequence(chain, n_max, eta_hat * bump).ratios).value
+        for bump in (1 - 1e-8, 1 + 1e-8)
+    ]
+    return central, est, float(max(values) - min(values))
 
 
 def _consistency(
@@ -439,9 +393,11 @@ def conjecture_report(
     """Full pipeline for one chain or one weight: build the measure side and
     the polynomial side, estimate both limits, classify, and compare.
 
-    The edge solve is float64 at every precision, and the chain's quadrature
-    runs on the float64 backend, at min(digits, FLOAT_DIGITS); everything
-    else keeps the requested digits.
+    digits reaches only a weight's discretization and edge_exponents.  The
+    edge solve, the Christoffel ratio passes and the ratio-vanishing
+    criterion are float64 at every precision, and a chain's quadrature runs
+    on the float64 backend at min(digits, FLOAT_DIGITS), so the report on a
+    chain does not depend on digits.
     """
     if (chain is None) == (weight is None):
         raise ValueError("supply exactly one of chain, weight")
@@ -480,9 +436,7 @@ def conjecture_report(
                 f"{window.estimate.value:.4g} +- {window.estimate.uncertainty:.2g}"
             )
 
-    ratio_seq, lim_rho_raw, spread = ratio_limit_with_edge_spread(
-        chain, n_max, eta_hat, digits
-    )
+    ratio_seq, lim_rho_raw, spread = ratio_limit_with_edge_spread(chain, n_max, eta_hat)
     if (top := np.nanmax(ratio_seq.ratios)) > 1 + 1e-9:
         # a ratio above 1 means the extrapolated edge fell below the true
         # one; the bisection end certifies positivity through the horizon
@@ -493,9 +447,7 @@ def conjecture_report(
         ), stacklevel=2)
         eta_hat = edges.eta_bisection
         diagnostics["eta_hat"] = f"{eta_hat:.12g} (bisection fallback)"
-        ratio_seq, lim_rho_raw, spread = ratio_limit_with_edge_spread(
-            chain, n_max, eta_hat, digits
-        )
+        ratio_seq, lim_rho_raw, spread = ratio_limit_with_edge_spread(chain, n_max, eta_hat)
     lim_rho = LimitEstimate(
         lim_rho_raw.kind,
         lim_rho_raw.value,
@@ -525,7 +477,7 @@ def conjecture_report(
             branch = "none-applicable"
     else:
         try:
-            crit = ratio_vanishing_criterion(chain, eta_hat, sum_n, digits)
+            crit = ratio_vanishing_criterion(chain, eta_hat, sum_n)
             l_tilde_verdict = crit.l_tilde.verdict
             diagnostics["ratio_vanishing_sum"] = crit.criterion.verdict
         except NonpositiveQError:

@@ -46,7 +46,6 @@ from .measures import (
 from .normalization import normalize
 from .polynomials import absorption_probabilities, eval_Q, support_edges
 from .recover import WeightSpec, discretize_weight, grid_size_for_depth, recover_chain
-from .tridiagonal import FLOAT_DIGITS
 
 @dataclass
 class ExperimentConfig:
@@ -107,19 +106,21 @@ def load_config(args) -> ExperimentConfig:
     return ExperimentConfig(chain, weight, precision, truncation, horizon, seed, out, options)
 
 
-def _opt(options: dict, key: str, default):
-    """options[key] as an int, or default when the key is absent."""
+def _opt(options: dict, key: str, default, least: int | None = None):
+    """options[key] as an int, or default when the key is absent; a value
+    below `least` is an input error."""
     try:
-        return int(options[key]) if key in options else default
+        value = int(options[key]) if key in options else default
     except ValueError:
         raise InputError(f"[run] {key} must be an integer, not {options[key]!r}") from None
+    if least is not None and value < least:
+        raise InputError(f"[run] {key} must be >= {least}, the run has {key} = {value}")
+    return value
 
 
 def _grid(cfg: ExperimentConfig, default: int) -> int:
     """The [run] option grid, at least the 64 nodes discretize_weight needs."""
-    if (grid := _opt(cfg.options, "grid", default)) < 64:
-        raise InputError(f"grid must be >= 64, the run has grid = {grid}")
-    return grid
+    return _opt(cfg.options, "grid", default, least=64)
 
 
 def _path(cfg: ExperimentConfig, name: str) -> str:
@@ -161,7 +162,7 @@ def cmd_chain_info(cfg: ExperimentConfig) -> int:
 def cmd_polys(cfg: ExperimentConfig) -> int:
     chain = cfg.require_chain()
     x = cfg.options.get("x", "1/2")
-    n = _opt(cfg.options, "depth", int(min(64, chain.depth - 1)))
+    n = _opt(cfg.options, "depth", int(min(64, chain.depth - 1)), least=0)
     from fractions import Fraction
 
     trace = eval_Q(chain, n, Fraction(x), cfg.precision)
@@ -250,7 +251,7 @@ def cmd_christoffel(cfg: ExperimentConfig) -> int:
     _require_limit_horizon(chain.label, cfg.horizon)
     e = _edges_for(cfg, chain)
     n_max = int(min(cfg.horizon, chain.depth - 1))
-    seq, est, spread = ratio_limit_with_edge_spread(chain, n_max, e.eta_hat, cfg.precision)
+    seq, est, spread = ratio_limit_with_edge_spread(chain, n_max, e.eta_hat)
     atomic_write(
         _path(cfg, "christoffel.csv"),
         csv_text(
@@ -271,7 +272,7 @@ def cmd_christoffel(cfg: ExperimentConfig) -> int:
 def cmd_normalize(cfg: ExperimentConfig) -> int:
     chain = cfg.require_chain()
     e = _edges_for(cfg, chain)
-    depth = _opt(cfg.options, "depth", int(min(256, chain.depth - 2)))
+    depth = _opt(cfg.options, "depth", int(min(256, chain.depth - 2)), least=0)
     norm = normalize(chain, e.eta_hat, depth, cfg.precision)
     text = ff.chain_to_text(
         norm.chain,
@@ -392,7 +393,7 @@ def cmd_dt_check(cfg: ExperimentConfig) -> int:
         return 3
     exps = edge_exponents(weight, cfg.precision)
     e = support_edges(recovery.chain, max(50, min(cfg.truncation, n_max)))
-    result = edge_scaled_christoffel(recovery.chain, exps, e.eta_hat, n_max, cfg.precision)
+    result = edge_scaled_christoffel(recovery.chain, exps, e.eta_hat, n_max)
     atomic_write(
         _path(cfg, "dt_scaled.csv"),
         csv_text(["n", "scaled_top", "scaled_bottom"], (
@@ -403,18 +404,15 @@ def cmd_dt_check(cfg: ExperimentConfig) -> int:
     atomic_write(_path(cfg, "dt_constants.txt"), keyvalue_text([
         ("limit_top", result.limit_top.value),
         ("limit_bottom", result.limit_bottom.value),
-        ("printed_constant_top", result.printed_constant_top),
-        ("printed_constant_bottom", result.printed_constant_bottom),
-        ("calibration_factor", result.calibration_factor),
-        ("note", "printed constant and calibration factor are both reported; "
-                 "neither is asserted as ground truth"),
+        ("constant_top", result.constant_top),
+        ("constant_bottom", result.constant_bottom),
     ]))
     return 0
 
 
 def cmd_absorb(cfg: ExperimentConfig) -> int:
     chain = cfg.require_chain()
-    j_max = _opt(cfg.options, "j_max", 8)
+    j_max = _opt(cfg.options, "j_max", 8, least=0)
     res = absorption_probabilities(chain, j_max, cfg.horizon, cfg.precision)
     atomic_write(
         _path(cfg, "absorption.csv"),
@@ -429,13 +427,16 @@ def cmd_absorb(cfg: ExperimentConfig) -> int:
 def cmd_mc(cfg: ExperimentConfig) -> int:
     chain = cfg.require_chain()
     samples = _opt(cfg.options, "samples", 10**5)
-    steps = _opt(cfg.options, "steps", 4)
+    steps = _opt(cfg.options, "steps", 4, least=1)
     if samples < 10**3:
         raise InputError(f"mc needs samples >= 1000, the run has samples = {samples}")
     if cfg.seed < 0:
         raise InputError(f"the seed must be >= 0, the run has seed = {cfg.seed}")
+    if cfg.seed + 1 >= 2**128:
+        raise InputError(f"the seed must be <= 2**128 - 2, since the walk from state 1 "
+                         f"keys Philox on seed + 1; the run has seed = {cfg.seed}")
     queries = [
-        transition_probability(chain, i, j, n, digits=min(cfg.precision, FLOAT_DIGITS))
+        transition_probability(chain, i, j, n)
         for i, j in ((0, 0), (0, 1), (1, 1))
         for n in range(1, steps + 1)
     ]

@@ -16,6 +16,7 @@ from .chains import DEFAULT_DIGITS, ChainSpec, is_periodic, log_pi_mpf
 from .errors import (
     ChainHasKillingError,
     DivisionSentinelError,
+    InputError,
     ZeroDenominatorError,
 )
 from .numeric import NEG_INF
@@ -254,17 +255,16 @@ def transition_probability(
     j: int,
     n: int,
     N: int | None = None,
-    digits: int = DEFAULT_DIGITS,
     measure: DiscreteMeasure | None = None,
 ) -> TransitionQuery:
     """Cross-checked n-step transition probability.
 
     The quadrature size defaults to the smallest N integrating the
-    degree-(n+i+j) integrand exactly."""
+    degree-(n+i+j) integrand exactly; the quadrature is float64."""
     if measure is None:
         if N is None:
             N = n // 2 + max(i, j) + 2
-        measure = quadrature_from_chain(chain, N, digits=min(digits, FLOAT_DIGITS))
+        measure = quadrature_from_chain(chain, N, FLOAT_DIGITS)
     spect = spectral_transition(chain, measure, i, j, n)
     v = matrix_transition_vector(chain, i, n)
     matrix = float(v[j]) if j < len(v) else 0.0
@@ -469,9 +469,18 @@ def srlp_predicted_limit(
     """pi_j Q_i(eta) Q_j(eta) / (pi_l Q_k(eta) Q_l(eta)) and the companion
     empirical sequence.
 
-    Raises ZeroDenominatorError on a periodic chain (r = 0) when (j - i) -
+    Raises InputError unless i, j, k, l are states a walk of `horizon`
+    steps from max(i, k) can reach within the chain's depth, and
+    ZeroDenominatorError on a periodic chain (r = 0) when (j - i) -
     (l - k) is odd: P_ij(n) vanishes unless n = j - i (mod 2), so the two
     probabilities are never nonzero at the same n."""
+    dim = int(min(max(i, k) + horizon + 2, chain.depth))
+    if min(i, j, k, l) < 0 or max(i, j, k, l) >= dim:
+        raise InputError(
+            f"{chain.label}: srlp needs i, j, k, l in [0, {dim}), the states "
+            f"{horizon} steps from max(i, k) reach within the chain's depth; "
+            f"the run has (i, j, k, l) = ({i}, {j}, {k}, {l})"
+        )
     if is_periodic(chain) and ((j - i) - (l - k)) % 2:
         raise ZeroDenominatorError(
             f"{chain.label}: periodic chain (r = 0) and (j - i) - (l - k) = "
@@ -489,7 +498,6 @@ def srlp_predicted_limit(
         predicted = float(
             pis[j] / pis[l] * qv[i] * qv[j] / (qv[k] * qv[l])
         )
-    dim = int(min(max(i, k) + horizon + 2, chain.depth))
     vi = matrix_transition_vector(chain, i, 0, dim)
     vk = matrix_transition_vector(chain, k, 0, dim)
     p, q, r, _ = chain.arrays(dim - 1)

@@ -3,26 +3,25 @@
 The Q_n satisfy x Q_n = q_n Q_{n-1} + r_n Q_n + p_n Q_{n+1} with Q_0 = 1 and
 p_0 Q_1 = x - r_0, so Q_n(1) = 1 for honest chains.  Every pass runs that
 forward recurrence, the stable direction at and beyond the support edges,
-on one of two backends.  Above FLOAT_DIGITS it runs tridiagonal._three_term
-in mpmath, whose unbounded exponent absorbs the growth outside the support,
-at the requested digits plus _GUARD_DIGITS, on the coefficients and ln pi_j
-the chain memoizes per working precision.  At <= FLOAT_DIGITS the Christoffel
-ratio and edge-scaling passes, the ratio-vanishing criterion and the Q_n(1)
-growth run tridiagonal._three_term_f64, float64 with a power-of-two rescale
-per step, on the float64 coefficients and ln pi_j of chains._series_float,
-with running sums in log space.  eval_Q, christoffel and
-cd_identity_residual stay on mpmath at any precision.  Values leave as
-sign/log-magnitude pairs or floats.  Support edges are float64 at every
-precision and come from two routes: the extreme eigenvalues of the Jacobi
-truncation, and bisection on the sign pattern of Q_1..Q_N that marks a
-point outside the support.
+on one of two backends.  The Christoffel ratio and edge-scaling passes and
+the ratio-vanishing criterion run tridiagonal._three_term_f64, float64 with
+a power-of-two rescale per step, at every precision, on the float64
+coefficients and ln pi_j of chains._series_float, with running sums in log
+space; so does the Q_n(1) growth at <= FLOAT_DIGITS.  eval_Q, christoffel,
+cd_identity_residual and the Q_n(1) growth above FLOAT_DIGITS run
+tridiagonal._three_term in mpmath, whose unbounded exponent absorbs the
+growth outside the support, at the requested digits plus _GUARD_DIGITS, on
+the coefficients and ln pi_j the chain memoizes per working precision.
+Values leave as sign/log-magnitude pairs or floats.  Support edges are
+float64 at every precision and come from two routes: the extreme
+eigenvalues of the Jacobi truncation, and bisection on the sign pattern of
+Q_1..Q_N that marks a point outside the support.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import mpmath as mp
 import numpy as np
@@ -36,7 +35,7 @@ from .errors import (
     UndecidedLimitError,
 )
 from .limits import estimate_limit, richardson_pair
-from .numeric import NEG_INF, SignedLog, signed_log, to_mpf
+from .numeric import SignedLog, signed_log, to_mpf
 from .tridiagonal import (
     FLOAT_DIGITS,
     extreme_eigen_f64,
@@ -166,45 +165,24 @@ class RatioSequences:
     log10_ratios: np.ndarray
 
 
-def _two_sided_sums(chain: ChainSpec, n_max: int, eta):
-    """Q_k(eta), Q_k(-eta) and the running sums sum_{j<=k} pi_j Q_j(+-eta)^2
-    (that is, 1/rho_{k+1}(+-eta)) for k = 0..n_max: four mpf lists from one
-    forward pass on each side at the current working precision."""
-    pos, w = _q_pi(chain, n_max, eta)
-    neg = q_values(chain, n_max, -to_mpf(eta))
-    sums = [list(accumulate(wk * v * v for wk, v in zip(w, vals))) for vals in (pos, neg)]
-    return pos, neg, *sums
-
-
 def _two_sided_log_sums(chain: ChainSpec, n_max: int, eta):
-    """The float64 twin of _two_sided_sums: sign and ln|Q_k(+-eta)| as two
-    (sign, log) pairs, and the logs of the two running sums, for
-    k = 0..n_max."""
+    """Sign and ln|Q_k(+-eta)| as two (sign, log) pairs, and the logs of the
+    running sums sum_{j<=k} pi_j Q_j(+-eta)^2 (that is, -ln rho_{k+1}(+-eta)),
+    for k = 0..n_max, from one float64 forward pass on each side."""
     (*_, logpi), (pos, neg) = _q_pi_f64(chain, n_max, eta, -float(eta))
     sums = [np.logaddexp.accumulate(logpi + 2 * logq) for _, logq in (pos, neg)]
     return pos, neg, *sums
 
 
-def christoffel_ratio_sequence(
-    chain: ChainSpec, n_max: int, eta, digits: int = DEFAULT_DIGITS
-) -> RatioSequences:
-    """One forward pass at +eta and -eta; each ratio lies in (0, 1] up to
-    the working precision."""
-    if digits <= FLOAT_DIGITS:
-        (_, log_pos), (sign_neg, log_neg), s_pos, s_neg = _two_sided_log_sums(chain, n_max, eta)
-        log_ratios = s_pos[:n_max] - s_neg[:n_max]
-        with np.errstate(over="ignore", invalid="ignore"):
-            ratios = np.exp(log_ratios)
-            qsq = np.where(sign_neg == 0, math.inf, np.exp(2 * (log_pos - log_neg)))
-        return RatioSequences(float(eta), ratios, qsq, log_ratios / math.log(10.0))
-    with _guarded(digits):
-        pos, neg, s_pos, s_neg = _two_sided_sums(chain, n_max, eta)
-        quotients = [a / b for a, b in zip(s_pos[:n_max], s_neg)]
-        ratios = np.array([float(v) for v in quotients])
-        logr = np.array([float(mp.log10(v)) if v > 0 else NEG_INF for v in quotients])
-        qsq = np.array([float((a / b) ** 2) if b != 0 else math.inf
-                        for a, b in zip(pos, neg)])
-    return RatioSequences(float(eta), ratios, qsq, logr)
+def christoffel_ratio_sequence(chain: ChainSpec, n_max: int, eta) -> RatioSequences:
+    """One float64 forward pass at +eta and -eta, at every precision; each
+    ratio lies in (0, 1] up to rounding."""
+    (_, log_pos), (sign_neg, log_neg), s_pos, s_neg = _two_sided_log_sums(chain, n_max, eta)
+    log_ratios = s_pos[:n_max] - s_neg[:n_max]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = np.exp(log_ratios)
+        qsq = np.where(sign_neg == 0, math.inf, np.exp(2 * (log_pos - log_neg)))
+    return RatioSequences(float(eta), ratios, qsq, log_ratios / math.log(10.0))
 
 
 def cd_identity_residual(

@@ -16,7 +16,6 @@ from rwlab import families
 from rwlab.asymptotics import (
     edge_exponents,
     edge_scaled_christoffel,
-    semicircle_calibration,
     sup_tail_bound_check,
 )
 from rwlab.chains import asymptotic_aperiodicity_sum
@@ -199,13 +198,11 @@ def test_criterion_11_edge_scaling_calibration(chain_s):
         worst = max(worst, abs(scaled / 3 - 1))
     assert worst <= 0.01
     exps = edge_exponents(families.weight_semicircle(), 20)
-    res = edge_scaled_christoffel(chain_s, exps, 1.0, 1000, 15)
-    assert res.printed_constant_top > 0
-    assert res.calibration_factor == pytest.approx(semicircle_calibration())
+    res = edge_scaled_christoffel(chain_s, exps, 1.0, 1000)
+    assert res.constant_top == pytest.approx(3.0, rel=1e-12)
     print(f"ACCEPTANCE 11 PASS: semicircle n^3 rho_n(1) within {worst:.2%} of 3 "
-          f"for n >= 500 (bound 1%); printed constant "
-          f"{res.printed_constant_top:.6f} and calibration factor "
-          f"{res.calibration_factor:.6f} reported, neither asserted")
+          f"for n >= 500 (bound 1%); derived edge constant "
+          f"{res.constant_top:.6f}")
 
 
 def test_criterion_12_killing():

@@ -1,6 +1,8 @@
 """Predictions, coefficient criteria, edge scaling, and consistency reports."""
 
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from rwlab.asymptotics import (
     blumenthal_edges,
     condition_bounded_variation,
     conjecture_report,
+    edge_constant,
     edge_exponents,
     edge_mass_ratio,
     edge_scaled_christoffel,
@@ -62,9 +65,9 @@ def test_blumenthal(chain_b, chain_c, chain_s):
 
 
 def test_ratio_vanishing_criterion(chain_a, chain_b):
-    crit = ratio_vanishing_criterion(chain_b, 1.0, 2500, 15)
+    crit = ratio_vanishing_criterion(chain_b, 1.0, 2500)
     assert crit.criterion.verdict == "diverges"  # matches the observed ratio -> 0
-    crit = ratio_vanishing_criterion(chain_a, 1.0, 1500, 15)
+    crit = ratio_vanishing_criterion(chain_a, 1.0, 1500)
     assert crit.criterion.verdict == "converges"  # periodic: all terms vanish
     assert np.all(crit.criterion.partial_sums == 0)
 
@@ -89,14 +92,10 @@ def test_regularity(chain_a, chain_c, chain_s):
 
 def test_edge_scaling_semicircle(chain_s):
     exps = edge_exponents(families.weight_semicircle(), 20)
-    res = edge_scaled_christoffel(chain_s, exps, 1.0, 2000, 15)
+    res = edge_scaled_christoffel(chain_s, exps, 1.0, 2000)
     assert res.limit_top.value == pytest.approx(3.0, rel=5e-3)
-    # printed constant and calibration factor are reported, not asserted
-    assert res.printed_constant_top == pytest.approx(
-        float(2 ** -1.5 * (2 / math.pi) * math.gamma(1.5) * math.gamma(2.5)), rel=1e-12
-    )
-    assert res.calibration_factor == pytest.approx(2 ** 3.5, rel=1e-12)
-    assert res.calibration_factor * res.printed_constant_top == pytest.approx(3.0)
+    # the derived constant is the closed-form semicircle limit
+    assert res.constant_top == pytest.approx(3.0, rel=1e-12)
 
 
 def test_edge_scaling_weight_d(report_d):
@@ -108,11 +107,33 @@ def test_edge_scaling_weight_d(report_d):
 
     m = discretize_weight(families.weight_d(), grid_size_for_depth(600), digits=15)
     rec = chain_from_recurrence(stieltjes_recurrence(m, 600))
-    res = edge_scaled_christoffel(rec.chain, exps, report_d.edges.eta_hat, 590, 15)
+    res = edge_scaled_christoffel(rec.chain, exps, report_d.edges.eta_hat, 590)
     tail = res.scaled_bottom[-8:]
     assert np.all(np.isfinite(tail))
     assert (tail.max() - tail.min()) / tail.mean() < 0.2
     assert res.limit_bottom.is_finite
+
+
+@pytest.mark.parametrize("weight, eta, chain, top, bottom", [
+    ("weight_semicircle", 1, "chain_s", 3.0, 3.0),
+    ("weight_d", 1, "chain_d600", 6.0, 22.5),
+    ("weight_e", 1, "chain_e600", 4.5, 1.5),
+    # scaling the support leaves the constants alone: checks the (2 eta) powers
+    ("weight_semicircle", Fraction(1, 2), None, 3.0, 3.0),
+    ("weight_d", Fraction(1, 2), None, 6.0, 22.5),
+])
+def test_edge_constants_are_derived(request, weight, eta, chain, top, bottom):
+    spec = dataclasses.replace(getattr(families, weight)(), eta=Fraction(eta))
+    exps = edge_exponents(spec, 20)
+    constants = (edge_constant(eta, exps.alpha, exps.beta, exps.w_at_eta),
+                 edge_constant(eta, exps.beta, exps.alpha, exps.w_at_minus_eta))
+    assert constants == pytest.approx((top, bottom), rel=1e-12)
+    if chain is not None:
+        # at the exact edge the measured limits cover the derived constants
+        res = edge_scaled_christoffel(request.getfixturevalue(chain), exps, 1.0, 590)
+        assert (res.constant_top, res.constant_bottom) == constants
+        for limit, constant in ((res.limit_top, top), (res.limit_bottom, bottom)):
+            assert abs(limit.value - constant) <= limit.uncertainty
 
 
 def test_eps_window(chain_b, quad400):
@@ -162,7 +183,7 @@ def test_stolz_cesaro_nonzero_limit(chain_e600, report_e):
     from rwlab.limits import estimate_limit
     from rwlab.polynomials import christoffel_ratio_sequence
 
-    seq = christoffel_ratio_sequence(chain_e600, 590, report_e.edges.eta_hat, 15)
+    seq = christoffel_ratio_sequence(chain_e600, 590, report_e.edges.eta_hat)
     e1 = estimate_limit(seq.ratios)
     e2 = estimate_limit(seq.q_sq_ratios)
     assert e1.value == pytest.approx(1 / 3, abs=0.01)

@@ -1,13 +1,16 @@
-"""The float64 polynomial passes at 15 digits against the mpmath route at
-34 digits: Christoffel ratio sequences, the ratio-vanishing criterion and
-the growth of Q_n(1), on the bundled chains, on recovered weight chains,
-and on random chains far enough beyond the edge that an unscaled float64
-recurrence overflows."""
+"""The float64 polynomial passes against mpmath at 34 digits: Christoffel
+ratio sequences and the ratio-vanishing criterion against oracles built
+here from _q_pi and q_values at 34 + 8 digits, and the growth of Q_n(1) at
+15 digits against its own 34-digit route, on the bundled chains, on
+recovered weight chains, and on random chains far enough beyond the edge
+that an unscaled float64 recurrence overflows."""
 
 import math
 import os
 from fractions import Fraction
+from itertools import accumulate
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,13 +18,56 @@ from hypothesis import assume, given, settings, strategies as st
 from rwlab import families
 from rwlab import fileformats as ff
 from rwlab.asymptotics import ratio_vanishing_criterion
-from rwlab.chains import ChainSpec, rule
+from rwlab.chains import ChainSpec, classify_series, rule
 from rwlab.errors import NonpositiveQError
-from rwlab.polynomials import christoffel_ratio_sequence, q_at_one_growth
+from rwlab.polynomials import (
+    RatioSequences,
+    _guarded,
+    _q_pi,
+    christoffel_ratio_sequence,
+    q_at_one_growth,
+    q_values,
+)
 from rwlab.tridiagonal import _three_term
 
 RECOVERED = os.path.join(os.path.dirname(__file__), "..", "configs", "chain_recovered.cfg")
 TINY = np.finfo(float).smallest_subnormal
+
+
+def ratio_oracle(chain, n_max, eta) -> RatioSequences:
+    """The ratio sequences from the running sums sum_{j<=k} pi_j Q_j(+-eta)^2
+    in mpmath at 34 + 8 digits."""
+    with _guarded(34):
+        pos, w = _q_pi(chain, n_max, eta)
+        neg = q_values(chain, n_max, -mp.mpf(eta))
+        s_pos, s_neg = (list(accumulate(wk * v * v for wk, v in zip(w, vals)))
+                        for vals in (pos, neg))
+        quotients = [a / b for a, b in zip(s_pos[:n_max], s_neg)]
+        return RatioSequences(
+            float(eta),
+            np.array([float(v) for v in quotients]),
+            np.array([float((a / b) ** 2) if b != 0 else math.inf for a, b in zip(pos, neg)]),
+            np.array([float(mp.log10(v)) if v > 0 else -math.inf for v in quotients]),
+        )
+
+
+def criterion_oracle(chain, eta, n):
+    """The criterion and L~ summand series through j = n in mpmath at
+    34 + 8 digits, classified by classify_series; raises NonpositiveQError
+    with ratio_vanishing_criterion's message at the first Q_j(eta) <= 0."""
+    with _guarded(34):
+        qv, pis = _q_pi(chain, n + 1, eta)
+        for j, v in enumerate(qv):
+            if v <= 0:
+                raise NonpositiveQError(f"{chain.label}: Q_{j}(eta) <= 0 at eta = {float(eta)}")
+        p, _, r, _ = chain.mpf_coefficients(n)
+        inner = mp.mpf(0)
+        terms, lt_terms = np.empty(n + 1), np.empty(n + 1)
+        for j, pi_j in enumerate(pis[: n + 1]):
+            inner += r[j] * pi_j * qv[j] * qv[j]
+            denom = p[j] * pi_j * qv[j] * qv[j + 1]
+            terms[j], lt_terms[j] = float(inner / denom), float(1 / denom)
+    return [classify_series(np.cumsum(t), t) for t in (terms, lt_terms)]
 
 
 def assert_ratios_agree(fast, exact, rtol):
@@ -54,17 +100,15 @@ def bundled_chains():
 def test_ratio_sequences_agree_on_bundled_chains(name):
     chain, eta = bundled_chains()[name]
     n_max = int(min(1500, chain.depth - 1))
-    fast = christoffel_ratio_sequence(chain, n_max, eta, 15)
-    exact = christoffel_ratio_sequence(chain, n_max, eta, 34)
-    assert_ratios_agree(fast, exact, 1e-11)
+    fast = christoffel_ratio_sequence(chain, n_max, eta)
+    assert_ratios_agree(fast, ratio_oracle(chain, n_max, eta), 1e-11)
 
 
 @pytest.mark.parametrize("fixture", ["chain_d600", "chain_e600"])
 def test_ratio_sequences_agree_on_recovered_weight_chains(fixture, request):
     chain = request.getfixturevalue(fixture)
-    fast = christoffel_ratio_sequence(chain, 599, 1.0, 15)
-    exact = christoffel_ratio_sequence(chain, 599, 1.0, 34)
-    assert_ratios_agree(fast, exact, 1e-11)
+    fast = christoffel_ratio_sequence(chain, 599, 1.0)
+    assert_ratios_agree(fast, ratio_oracle(chain, 599, 1.0), 1e-11)
 
 
 @pytest.mark.parametrize("name, eta, n", [
@@ -76,17 +120,17 @@ def test_ratio_sequences_agree_on_recovered_weight_chains(fixture, request):
 ])
 def test_ratio_vanishing_verdicts_equal(name, eta, n):
     chain = bundled_chains()[name][0]
-    fast, exact = (ratio_vanishing_criterion(chain, eta, n, digits) for digits in (15, 34))
-    for a, b in ((fast.criterion, exact.criterion), (fast.l_tilde, exact.l_tilde)):
+    fast = ratio_vanishing_criterion(chain, eta, n)
+    for a, b in zip((fast.criterion, fast.l_tilde), criterion_oracle(chain, eta, n)):
         assert a.verdict == b.verdict
         np.testing.assert_allclose(a.partial_sums, b.partial_sums, rtol=1e-11)
 
 
 def test_ratio_vanishing_names_the_same_nonpositive_index(chain_b):
     messages = []
-    for digits in (15, 34):
+    for route in (ratio_vanishing_criterion, criterion_oracle):
         with pytest.raises(NonpositiveQError) as err:
-            ratio_vanishing_criterion(chain_b, 0.99, 2000, digits)
+            route(chain_b, 0.99, 2000)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
 
@@ -124,7 +168,7 @@ def test_scaled_recurrence_beyond_the_edge(chain, beyond):
     p, q, r, _ = (c.tolist() for c in chain.arrays(n))
     *_, unscaled = _three_term(x, p, q, r, n)
     assume(not math.isfinite(unscaled))
-    fast = christoffel_ratio_sequence(chain, n, x, 15)
+    fast = christoffel_ratio_sequence(chain, n, x)
     for values in (fast.ratios, fast.log10_ratios, fast.q_sq_ratios):
         assert np.all(np.isfinite(values))
-    assert_ratios_agree(fast, christoffel_ratio_sequence(chain, n, x, 34), 1e-11)
+    assert_ratios_agree(fast, ratio_oracle(chain, n, x), 1e-11)

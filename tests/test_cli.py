@@ -142,8 +142,22 @@ def test_weight_grid_and_depth_options_are_input_errors(tmp_path, capsys, sub, r
      "chain-info needs horizon >= 1"),
     ("absorb", "chain_k", "j_max = 6", ("--horizon", "0"),
      "extrapolating Q_n(1) needs 16 terms, max(j_max, n_trunc) = 6 gives 7"),
+    ("srlp", "chain_shifted_arcsine", "i = -1", (),
+     "srlp needs i, j, k, l in [0, 402)"),
+    ("srlp", "chain_shifted_arcsine", "l = 5000", (),
+     "the run has (i, j, k, l) = (0, 1, 0, 5000)"),
+    ("absorb", "chain_k", "j_max = -1", (), "[run] j_max must be >= 0, the run has j_max = -1"),
+    ("polys", "chain_shifted_arcsine", "depth = -2", (),
+     "[run] depth must be >= 0, the run has depth = -2"),
+    ("normalize", "chain_arcsine", "depth = -2", (),
+     "[run] depth must be >= 0, the run has depth = -2"),
+    ("mc", "chain_shifted_arcsine", "steps = -1", (),
+     "[run] steps must be >= 1, the run has steps = -1"),
+    ("mc", "chain_shifted_arcsine", "", ("--seed", str(2**128 - 1)),
+     "the seed must be <= 2**128 - 2"),
 ], ids=["non-integer", "samples", "seed", "seed-flag", "negative-horizon",
-        "chain-info-horizon", "absorb-horizon"])
+        "chain-info-horizon", "absorb-horizon", "srlp-negative-index", "srlp-unreachable-state",
+        "absorb-j-max", "polys-depth", "normalize-depth", "mc-steps", "mc-seed-key"])
 def test_bad_run_values_are_input_errors(tmp_path, capsys, sub, family, run_options, flags,
                                          message):
     config = tmp_path / "c.cfg"
@@ -226,16 +240,24 @@ def test_mc_rows_come_from_one_walk_per_start_state(tmp_path):
         assert line.split(",")[5:] == [repr(est), repr(se)]
 
 
-@pytest.mark.parametrize("name", ["chain_b", "chain_s"])
-def test_edges_do_not_depend_on_the_precision(tmp_path, name):
-    # one float64 edge solve at every working precision
-    texts = []
+@pytest.mark.parametrize("sub, name, flags", [
+    pytest.param("edges", "chain_b", ("--truncation", "1000"), id="chain_b"),
+    pytest.param("edges", "chain_s", ("--truncation", "1000"), id="chain_s"),
+    pytest.param("christoffel", "chain_b", ("--truncation", "200", "--horizon", "200"),
+                 id="christoffel-chain_b"),
+    *(pytest.param("conjecture", name, (), id=f"conjecture-{name}")
+      for name in ("chain_b", "chain_k", "chain_recovered")),
+])
+def test_edges_do_not_depend_on_the_precision(tmp_path, sub, name, flags):
+    # one float64 edge solve, Christoffel ratio pass and ratio-vanishing
+    # criterion at every working precision
+    outputs = []
     for digits in ("15", "34"):
-        out = str(tmp_path / digits)
-        assert run("edges", "--config", cfg(f"{name}.cfg"), "--out", out,
-                   "--precision", digits, "--truncation", "1000") == 0
-        texts.append(read(os.path.join(out, "edges.txt")))
-    assert texts[0] == texts[1]
+        out = tmp_path / digits
+        assert run(sub, "--config", cfg(f"{name}.cfg"), "--out", str(out),
+                   "--precision", digits, *flags) == 0
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert outputs[0] == outputs[1]
 
 
 def test_edges_and_polys(tmp_path):

@@ -128,18 +128,18 @@ def test_L_functional(chain_b, quad400):
 
 
 def test_transition_one_step(chain_b):
-    tq = transition_probability(chain_b, 0, 0, 1, N=16, digits=15)
+    tq = transition_probability(chain_b, 0, 0, 1, N=16)
     assert tq.value_matrix == pytest.approx(0.5, abs=1e-14)
     assert tq.value_spectral == pytest.approx(0.5, abs=1e-12)
 
 
 def test_transition_arcsine(chain_a, quad400):
-    tq = transition_probability(chain_a, 0, 0, 2, N=400, digits=15, measure=quad400["A"])
+    tq = transition_probability(chain_a, 0, 0, 2, N=400, measure=quad400["A"])
     assert tq.value_spectral == pytest.approx(0.5, abs=1e-12)
     assert tq.value_matrix == pytest.approx(0.5, abs=1e-14)
     # periodic chain: P_01(n) vanishes for even n
     for n in (2, 4, 6):
-        tq = transition_probability(chain_a, 0, 1, n, N=50, digits=15)
+        tq = transition_probability(chain_a, 0, 1, n, N=50)
         assert abs(tq.value_matrix) == 0.0
         assert abs(tq.value_spectral) < 1e-12
 

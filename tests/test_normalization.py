@@ -70,8 +70,8 @@ def test_cn_invariance(chain_c):
 
 def test_ratio_invariance(chain_c):
     norm = normalize(chain_c, ETA_C, 300, digits=15)
-    base = estimate_limit(christoffel_ratio_sequence(chain_c, 250, ETA_C, 15).ratios)
-    tilde = estimate_limit(christoffel_ratio_sequence(norm.chain, 250, 1.0, 15).ratios)
+    base = estimate_limit(christoffel_ratio_sequence(chain_c, 250, ETA_C).ratios)
+    tilde = estimate_limit(christoffel_ratio_sequence(norm.chain, 250, 1.0).ratios)
     assert abs(base.value - tilde.value) <= base.uncertainty + tilde.uncertainty + 1e-12
 
 

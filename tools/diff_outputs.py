@@ -14,9 +14,11 @@ coefficient-level series, polynomial and absorption paths at the default
 working precision, `measure --precision 15 --truncation 1000` on chain_b
 and chain_s for float64 Golub-Welsch above the configs' truncation 400, and
 `recover` and `dt-check --horizon 64` at `--precision 34` on weight_d and
-weight_e for the weight-to-chain recovery above 16 digits, and `normalize`
+weight_e for the weight-to-chain recovery above 16 digits, `normalize`
 and `srlp` at `--precision 34` on chain_b and chain_s for the two other
-subcommands that solve the support edges.
+subcommands that solve the support edges, and `conjecture` at
+`--precision 34` on chain_b, chain_k and chain_recovered for the Christoffel
+ratio passes and the ratio-vanishing criterion above 16 digits.
 The base and change runs of one job go side by side (two processes at a
 time).
 
@@ -69,6 +71,7 @@ EXTRA = [
         ("dt-check", ("weight_d", "weight_e"), "34", ("--horizon", "64")),
         ("normalize", ("chain_b", "chain_s"), "34", ()),
         ("srlp", ("chain_b", "chain_s"), "34", ()),
+        ("conjecture", ("chain_b", "chain_k", "chain_recovered"), "34", ()),
     )
     for name in names
 ]
