@@ -17,6 +17,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import fileformats as ff
 from .asymptotics import (
@@ -161,11 +162,13 @@ def cmd_chain_info(cfg: ExperimentConfig) -> int:
 
 def cmd_polys(cfg: ExperimentConfig) -> int:
     chain = cfg.require_chain()
-    x = cfg.options.get("x", "1/2")
+    text = cfg.options.get("x", "1/2")
+    try:
+        x = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"[run] x must be a rational number, not {text!r}") from None
     n = _opt(cfg.options, "depth", int(min(64, chain.depth - 1)), least=0)
-    from fractions import Fraction
-
-    trace = eval_Q(chain, n, Fraction(x), cfg.precision)
+    trace = eval_Q(chain, n, x, cfg.precision)
     rows = []
     for k in range(n + 1):
         qv = trace.values[k]

@@ -1,159 +1,20 @@
-"""Bundled chain and weight families used by the experiments and tests."""
+"""The one bundled chain that the benchmark's own tests import by name.
+
+Every bundled chain and weight is defined once, in `configs/*.cfg`; this
+module only reads `configs/chain_c.cfg` from the source checkout. It can go
+once `benchmark/test_benchmark.py` builds chain_c from its own workloads."""
 
 from __future__ import annotations
 
-from .chains import ChainSpec, rule
-from .recover import WeightSpec, make_weight
+import os
 
+from .chains import ChainSpec
+from .fileformats import chain_from_sections, parse_file
 
-def chain_arcsine() -> ChainSpec:
-    """p_0 = 1, p_j = q_j = 1/2: the Chebyshev-T chain (periodic, support [-1,1])."""
-    return ChainSpec(
-        "arcsine",
-        p=rule(["1"], "1/2"),
-        q=rule(["0"], "1/2"),
-        r=rule([], "0"),
-        kappa=rule([], "0"),
-    )
-
-
-def chain_shifted_arcsine() -> ChainSpec:
-    """r = 1/2, p_0 = 1/2, p_j = q_j = 1/4: support [0, 1], aperiodic."""
-    return ChainSpec(
-        "shifted-arcsine",
-        p=rule(["1/2"], "1/4"),
-        q=rule(["0"], "1/4"),
-        r=rule([], "1/2"),
-        kappa=rule([], "0"),
-    )
+CHAIN_C = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, os.pardir,
+                       "configs", "chain_c.cfg")
 
 
 def chain_asymmetric() -> ChainSpec:
-    """p_0 = 1, p = 7/10, q = 3/10: transient periodic walk, edges +-2*sqrt(0.21)."""
-    return ChainSpec(
-        "asymmetric",
-        p=rule(["1"], "7/10"),
-        q=rule(["0"], "3/10"),
-        r=rule([], "0"),
-        kappa=rule([], "0"),
-    )
-
-
-def chain_semicircle() -> ChainSpec:
-    """p_j = (j+2)/(2(j+1)): the orthonormal-Chebyshev-U chain (semicircle)."""
-    return ChainSpec(
-        "semicircle",
-        p=rule([], "(j+2)/(2*(j+1))"),
-        q=rule([], "j/(2*(j+1))"),
-        r=rule([], "0"),
-        kappa=rule([], "0"),
-    )
-
-
-def chain_k() -> ChainSpec:
-    """Shifted-arcsine with killing at state 0 (r_0 = kappa_0 = 1/4)."""
-    return ChainSpec(
-        "chain-k",
-        p=rule(["1/2"], "1/4"),
-        q=rule(["0"], "1/4"),
-        r=rule(["1/4"], "1/2"),
-        kappa=rule(["1/4"], "0"),
-    )
-
-
-def chain_constant_killing() -> ChainSpec:
-    """kappa = 1/10 everywhere, p = q = 9/20: absorption is certain."""
-    return ChainSpec(
-        "constant-killing",
-        p=rule(["9/10"], "9/20"),
-        q=rule(["0"], "9/20"),
-        r=rule([], "0"),
-        kappa=rule([], "1/10"),
-    )
-
-
-def chain_transient_killing() -> ChainSpec:
-    """kappa_0 = 1/4 with a transient drift-up tail: tau_0 = 2/5 exactly."""
-    return ChainSpec(
-        "transient-killing",
-        p=rule(["3/4"], "2/3"),
-        q=rule(["0"], "1/3"),
-        r=rule([], "0"),
-        kappa=rule(["1/4"], "0"),
-    )
-
-
-def chain_geometric_transient() -> ChainSpec:
-    """p/q = 2 drift-up chain: p_j pi_j grows geometrically (transient)."""
-    return ChainSpec(
-        "geometric-transient",
-        p=rule(["2/3"], "2/3"),
-        q=rule(["0"], "1/3"),
-        r=rule(["1/3"], "0"),
-        kappa=rule([], "0"),
-    )
-
-
-def chain_r4_transient() -> ChainSpec:
-    """Transient drift with exponentially vanishing hold: the aperiodicity
-    double sum converges (asymptotically periodic)."""
-    return ChainSpec(
-        "r4-transient",
-        p=rule(["1"], "(1 - 4^-j)*3/5"),
-        q=rule(["0"], "(1 - 4^-j)*2/5"),
-        r=rule(["0"], "4^-j"),
-        kappa=rule([], "0"),
-    )
-
-
-def chain_polyhold() -> ChainSpec:
-    """Hold probabilities r_j ~ 1/j^2: sum r_j/p_j converges."""
-    return ChainSpec(
-        "polyhold",
-        p=rule(["1", "1/4"], "(1 - 1/j^2)/2"),
-        q=rule(["0", "1/4"], "(1 - 1/j^2)/2"),
-        r=rule(["0", "1/2"], "1/j^2"),
-        kappa=rule([], "0"),
-    )
-
-
-def weight_d() -> WeightSpec:
-    """(1-x)^(1/2) (1+x)^(3/2): distinct edge exponents, predicted limit 0."""
-    return make_weight("weight-d", 1, "1/2", "3/2", "1")
-
-
-def weight_e() -> WeightSpec:
-    """(1-x^2)^(1/2) (2+x): equal exponents, predicted limit 1/3."""
-    return make_weight("weight-e", 1, "1/2", "1/2", "2 + x")
-
-
-def weight_semicircle() -> WeightSpec:
-    """(1-x^2)^(1/2): the semicircle weight (normalization supplies 2/pi)."""
-    return make_weight("semicircle-weight", 1, "1/2", "1/2", "1")
-
-
-def weight_negative_mean() -> WeightSpec:
-    """(1-x)^(1/2): mean -1/5 < 0, not a random walk measure (r_0 < 0)."""
-    return make_weight("negative-mean", 1, "1/2", "0", "1")
-
-
-CHAINS = {
-    c().label: c
-    for c in (
-        chain_arcsine,
-        chain_shifted_arcsine,
-        chain_asymmetric,
-        chain_semicircle,
-        chain_k,
-        chain_constant_killing,
-        chain_transient_killing,
-        chain_geometric_transient,
-        chain_r4_transient,
-        chain_polyhold,
-    )
-}
-
-WEIGHTS = {
-    w().label: w
-    for w in (weight_d, weight_e, weight_semicircle, weight_negative_mean)
-}
+    """p_0 = 1, p = 7/10, q = 3/10: the chain `configs/chain_c.cfg` defines."""
+    return chain_from_sections(parse_file(CHAIN_C))

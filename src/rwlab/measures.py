@@ -469,11 +469,14 @@ def srlp_predicted_limit(
     """pi_j Q_i(eta) Q_j(eta) / (pi_l Q_k(eta) Q_l(eta)) and the companion
     empirical sequence.
 
-    Raises InputError unless i, j, k, l are states a walk of `horizon`
-    steps from max(i, k) can reach within the chain's depth, and
-    ZeroDenominatorError on a periodic chain (r = 0) when (j - i) -
+    Raises InputError unless horizon >= 1 and i, j, k, l are states a walk
+    of `horizon` steps from max(i, k) can reach within the chain's depth,
+    and ZeroDenominatorError on a periodic chain (r = 0) when (j - i) -
     (l - k) is odd: P_ij(n) vanishes unless n = j - i (mod 2), so the two
     probabilities are never nonzero at the same n."""
+    if horizon < 1:
+        raise InputError(f"{chain.label}: srlp needs horizon >= 1, "
+                         f"the run has horizon {horizon}")
     dim = int(min(max(i, k) + horizon + 2, chain.depth))
     if min(i, j, k, l) < 0 or max(i, j, k, l) >= dim:
         raise InputError(

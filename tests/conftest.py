@@ -1,14 +1,17 @@
-"""Shared fixtures: the bundled families and the expensive pipeline
-artifacts (quadratures, edge solves, full weight pipelines), built once per
-session."""
+"""Shared inputs and fixtures: the bundled chains and weights, read from
+their one definition in `configs/*.cfg`; four test-only chains that no
+config uses; and the expensive pipeline artifacts (quadratures, edge
+solves, full weight pipelines), built once per session."""
 
+import os
 import time
 
 import pytest
 from hypothesis import settings
 
-from rwlab import families
+from rwlab import fileformats as ff
 from rwlab.asymptotics import conjecture_report
+from rwlab.chains import ChainSpec, rule
 from rwlab.measures import quadrature_from_chain
 from rwlab.polynomials import support_edges
 
@@ -17,25 +20,91 @@ settings.load_profile("rwlab")
 
 SESSION_START = time.time()
 
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
+def bundled(name):
+    """The ChainSpec or WeightSpec that `configs/<name>.cfg` defines, or the
+    test-only chain of that name, built afresh on each call, so no test sees
+    another's memoized columns."""
+    if name in TEST_ONLY_CHAINS:
+        return TEST_ONLY_CHAINS[name]()
+    sections = ff.parse_file(os.path.join(CONFIGS, f"{name}.cfg"))
+    if "chain" in sections:
+        return ff.chain_from_sections(sections)
+    return ff.weight_from_sections(sections)
+
+
+def chain_transient_killing() -> ChainSpec:
+    """kappa_0 = 1/4 with a transient drift-up tail: tau_0 = 2/5 exactly."""
+    return ChainSpec(
+        "transient-killing",
+        p=rule(["3/4"], "2/3"),
+        q=rule(["0"], "1/3"),
+        r=rule([], "0"),
+        kappa=rule(["1/4"], "0"),
+    )
+
+
+def chain_geometric_transient() -> ChainSpec:
+    """p/q = 2 drift-up chain: p_j pi_j grows geometrically (transient)."""
+    return ChainSpec(
+        "geometric-transient",
+        p=rule(["2/3"], "2/3"),
+        q=rule(["0"], "1/3"),
+        r=rule(["1/3"], "0"),
+        kappa=rule([], "0"),
+    )
+
+
+def chain_r4_transient() -> ChainSpec:
+    """Transient drift with exponentially vanishing hold: the aperiodicity
+    double sum converges (asymptotically periodic)."""
+    return ChainSpec(
+        "r4-transient",
+        p=rule(["1"], "(1 - 4^-j)*3/5"),
+        q=rule(["0"], "(1 - 4^-j)*2/5"),
+        r=rule(["0"], "4^-j"),
+        kappa=rule([], "0"),
+    )
+
+
+def chain_polyhold() -> ChainSpec:
+    """Hold probabilities r_j ~ 1/j^2: sum r_j/p_j converges."""
+    return ChainSpec(
+        "polyhold",
+        p=rule(["1", "1/4"], "(1 - 1/j^2)/2"),
+        q=rule(["0", "1/4"], "(1 - 1/j^2)/2"),
+        r=rule(["0", "1/2"], "1/j^2"),
+        kappa=rule([], "0"),
+    )
+
+
+TEST_ONLY_CHAINS = {
+    make.__name__: make
+    for make in (chain_transient_killing, chain_geometric_transient, chain_r4_transient,
+                 chain_polyhold)
+}
+
 
 @pytest.fixture(scope="session")
 def chain_a():
-    return families.chain_arcsine()
+    return bundled("chain_a")
 
 
 @pytest.fixture(scope="session")
 def chain_b():
-    return families.chain_shifted_arcsine()
+    return bundled("chain_b")
 
 
 @pytest.fixture(scope="session")
 def chain_c():
-    return families.chain_asymmetric()
+    return bundled("chain_c")
 
 
 @pytest.fixture(scope="session")
 def chain_s():
-    return families.chain_semicircle()
+    return bundled("chain_s")
 
 
 @pytest.fixture(scope="session")
@@ -74,13 +143,13 @@ def report_b(chain_b):
 
 @pytest.fixture(scope="session")
 def report_d():
-    return conjecture_report(weight=families.weight_d(), n_max=2000,
+    return conjecture_report(weight=bundled("weight_d"), n_max=2000,
                              truncation=2000, digits=15)
 
 
 @pytest.fixture(scope="session")
 def report_e():
-    return conjecture_report(weight=families.weight_e(), n_max=2000,
+    return conjecture_report(weight=bundled("weight_e"), n_max=2000,
                              truncation=2000, digits=15)
 
 
@@ -100,9 +169,9 @@ def _recovered_chain(weight):
 
 @pytest.fixture(scope="session")
 def chain_d600():
-    return _recovered_chain(families.weight_d())
+    return _recovered_chain(bundled("weight_d"))
 
 
 @pytest.fixture(scope="session")
 def chain_e600():
-    return _recovered_chain(families.weight_e())
+    return _recovered_chain(bundled("weight_e"))

@@ -11,8 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SESSION_START
-from rwlab import families
+from conftest import SESSION_START, bundled
 from rwlab.asymptotics import (
     edge_exponents,
     edge_scaled_christoffel,
@@ -93,7 +92,7 @@ def test_criterion_03_transition_routes(core_chains, quad400):
         ("K", 0, 0, 2),
     ]
     chains = dict(core_chains)
-    chains["K"] = families.chain_k()
+    chains["K"] = bundled("chain_k")
     worst_sigma = 0.0
     for idx, (key, i, j, n) in enumerate(spots):
         chain = chains[key]
@@ -197,7 +196,7 @@ def test_criterion_11_edge_scaling_calibration(chain_s):
         scaled = n**3 * float(christoffel(chain_s, n, 1, digits=15))
         worst = max(worst, abs(scaled / 3 - 1))
     assert worst <= 0.01
-    exps = edge_exponents(families.weight_semicircle(), 20)
+    exps = edge_exponents(bundled("semicircle_weight"), 20)
     res = edge_scaled_christoffel(chain_s, exps, 1.0, 1000)
     assert res.constant_top == pytest.approx(3.0, rel=1e-12)
     print(f"ACCEPTANCE 11 PASS: semicircle n^3 rho_n(1) within {worst:.2%} of 3 "
@@ -206,10 +205,10 @@ def test_criterion_11_edge_scaling_calibration(chain_s):
 
 
 def test_criterion_12_killing():
-    res = absorption_probabilities(families.chain_constant_killing(), 4, 400, digits=15)
+    res = absorption_probabilities(bundled("constant_killing"), 4, 400, digits=15)
     assert res.route == "killing-sum-diverges"
     assert res.tau == (1.0,) * 5
-    chain_k = families.chain_k()
+    chain_k = bundled("chain_k")
     res_k = absorption_probabilities(chain_k, 0, 3000, digits=15)
     assert res_k.tau[0] == 1.0
     mc = monte_carlo_eventual_absorption(chain_k, 0, 10**6, seed=2024)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rwlab import families
+from conftest import bundled, chain_transient_killing
 from rwlab.asymptotics import (
     EdgeExponents,
     blumenthal_edges,
@@ -27,18 +27,18 @@ from rwlab.recover import chain_from_recurrence, discretize_weight, stieltjes_re
 
 
 def test_predicted_limits():
-    d = edge_exponents(families.weight_d(), 20)
+    d = edge_exponents(bundled("weight_d"), 20)
     assert predicted_cn_limit(d) == 0.0
-    e = edge_exponents(families.weight_e(), 20)
+    e = edge_exponents(bundled("weight_e"), 20)
     assert predicted_cn_limit(e) == pytest.approx(1 / 3, rel=1e-12)
-    s = edge_exponents(families.weight_semicircle(), 20)
+    s = edge_exponents(bundled("semicircle_weight"), 20)
     assert predicted_cn_limit(s) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_symmetric_prediction_implies_periodic_chain():
     # equal exponents with symmetric smooth factor predict 1, and the
     # recovered chain is indeed periodic
-    m = discretize_weight(families.weight_semicircle(), 1000, digits=15)
+    m = discretize_weight(bundled("semicircle_weight"), 1000, digits=15)
     rec = chain_from_recurrence(stieltjes_recurrence(m, 20))
     from rwlab.chains import is_periodic
 
@@ -91,7 +91,7 @@ def test_regularity(chain_a, chain_c, chain_s):
 
 
 def test_edge_scaling_semicircle(chain_s):
-    exps = edge_exponents(families.weight_semicircle(), 20)
+    exps = edge_exponents(bundled("semicircle_weight"), 20)
     res = edge_scaled_christoffel(chain_s, exps, 1.0, 2000)
     assert res.limit_top.value == pytest.approx(3.0, rel=5e-3)
     # the derived constant is the closed-form semicircle limit
@@ -100,12 +100,12 @@ def test_edge_scaling_semicircle(chain_s):
 
 def test_edge_scaling_weight_d(report_d):
     # the bottom-edge scaled sequence n^(2 beta + 2) rho_n(-eta) stabilizes
-    exps = edge_exponents(families.weight_d(), 20)
+    exps = edge_exponents(bundled("weight_d"), 20)
     chain = None
     # rebuild the chain from the cached report's series length cheaply
     from rwlab.recover import grid_size_for_depth
 
-    m = discretize_weight(families.weight_d(), grid_size_for_depth(600), digits=15)
+    m = discretize_weight(bundled("weight_d"), grid_size_for_depth(600), digits=15)
     rec = chain_from_recurrence(stieltjes_recurrence(m, 600))
     res = edge_scaled_christoffel(rec.chain, exps, report_d.edges.eta_hat, 590)
     tail = res.scaled_bottom[-8:]
@@ -115,15 +115,15 @@ def test_edge_scaling_weight_d(report_d):
 
 
 @pytest.mark.parametrize("weight, eta, chain, top, bottom", [
-    ("weight_semicircle", 1, "chain_s", 3.0, 3.0),
+    ("semicircle_weight", 1, "chain_s", 3.0, 3.0),
     ("weight_d", 1, "chain_d600", 6.0, 22.5),
     ("weight_e", 1, "chain_e600", 4.5, 1.5),
     # scaling the support leaves the constants alone: checks the (2 eta) powers
-    ("weight_semicircle", Fraction(1, 2), None, 3.0, 3.0),
+    ("semicircle_weight", Fraction(1, 2), None, 3.0, 3.0),
     ("weight_d", Fraction(1, 2), None, 6.0, 22.5),
 ])
 def test_edge_constants_are_derived(request, weight, eta, chain, top, bottom):
-    spec = dataclasses.replace(getattr(families, weight)(), eta=Fraction(eta))
+    spec = dataclasses.replace(bundled(weight), eta=Fraction(eta))
     exps = edge_exponents(spec, 20)
     constants = (edge_constant(eta, exps.alpha, exps.beta, exps.w_at_eta),
                  edge_constant(eta, exps.beta, exps.alpha, exps.w_at_minus_eta))
@@ -139,7 +139,7 @@ def test_edge_constants_are_derived(request, weight, eta, chain, top, bottom):
 def test_eps_window(chain_b, quad400):
     diag = edge_mass_ratio(quad400["B"], 1.0)
     assert np.all(diag.ratios == 0.0)
-    me = discretize_weight(families.weight_e(), 2000, digits=15)
+    me = discretize_weight(bundled("weight_e"), 2000, digits=15)
     diag = edge_mass_ratio(me, 1.0, eps_grid=np.geomspace(0.5, 0.01, 24))
     assert diag.estimate.value == pytest.approx(1 / 3, abs=0.1)
 
@@ -207,14 +207,14 @@ def test_gap_between_edges_forces_zero_limits(report_b):
 
 
 def test_killed_chain_report():
-    rep = conjecture_report(chain=families.chain_k(), n_max=300, truncation=1000,
+    rep = conjecture_report(chain=bundled("chain_k"), n_max=300, truncation=1000,
                             digits=15)
     assert rep.lim_cn is None
     assert rep.branch == "none-applicable"  # absorption certain: no prediction
     assert rep.lim_rho_ratio.value <= 1e-6
     # killed chain with r = 0: the parity argument still applies, the ratio
     # is identically 1, and the report lands in the periodic branch
-    rep = conjecture_report(chain=families.chain_transient_killing(), n_max=300,
+    rep = conjecture_report(chain=chain_transient_killing(), n_max=300,
                             truncation=1000, digits=15)
     assert rep.branch == "i"
     assert rep.lim_cn is None

@@ -6,7 +6,6 @@ recovered weight chains, and on random chains far enough beyond the edge
 that an unscaled float64 recurrence overflows."""
 
 import math
-import os
 from fractions import Fraction
 from itertools import accumulate
 
@@ -15,8 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rwlab import families
-from rwlab import fileformats as ff
+from conftest import bundled
 from rwlab.asymptotics import ratio_vanishing_criterion
 from rwlab.chains import ChainSpec, classify_series, rule
 from rwlab.errors import NonpositiveQError
@@ -30,7 +28,6 @@ from rwlab.polynomials import (
 )
 from rwlab.tridiagonal import _three_term
 
-RECOVERED = os.path.join(os.path.dirname(__file__), "..", "configs", "chain_recovered.cfg")
 TINY = np.finfo(float).smallest_subnormal
 
 
@@ -83,17 +80,9 @@ def assert_ratios_agree(fast, exact, rtol):
 
 
 def bundled_chains():
-    chains = {
-        "chain_a": (families.chain_arcsine(), 1.0),
-        "chain_b": (families.chain_shifted_arcsine(), 1.0),
-        "chain_c": (families.chain_asymmetric(), math.sqrt(0.84)),
-        "chain_s": (families.chain_semicircle(), 1.0),
-        "chain_k": (families.chain_k(), 1.0),
-        "constant_killing": (families.chain_constant_killing(), 0.9),
-    }
-    recovered = ff.chain_from_sections(ff.parse_file(RECOVERED))
-    chains["chain_recovered"] = (recovered, 1.0)
-    return chains
+    etas = {"chain_a": 1.0, "chain_b": 1.0, "chain_c": math.sqrt(0.84), "chain_s": 1.0,
+            "chain_k": 1.0, "constant_killing": 0.9, "chain_recovered": 1.0}
+    return {name: (bundled(name), eta) for name, eta in etas.items()}
 
 
 @pytest.mark.parametrize("name", list(bundled_chains()))
@@ -117,6 +106,7 @@ def test_ratio_sequences_agree_on_recovered_weight_chains(fixture, request):
     ("chain_c", math.sqrt(0.84), 1500),
     ("chain_s", 1.0, 1500),
     ("chain_recovered", 1.0, 62),
+    ("chain_k", 1.0, 1500),  # Q_j(1) grows under killing: the ln Q_j terms count
 ])
 def test_ratio_vanishing_verdicts_equal(name, eta, n):
     chain = bundled_chains()[name][0]
@@ -135,9 +125,9 @@ def test_ratio_vanishing_names_the_same_nonpositive_index(chain_b):
     assert messages[0] == messages[1]
 
 
-@pytest.mark.parametrize("family", ["chain_k", "chain_constant_killing"])
+@pytest.mark.parametrize("family", ["chain_k", "constant_killing"])
 def test_q_at_one_growth_agrees(family):
-    chain = getattr(families, family)()
+    chain = bundled(family)
     fast, exact = (np.array(q_at_one_growth(chain, 2000, digits)) for digits in (15, 34))
     # constant_killing's Q_n(1) grows past the float64 range on both routes
     assert np.array_equal(np.isinf(fast), np.isinf(exact))

@@ -1,5 +1,6 @@
 """Chain validation, potential coefficients and the divergence verdicts."""
 
+import glob
 import math
 import os
 import warnings
@@ -9,7 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rwlab import families
+from conftest import (
+    CONFIGS,
+    TEST_ONLY_CHAINS,
+    bundled,
+    chain_geometric_transient,
+    chain_polyhold,
+    chain_r4_transient,
+    chain_transient_killing,
+)
 from rwlab.chains import (
     ChainSpec,
     CoeffRule,
@@ -38,7 +47,17 @@ def test_validation_errors():
 
 
 def test_all_families_validate():
-    for make in families.CHAINS.values():
+    # every bundled config: chains through ChainSpec.validate, weights
+    # through weight_from_sections (bundled parses them); and the test-only
+    # chains
+    kinds = set()
+    for path in sorted(glob.glob(os.path.join(CONFIGS, "*.cfg"))):
+        spec = bundled(os.path.basename(path)[:-4])
+        if isinstance(spec, ChainSpec):
+            spec.validate()
+        kinds.add(type(spec).__name__)
+    assert kinds == {"ChainSpec", "WeightSpec"}
+    for make in TEST_ONLY_CHAINS.values():
         make().validate()
 
 
@@ -62,7 +81,7 @@ def test_series_L(chain_a, chain_b):
     assert np.allclose(v.partial_sums, [1, 2, 3, 4, 5, 6])
     assert v.verdict == "diverges"
     assert series_L(chain_b, 2000).verdict == "diverges"
-    assert series_L(families.chain_geometric_transient(), 500).verdict == "converges"
+    assert series_L(chain_geometric_transient(), 500).verdict == "converges"
 
 
 def test_aperiodicity_sum(chain_a, chain_b):
@@ -71,15 +90,15 @@ def test_aperiodicity_sum(chain_a, chain_b):
     assert np.all(v.partial_sums == 0)
     assert asymptotic_aperiodicity_sum(chain_b, 2000).verdict == "diverges"
     # exponentially vanishing hold on a transient drift: double sum converges
-    assert asymptotic_aperiodicity_sum(families.chain_r4_transient(), 2000).verdict == "converges"
+    assert asymptotic_aperiodicity_sum(chain_r4_transient(), 2000).verdict == "converges"
     with pytest.raises(ChainHasKillingError):
-        asymptotic_aperiodicity_sum(families.chain_k(), 100)
+        asymptotic_aperiodicity_sum(bundled("chain_k"), 100)
 
 
 def test_rj_over_pj(chain_a, chain_b):
     assert rj_over_pj_sum(chain_b, 1000).verdict == "diverges"
     assert rj_over_pj_sum(chain_a, 1000).verdict == "converges"
-    assert rj_over_pj_sum(families.chain_polyhold(), 4000).verdict == "converges"
+    assert rj_over_pj_sum(chain_polyhold(), 4000).verdict == "converges"
 
 
 def test_rj_dominated_by_double_sum(chain_b):
@@ -92,26 +111,26 @@ def test_rj_dominated_by_double_sum(chain_b):
 def test_rj_sum_only_sufficient():
     # recurrent chain with summable holds: the single sum converges while
     # the double sum still diverges (the converse implication fails)
-    chain = families.chain_polyhold()
+    chain = chain_polyhold()
     assert rj_over_pj_sum(chain, 4000).verdict == "converges"
     assert asymptotic_aperiodicity_sum(chain, 4000).verdict == "diverges"
 
 
 def test_killing_sum(chain_a):
     assert killing_sum(chain_a, 500).verdict == "converges"
-    assert killing_sum(families.chain_constant_killing(), 1500).verdict == "diverges"
-    assert killing_sum(families.chain_transient_killing(), 1500).verdict == "converges"
-    assert killing_sum(families.chain_k(), 3000).verdict == "diverges"
+    assert killing_sum(bundled("constant_killing"), 1500).verdict == "diverges"
+    assert killing_sum(chain_transient_killing(), 1500).verdict == "converges"
+    assert killing_sum(bundled("chain_k"), 3000).verdict == "diverges"
 
 
 @pytest.mark.parametrize("series, family, n, verdict, detail", [
-    (series_L, "chain_asymmetric", 4000, "converges",
+    (series_L, "chain_c", 4000, "converges",
      "aitken stable at 1.75 over indices [40, 400, 4000]"),
-    (series_L, "chain_shifted_arcsine", 2000, "diverges",
+    (series_L, "chain_b", 2000, "diverges",
      "summand ~ j^-0.000 >= 1/j over j in [200,2000]"),
     (killing_sum, "chain_transient_killing", 4000, "converges",
      "aitken stable at 0.666667 over indices [40, 400, 4000]"),
-    (killing_sum, "chain_constant_killing", 4000, "diverges",
+    (killing_sum, "constant_killing", 4000, "diverges",
      "summand ~ j^1.000 >= 1/j over j in [400,4000]"),
     (killing_sum, "chain_k", 3000, "diverges",
      "summand ~ j^-0.000 >= 1/j over j in [300,3000]"),
@@ -125,7 +144,8 @@ def test_killing_sum(chain_a):
 def test_series_verdicts_pinned(series, family, n, verdict, detail):
     # the exact strings chain-info and conjecture print; the float64
     # log-space summands must reproduce them at any working precision
-    v = series(getattr(families, family)(), n)
+    chain = bundled(family)
+    v = series(chain, n)
     assert (v.verdict, v.tail_analysis) == (verdict, detail)
 
 
@@ -165,8 +185,9 @@ def test_classifier_geometric():
 
 def test_deep_sum_to_one():
     # tail rules keep the one-step probabilities normalized far out
-    for make in families.CHAINS.values():
-        chain = make()
+    closed_form = ("chain_a", "chain_b", "chain_c", "chain_s", "chain_k", "constant_killing")
+    for chain in [bundled(name) for name in closed_form] + [
+            make() for make in TEST_ONLY_CHAINS.values()]:
         idx = np.unique(np.geomspace(1, 10**5, 40).astype(int))
         p, q, r, k = (
             chain.p.array(idx[-1]), chain.q.array(idx[-1]),
@@ -235,17 +256,17 @@ def test_no_hot_path_hashes_a_chain(monkeypatch):
         raise AssertionError(f"{self.label} was hashed")
 
     monkeypatch.setattr(ChainSpec, "__hash__", refuse)
-    chain = families.chain_shifted_arcsine()
+    chain = bundled("chain_b")
     conjecture_report(chain=chain, N=60, n_max=100, truncation=200,
                       sum_horizon=200, digits=15)
-    conjecture_report(weight=families.weight_e(), N=60, n_max=60, truncation=200,
+    conjecture_report(weight=bundled("weight_e"), N=60, n_max=60, truncation=200,
                       sum_horizon=200, digits=15)
     support_edges(chain, 60, tol=1e-4)
     quadrature_from_chain(chain, 20, digits=34)
     normalize(chain, 1.0, 50)
     srlp_predicted_limit(chain, 0, 1, 0, 0, 1.0, horizon=50)
     christoffel_ratio_sequence(chain, 100, 1.0)
-    absorption_probabilities(families.chain_k(), 4, 200)
+    absorption_probabilities(bundled("chain_k"), 4, 200)
 
 
 def test_fifteen_digit_passes_stay_off_mpmath(monkeypatch):
@@ -254,7 +275,6 @@ def test_fifteen_digit_passes_stay_off_mpmath(monkeypatch):
     import sys
 
     from rwlab import chains as chains_module
-    from rwlab import fileformats as ff
     from rwlab.asymptotics import conjecture_report
     from rwlab.polynomials import absorption_probabilities
 
@@ -265,18 +285,16 @@ def test_fifteen_digit_passes_stay_off_mpmath(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("rwlab") and getattr(module, "log_pi_mpf", None) is chains_module.log_pi_mpf:
             monkeypatch.setattr(module, "log_pi_mpf", refuse)
-    recovered = ff.chain_from_sections(ff.parse_file(
-        os.path.join(os.path.dirname(__file__), "..", "configs", "chain_recovered.cfg")))
-    for chain in (families.chain_shifted_arcsine(), families.chain_k(), recovered):
+    for chain in (bundled("chain_b"), bundled("chain_k"), bundled("chain_recovered")):
         conjecture_report(chain=chain, N=60, n_max=200, truncation=400,
                           sum_horizon=400, digits=15)
-    absorption_probabilities(families.chain_k(), 6, 2000, digits=15)
+    absorption_probabilities(bundled("chain_k"), 6, 2000, digits=15)
 
 
 def test_float_columns_come_from_one_table(monkeypatch):
     # the float64 columns are converted once, when a request first runs
     # past the table, and are read-only slices of it afterwards
-    chain = families.chain_shifted_arcsine()
+    chain = bundled("chain_b")
     first = chain.arrays(300)
     calls = []
     build = CoeffRule.array

@@ -10,14 +10,13 @@ import warnings
 import pytest
 
 import rwlab
+from conftest import CONFIGS, bundled
 from rwlab import fileformats as ff
-from rwlab import asymptotics, families
+from rwlab import asymptotics
 from rwlab.chains import ChainSpec, CoeffRule, rule
 from rwlab.cli import main
 from rwlab.measures import monte_carlo_transition
 from rwlab.polynomials import support_edges
-
-CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def cfg(name):
@@ -52,7 +51,7 @@ def test_chain_file_roundtrip(tmp_path, chain_s):
 
 
 def test_weight_file_roundtrip():
-    spec = families.weight_e()
+    spec = bundled("weight_e")
     text = ff.weight_to_text(spec)
     assert ff.weight_from_sections(ff.parse_sections(text)) == spec
 
@@ -86,14 +85,14 @@ def test_recover_failure_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("family, depth, code", [
-    ("weight_semicircle", 300, 0),
+    ("semicircle_weight", 300, 0),
     ("weight_d", 600, 3),  # the reorthogonalized chain fails at index 130
 ])
 def test_recover_reports_stieltjes_fallback(tmp_path, capsys, family, depth, code):
     # grid = 64 gives 3,360 nodes, too few for the depth: the Stieltjes
     # check trips and the fallback is reported as one JSON warning record
     config = tmp_path / "w.cfg"
-    config.write_text(ff.weight_to_text(getattr(families, family)())
+    config.write_text(ff.weight_to_text(bundled(family))
                       + f"\n[run]\nprecision = 15\ndepth = {depth}\ngrid = 64\n")
     out = str(tmp_path / "o")
     assert run("recover", "--config", str(config), "--out", out) == code
@@ -119,7 +118,7 @@ def test_recover_reports_stieltjes_fallback(tmp_path, capsys, family, depth, cod
 def test_weight_grid_and_depth_options_are_input_errors(tmp_path, capsys, sub, run_options,
                                                        message):
     config = tmp_path / "w.cfg"
-    config.write_text(ff.weight_to_text(families.weight_e())
+    config.write_text(ff.weight_to_text(bundled("weight_e"))
                       + f"\n[run]\nprecision = 15\nhorizon = 64\n{run_options}\n")
     out = str(tmp_path / "o")
     assert run(sub, "--config", str(config), "--out", out) == 3
@@ -131,37 +130,41 @@ def test_weight_grid_and_depth_options_are_input_errors(tmp_path, capsys, sub, r
 
 
 @pytest.mark.parametrize("sub, family, run_options, flags, message", [
-    ("edges", "chain_shifted_arcsine", "truncation = abc", (),
+    ("edges", "chain_b", "truncation = abc", (),
      "[run] truncation must be an integer, not 'abc'"),
-    ("mc", "chain_shifted_arcsine", "samples = 999", (),
+    ("mc", "chain_b", "samples = 999", (),
      "mc needs samples >= 1000, the run has samples = 999"),
-    ("mc", "chain_shifted_arcsine", "seed = -1", (), "the seed must be >= 0, the run has seed = -1"),
-    ("mc", "chain_shifted_arcsine", "", ("--seed", "-5"), "the seed must be >= 0"),
-    ("cn", "chain_shifted_arcsine", "", ("--horizon", "-3"), "horizon must be >= 0"),
-    ("chain-info", "chain_shifted_arcsine", "", ("--horizon", "0"),
+    ("mc", "chain_b", "seed = -1", (), "the seed must be >= 0, the run has seed = -1"),
+    ("mc", "chain_b", "", ("--seed", "-5"), "the seed must be >= 0"),
+    ("cn", "chain_b", "", ("--horizon", "-3"), "horizon must be >= 0"),
+    ("chain-info", "chain_b", "", ("--horizon", "0"),
      "chain-info needs horizon >= 1"),
     ("absorb", "chain_k", "j_max = 6", ("--horizon", "0"),
      "extrapolating Q_n(1) needs 16 terms, max(j_max, n_trunc) = 6 gives 7"),
-    ("srlp", "chain_shifted_arcsine", "i = -1", (),
+    ("srlp", "chain_b", "i = -1", (),
      "srlp needs i, j, k, l in [0, 402)"),
-    ("srlp", "chain_shifted_arcsine", "l = 5000", (),
+    ("srlp", "chain_b", "l = 5000", (),
      "the run has (i, j, k, l) = (0, 1, 0, 5000)"),
     ("absorb", "chain_k", "j_max = -1", (), "[run] j_max must be >= 0, the run has j_max = -1"),
-    ("polys", "chain_shifted_arcsine", "depth = -2", (),
+    ("polys", "chain_b", "depth = -2", (),
      "[run] depth must be >= 0, the run has depth = -2"),
-    ("normalize", "chain_arcsine", "depth = -2", (),
+    ("normalize", "chain_a", "depth = -2", (),
      "[run] depth must be >= 0, the run has depth = -2"),
-    ("mc", "chain_shifted_arcsine", "steps = -1", (),
+    ("mc", "chain_b", "steps = -1", (),
      "[run] steps must be >= 1, the run has steps = -1"),
-    ("mc", "chain_shifted_arcsine", "", ("--seed", str(2**128 - 1)),
+    ("mc", "chain_b", "", ("--seed", str(2**128 - 1)),
      "the seed must be <= 2**128 - 2"),
+    ("polys", "chain_b", "x = abc", (), "[run] x must be a rational number, not 'abc'"),
+    ("polys", "chain_b", "x = 1/0", (), "[run] x must be a rational number, not '1/0'"),
+    ("srlp", "chain_b", "", ("--horizon", "0"), "srlp needs horizon >= 1, the run has horizon 0"),
 ], ids=["non-integer", "samples", "seed", "seed-flag", "negative-horizon",
         "chain-info-horizon", "absorb-horizon", "srlp-negative-index", "srlp-unreachable-state",
-        "absorb-j-max", "polys-depth", "normalize-depth", "mc-steps", "mc-seed-key"])
+        "absorb-j-max", "polys-depth", "normalize-depth", "mc-steps", "mc-seed-key",
+        "polys-x-not-rational", "polys-x-zero-denominator", "srlp-horizon"])
 def test_bad_run_values_are_input_errors(tmp_path, capsys, sub, family, run_options, flags,
                                          message):
     config = tmp_path / "c.cfg"
-    config.write_text(ff.chain_to_text(getattr(families, family)())
+    config.write_text(ff.chain_to_text(bundled(family))
                       + f"\n[run]\nprecision = 15\n{run_options}\n")
     out = str(tmp_path / "o")
     assert run(sub, "--config", str(config), "--out", out, *flags) == 3
@@ -176,7 +179,7 @@ def test_conjecture_analyses_the_chain_recover_writes(tmp_path, monkeypatch):
     # one weight-to-chain path: at 34 digits, conjecture_report runs its
     # edge solve on exactly the chain that `rwlab recover` writes
     config = tmp_path / "e.cfg"
-    config.write_text(ff.weight_to_text(families.weight_e()) + "\n[run]\ndepth = 64\n")
+    config.write_text(ff.weight_to_text(bundled("weight_e")) + "\n[run]\ndepth = 64\n")
     out = str(tmp_path / "o")
     assert run("recover", "--config", str(config), "--out", out, "--precision", "34") == 0
     written = ff.chain_from_sections(ff.parse_file(os.path.join(out, "recovered_chain.txt")))
@@ -187,7 +190,7 @@ def test_conjecture_analyses_the_chain_recover_writes(tmp_path, monkeypatch):
         return support_edges(chain, *args, **kwargs)
 
     monkeypatch.setattr(asymptotics, "support_edges", spy)
-    asymptotics.conjecture_report(weight=families.weight_e(), n_max=64, digits=34)
+    asymptotics.conjecture_report(weight=bundled("weight_e"), n_max=64, digits=34)
     assert len(seen) == 1
     for name in ("p", "q", "r", "kappa"):
         analysed, recovered = getattr(seen[0], name).prefix, getattr(written, name).prefix
@@ -233,7 +236,7 @@ def test_mc_rows_come_from_one_walk_per_start_state(tmp_path):
     lines = read(os.path.join(out, "mc.csv")).splitlines()
     assert lines[0] == "i,j,n,spectral,matrix,mc_est,mc_se"
     assert len(lines) == 1 + 3 * 4
-    chain = ff.chain_from_sections(ff.parse_file(cfg("chain_b.cfg")))
+    chain = bundled("chain_b")
     for line in lines[1:]:
         i, j, n = (int(v) for v in line.split(",")[:3])
         est, se = monte_carlo_transition(chain, i, j, n, 10**5, seed=40 + i)
@@ -334,7 +337,7 @@ def test_edge_subcommands_on_prefix_only_chains(tmp_path, capsys):
                "--truncation", "400") == 0
     assert "truncation_size = 64" in read(os.path.join(out, "edges.txt"))
     # cut to depth 40, the chain is too short for the edge solve
-    chain = ff.chain_from_sections(ff.parse_file(cfg("chain_recovered.cfg")))
+    chain = bundled("chain_recovered")
     short = ChainSpec(chain.label, *(CoeffRule(col.prefix[:40])
                                      for col in (chain.p, chain.q, chain.r, chain.kappa)))
     config = tmp_path / "short.cfg"

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from rwlab import families
+from conftest import bundled, chain_transient_killing
 from rwlab.errors import ChainHasKillingError, ZeroDenominatorError
 from rwlab.measures import (
     L_functional,
@@ -46,7 +46,7 @@ def test_mass_and_moments(quad400):
 
 def test_killing_rejected():
     with pytest.raises(ChainHasKillingError):
-        quadrature_from_chain(families.chain_k(), 16)
+        quadrature_from_chain(bundled("chain_k"), 16)
 
 
 def test_node_range(chain_b):
@@ -105,7 +105,7 @@ def test_cn_series_blocks_match_one_shot_reduction(quad400):
 
 def test_cn_weight_oracle():
     # independent oracle: adaptive quadrature of the weight-E density
-    me = discretize_weight(families.weight_e(), 2000, digits=15)
+    me = discretize_weight(bundled("weight_e"), 2000, digits=15)
     got = compute_Cn(me, 200).value
     with mp.workdps(40):
         dens = lambda x: mp.sqrt(1 - x * x) * (2 + x)
@@ -124,7 +124,7 @@ def test_L_functional(chain_b, quad400):
     val = L_functional(mb, chain_b, [0, 1], 500)
     assert val == pytest.approx(1.0, abs=5e-3)
     with pytest.raises(ZeroDenominatorError):
-        L_functional(quad400["A"], families.chain_arcsine(), [1], 7)
+        L_functional(quad400["A"], bundled("chain_a"), [1], 7)
 
 
 def test_transition_one_step(chain_b):
@@ -174,7 +174,7 @@ def test_monte_carlo_matches_matrix(chain_b):
 
 def test_monte_carlo_killing():
     # killed trajectories never count as being at j
-    chain = families.chain_constant_killing()
+    chain = bundled("constant_killing")
     est, se = monte_carlo_transition(chain, 0, 0, 2, 10**5, seed=7)
     v = matrix_transition_vector(chain, 0, 2)
     assert abs(est - float(v[0])) <= 4 * se
@@ -183,11 +183,11 @@ def test_monte_carlo_killing():
 def test_monte_carlo_streams_pinned():
     # exact values of the seeded streams: the down/hold/up/kill decision of
     # every uniform, the draw pattern and the standard errors must not move
-    chain_k = families.chain_k()
+    chain_k = bundled("chain_k")
     assert monte_carlo_transition(chain_k, 0, 0, 8, 10**4, seed=5) == (
         0.0604, 0.0023822644689454613)
     assert monte_carlo_absorption(
-        families.chain_transient_killing(), 0, 300, 10**4, seed=3
+        chain_transient_killing(), 0, 300, 10**4, seed=3
     ) == (0.395, 0.0048885069295235735)
     res = monte_carlo_eventual_absorption(chain_k, 0, 10**4, seed=2)
     assert res.estimate == 0.9917979729729731
@@ -197,16 +197,16 @@ def test_monte_carlo_streams_pinned():
 
 def test_eventual_checkpoints_match_single_horizon_walks():
     # one checkpointed walk draws the stream of each shorter walk as a prefix
-    chain_k = families.chain_k()
+    chain_k = bundled("chain_k")
     res = monte_carlo_eventual_absorption(chain_k, 0, 10**4, seed=2)
     for horizon, fraction in zip(res.horizons, res.absorbed_fractions):
         assert monte_carlo_absorption(chain_k, 0, horizon, 10**4, seed=2)[0] == fraction
 
 
-@pytest.mark.parametrize("name,kills", [("chain_k", True), ("chain_shifted_arcsine", False)])
+@pytest.mark.parametrize("name,kills", [("chain_k", True), ("chain_b", False)])
 def test_transitions_walk_matches_single_queries(name, kills):
     # chain_k kills at state 0; chain_b takes the no-kill path
-    chain = getattr(families, name)()
+    chain = bundled(name)
     assert (_mc_thresholds(chain, 10)[2] is not None) == kills
     js = (0, 1, 2)
     walk = monte_carlo_transitions(chain, 0, js, 6, 10**4, seed=11)

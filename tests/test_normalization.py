@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rwlab import families
+from conftest import bundled
 from rwlab.errors import NonpositiveQError
 from rwlab.limits import estimate_limit
 from rwlab.measures import cn_series, quadrature_from_chain
@@ -32,7 +32,7 @@ def test_tilde_coefficients(chain_c):
 
 
 def test_killed_chain_normalizes_to_honest():
-    norm = normalize(families.chain_k(), 1, 40)
+    norm = normalize(bundled("chain_k"), 1, 40)
     for j in range(40):
         p, q, r, k = norm.chain.at(j)
         assert abs(p + q + r + k - 1) < 1e-30

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from rwlab import families
+from conftest import bundled, chain_transient_killing
 from rwlab.errors import PrecisionExhaustedError
 from rwlab.measures import monte_carlo_absorption
 from rwlab.polynomials import (
@@ -172,9 +172,9 @@ def test_support_edges_known_values(edges2000):
 
 def test_q_growth(chain_a):
     assert q_at_one_growth(chain_a, 5) == [1.0] * 6
-    g = q_at_one_growth(families.chain_k(), 8)
+    g = q_at_one_growth(bundled("chain_k"), 8)
     assert g == pytest.approx([1 + n / 2 for n in range(9)])
-    g = q_at_one_growth(families.chain_constant_killing(), 300)
+    g = q_at_one_growth(bundled("constant_killing"), 300)
     assert all(b >= a for a, b in zip(g, g[1:]))
     assert g[-1] > 100
 
@@ -186,7 +186,7 @@ def test_absorption_zero_killing(chain_a):
 
 def test_absorption_exact_transient():
     # first-passage argument: tau_0 = 2/5, tau_1 = 1/5, Q_inf(1) = 5/3
-    res = absorption_probabilities(families.chain_transient_killing(), 2, 400, digits=15)
+    res = absorption_probabilities(chain_transient_killing(), 2, 400, digits=15)
     assert res.route == "extrapolated"
     assert res.q_infinity == pytest.approx(5 / 3, rel=1e-10)
     assert res.tau[0] == pytest.approx(0.4, abs=1e-10)
@@ -194,13 +194,13 @@ def test_absorption_exact_transient():
 
 
 def test_absorption_divergence_route():
-    res = absorption_probabilities(families.chain_constant_killing(), 3, 300)
+    res = absorption_probabilities(bundled("constant_killing"), 3, 300)
     assert res.route == "killing-sum-diverges"
     assert res.tau == (1.0,) * 4
 
 
 def test_absorption_monte_carlo_oracle():
     est, se = monte_carlo_absorption(
-        families.chain_transient_killing(), 0, 300, 2 * 10**5, seed=421
+        chain_transient_killing(), 0, 300, 2 * 10**5, seed=421
     )
     assert abs(est - 0.4) <= 4 * se + 1e-4

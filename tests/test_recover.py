@@ -7,7 +7,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from rwlab import families, recover
+from conftest import bundled
+from rwlab import recover
 from rwlab.errors import InputError, NumericalRouteWarning
 from rwlab.measures import moment
 from rwlab.recover import (
@@ -26,7 +27,7 @@ def catalan(k: int) -> int:
 
 def test_semicircle_moments_closed_form():
     # even moments of the normalized semicircle are Catalan(k)/4^k
-    m = discretize_weight(families.weight_semicircle(), 1000, digits=34)
+    m = discretize_weight(bundled("semicircle_weight"), 1000, digits=34)
     for k in range(0, 13):
         want = catalan(k) / 4.0**k
         assert moment(m, 2 * k, digits=34) == pytest.approx(want, rel=1e-20)
@@ -34,13 +35,13 @@ def test_semicircle_moments_closed_form():
 
 
 def test_weight_d_mean():
-    m = discretize_weight(families.weight_d(), 1000, digits=15)
+    m = discretize_weight(bundled("weight_d"), 1000, digits=15)
     assert moment(m, 1) == pytest.approx(0.25, abs=1e-13)
 
 
 def test_moments_against_adaptive_oracle():
     # doubling the grid moves the first 50 moments by less than 1e-16
-    spec = families.weight_e()
+    spec = bundled("weight_e")
     m1 = discretize_weight(spec, 1000, digits=34)
     m2 = discretize_weight(spec, 2000, digits=34)
     for n in range(50):
@@ -84,14 +85,14 @@ def test_stieltjes_arcsine(quad400):
 
 
 def test_stieltjes_semicircle_weight():
-    m = discretize_weight(families.weight_semicircle(), 1000, digits=15)
+    m = discretize_weight(bundled("semicircle_weight"), 1000, digits=15)
     rc = stieltjes_recurrence(m, 12)
     assert np.abs(rc.a - 0.5).max() < 1e-12
     assert np.abs(rc.b).max() < 1e-13  # symmetric weight: diagonal vanishes
 
 
 def test_stieltjes_b0_is_mean():
-    m = discretize_weight(families.weight_d(), 1000, digits=15)
+    m = discretize_weight(bundled("weight_d"), 1000, digits=15)
     rc = stieltjes_recurrence(m, 5)
     assert rc.b[0] == pytest.approx(0.25, abs=1e-12)
 
@@ -109,7 +110,7 @@ def test_chain_recovery_known_families(quad400):
     for j in range(1, 9):
         assert float(rec.chain.p.at(j)) == pytest.approx(0.5, abs=1e-11)
         assert float(rec.chain.q.at(j)) == pytest.approx(0.5, abs=1e-11)
-    m = discretize_weight(families.weight_semicircle(), 1000, digits=15)
+    m = discretize_weight(bundled("semicircle_weight"), 1000, digits=15)
     rec = chain_from_recurrence(stieltjes_recurrence(m, 10))
     assert rec.ok
     for j in range(9):
@@ -125,7 +126,7 @@ def test_recovery_failure_negative_mean():
     assert not rec.ok
     assert rec.fail_index == 0
     assert "r_0" in rec.fail_reason
-    m = discretize_weight(families.weight_negative_mean(), 500, digits=15)
+    m = discretize_weight(bundled("negative_mean"), 500, digits=15)
     rec = chain_from_recurrence(stieltjes_recurrence(m, 10))
     assert not rec.ok and rec.fail_index == 0
 
@@ -141,7 +142,7 @@ def test_roundtrip_all_core_families(core_chains, quad400):
 
 def test_normalization_invariance():
     # a constant multiple of the smooth factor changes nothing
-    base = families.weight_e()
+    base = bundled("weight_e")
     scaled = make_weight("scaled", 1, "1/2", "1/2", "(2 + x) * 5")
     m1 = discretize_weight(base, 800, digits=15)
     m2 = discretize_weight(scaled, 800, digits=15)
@@ -155,11 +156,11 @@ def test_rw_condition_verified_to_depth():
     # weight D's diagonal decays like 1/k^2 and stays resolvable through 200;
     # weight E's decays geometrically below any working precision around
     # k = 12, so positivity is only checked on the resolvable range there
-    md = discretize_weight(families.weight_d(), grid_size_for_depth(220), digits=15)
+    md = discretize_weight(bundled("weight_d"), grid_size_for_depth(220), digits=15)
     rec = chain_from_recurrence(stieltjes_recurrence(md, 220))
     assert rec.ok
     assert all(rec.chain.r.at(j) > 0 for j in range(200))
-    me = discretize_weight(families.weight_e(), grid_size_for_depth(220), digits=15)
+    me = discretize_weight(bundled("weight_e"), grid_size_for_depth(220), digits=15)
     rec = chain_from_recurrence(stieltjes_recurrence(me, 220))
     assert rec.ok and rec.depth == 220
     assert all(rec.chain.r.at(j) > 0 for j in range(10))
@@ -168,7 +169,7 @@ def test_rw_condition_verified_to_depth():
 
 @pytest.fixture(scope="module")
 def measure_d600():
-    return discretize_weight(families.weight_d(), grid_size_for_depth(600), digits=15)
+    return discretize_weight(bundled("weight_d"), grid_size_for_depth(600), digits=15)
 
 
 def test_verified_plain_stieltjes_matches_reorthogonalized(measure_d600):
@@ -186,7 +187,7 @@ def test_stieltjes_fallback_is_reorthogonalized_bit_for_bit():
     # 3,360 nodes resolve about 130 coefficients: the plain recursion loses
     # orthogonality, so the default path must return the reorthogonalized
     # coefficients exactly and say so
-    m = discretize_weight(families.weight_d(), 64, digits=15)
+    m = discretize_weight(bundled("weight_d"), 64, digits=15)
     with pytest.warns(NumericalRouteWarning, match="reorthogonalization"):
         default = stieltjes_recurrence(m, 600)
     full = recover._stieltjes_f64(m, 600, True)[0]

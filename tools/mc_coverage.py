@@ -22,9 +22,10 @@ import os
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from rwlab import families  # noqa: E402
+from rwlab import fileformats as ff  # noqa: E402
 from rwlab.measures import monte_carlo_eventual_absorption  # noqa: E402
 
 
@@ -34,7 +35,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--count", type=int, default=80, help="number of seeds")
     parser.add_argument("--samples", type=int, default=10**5, help="walkers per seed")
     args = parser.parse_args(argv)
-    chain = families.chain_k()
+    chain = ff.chain_from_sections(ff.parse_file(os.path.join(ROOT, "configs", "chain_k.cfg")))
     started = time.perf_counter()
     sigmas = []
     estimates = []
