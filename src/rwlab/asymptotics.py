@@ -37,7 +37,7 @@ from .polynomials import (
     christoffel_ratio_sequence,
     support_edges,
 )
-from .recover import WeightSpec, grid_size_for_depth, raw_density_integral, recover_chain
+from .recover import WeightSpec, density_integral, recover_chain
 from .tridiagonal import FLOAT_DIGITS
 
 CONSISTENCY_FLOOR = 0.02
@@ -64,11 +64,13 @@ class EdgeExponents:
 
 def edge_exponents(spec: WeightSpec, digits: int = DEFAULT_DIGITS) -> EdgeExponents:
     """EdgeExponents of a weight spec, with the smooth limits normalized to
-    unit total mass (the atoms share in the normalization)."""
+    unit total mass (the atoms share in the normalization; the density's
+    integral is recover.density_integral, in closed form for a polynomial
+    smooth factor)."""
     from . import expressions as ex
 
     with mp.workdps(digits + 10):
-        integral = raw_density_integral(spec, digits)
+        integral = density_integral(spec, digits)
         atom_mass = mp.fsum(mpf_from_fraction(m) for _, m in spec.atoms) if spec.atoms else mp.mpf(0)
         c = 1 / (integral + atom_mass)
         eta = mpf_from_fraction(spec.eta)
@@ -393,7 +395,11 @@ def conjecture_report(
     """Full pipeline for one chain or one weight: build the measure side and
     the polynomial side, estimate both limits, classify, and compare.
 
-    digits reaches only a weight's discretization and edge_exponents.  The
+    A weight's chain and measure come from recover.recover_chain without a
+    grid, and its diagnostic "recovery" names the route: jacobi-christoffel
+    (closed form, for a polynomial smooth factor and no atoms) or
+    grid-stieltjes.  digits reaches only a weight's recovery (the closed
+    form at digits + 8, or the grid) and edge_exponents.  The
     edge solve, the Christoffel ratio passes and the ratio-vanishing
     criterion are float64 at every precision, and a chain's quadrature runs
     on the float64 backend at min(digits, FLOAT_DIGITS), so the report on a
@@ -405,7 +411,7 @@ def conjecture_report(
     measure = None
     diagnostics: dict = {}
     if weight is not None:
-        measure, _, recovery = recover_chain(weight, n_max, grid_size_for_depth(n_max), digits)
+        measure, _, recovery, route = recover_chain(weight, n_max, digits=digits)
         if not recovery.ok:
             raise InconsistentWeightError(
                 f"{weight.label}: not a random walk measure at index "
@@ -414,6 +420,7 @@ def conjecture_report(
         chain = recovery.chain
         exps = edge_exponents(weight, digits)
         diagnostics["edge_exponents"] = f"alpha={exps.alpha:g} beta={exps.beta:g}"
+        diagnostics["recovery"] = route
     chain.validate()
 
     trunc = int(min(truncation, chain.depth))
@@ -438,8 +445,9 @@ def conjecture_report(
 
     ratio_seq, lim_rho_raw, spread = ratio_limit_with_edge_spread(chain, n_max, eta_hat)
     if (top := np.nanmax(ratio_seq.ratios)) > 1 + 1e-9:
-        # a ratio above 1 means the extrapolated edge fell below the true
-        # one; the bisection end certifies positivity through the horizon
+        # a ratio above 1 appears for an eta_hat below the bottom edge or of
+        # the wrong sign (one just below the top edge gives none); the
+        # bisection end certifies positivity through the horizon
         warnings.warn(NumericalRouteWarning(
             f"{chain.label}: Christoffel ratio {top:.12g} > 1 at eta_hat = "
             f"{eta_hat:.12g}; ratio passes rerun at the bisection edge "

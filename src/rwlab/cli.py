@@ -114,13 +114,14 @@ def _opt(options: dict, key: str, default, least: int | None = None):
         value = int(options[key]) if key in options else default
     except ValueError:
         raise InputError(f"[run] {key} must be an integer, not {options[key]!r}") from None
-    if least is not None and value < least:
+    if least is not None and value is not None and value < least:
         raise InputError(f"[run] {key} must be >= {least}, the run has {key} = {value}")
     return value
 
 
-def _grid(cfg: ExperimentConfig, default: int) -> int:
-    """The [run] option grid, at least the 64 nodes discretize_weight needs."""
+def _grid(cfg: ExperimentConfig, default: int | None) -> int | None:
+    """The [run] option grid, at least the 64 nodes discretize_weight needs,
+    or `default` when the run sets none."""
     return _opt(cfg.options, "grid", default, least=64)
 
 
@@ -286,12 +287,13 @@ def cmd_normalize(cfg: ExperimentConfig) -> int:
 
 
 def _recover_chain(cfg: ExperimentConfig, weight: WeightSpec, depth: int):
-    """(coefficients, recovery) from recover_chain on the run's grid, and the
-    clause a failure record appends when the grid is too coarse ("" if not)."""
+    """(coefficients, recovery) from recover_chain, on the grid route when
+    the run sets a grid, and the clause a failure record appends when that
+    grid is too coarse ("" if not)."""
     needed = grid_size_for_depth(depth)
-    grid = _grid(cfg, needed)
-    _, coeffs, recovery = recover_chain(weight, depth, grid, cfg.precision)
-    blame = "" if grid >= needed else (
+    grid = _grid(cfg, None)
+    _, coeffs, recovery, _ = recover_chain(weight, depth, grid, cfg.precision)
+    blame = "" if grid is None or grid >= needed else (
         f"; grid = {grid} is below grid_size_for_depth({depth}) = {needed}, "
         "so the failing index may be the grid's fault rather than the weight's")
     return coeffs, recovery, blame

@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 import mpmath as mp
 import numpy as np
@@ -37,6 +38,9 @@ _FOLD_EXP_CAP = 4096
 
 # zero-test point cap; tails beyond this complexity are declared undecidable
 _ZERO_TEST_CAP = 512
+
+# polynomial_coefficients reads no polynomial above this degree
+_POLY_DEGREE_CAP = 32
 
 
 class Expr:
@@ -276,6 +280,74 @@ def eval_numpy(e: Expr, values: np.ndarray) -> np.ndarray:
     """Vectorized float64 evaluation."""
     x = np.asarray(values, dtype=np.float64)
     return _evaluate(e, x, lambda c: np.full_like(x, float(c)), np.power)
+
+
+class _NotPolynomial(Exception):
+    pass
+
+
+class _Polynomial:
+    """Exact coefficients in ascending powers, without trailing zeros, under
+    + - * and division by a nonzero constant: the backend that reads a
+    polynomial off the tree."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs):
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        if len(coeffs) > _POLY_DEGREE_CAP + 1:
+            raise _NotPolynomial
+        self.c = tuple(coeffs)
+
+    def _padded(self, other, sign):
+        return _Polynomial(u + sign * v for u, v in zip_longest(self.c, other.c, fillvalue=0))
+
+    def __add__(self, other):
+        return self._padded(other, 1)
+
+    def __sub__(self, other):
+        return self._padded(other, -1)
+
+    def __mul__(self, other):
+        out = [Fraction(0)] * max(0, len(self.c) + len(other.c) - 1)
+        for i, u in enumerate(self.c):
+            for j, v in enumerate(other.c):
+                out[i + j] += u * v
+        return _Polynomial(out)
+
+    def constant(self) -> Fraction:
+        if len(self.c) > 1:
+            raise _NotPolynomial
+        return self.c[0] if self.c else Fraction(0)
+
+    def __truediv__(self, other):
+        return self * _Polynomial((1 / other.constant(),))
+
+
+def _polynomial_power(base: _Polynomial, k: _Polynomial) -> _Polynomial:
+    k = _integer_exponent(k.constant())
+    if len(base.c) <= 1:
+        return _Polynomial((base.constant() ** k,))
+    if k < 0:
+        raise _NotPolynomial
+    out = _Polynomial((Fraction(1),))
+    for _ in range(k):
+        out = out * base
+    return out
+
+
+def polynomial_coefficients(e: Expr) -> tuple[Fraction, ...] | None:
+    """The exact coefficients of e in ascending powers of its variable, or
+    None when e is not a polynomial (division by a variable term, a variable
+    exponent, a negative power of a variable term) or its degree exceeds
+    _POLY_DEGREE_CAP.  The zero polynomial is the empty tuple."""
+    try:
+        return _evaluate(e, _Polynomial((Fraction(0), Fraction(1))),
+                         lambda c: _Polynomial((c,)), _polynomial_power).c
+    except _NotPolynomial:
+        return None
 
 
 # --- decidable zero test ----------------------------------------------------

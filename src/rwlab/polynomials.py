@@ -175,8 +175,10 @@ def _two_sided_log_sums(chain: ChainSpec, n_max: int, eta):
 
 
 def christoffel_ratio_sequence(chain: ChainSpec, n_max: int, eta) -> RatioSequences:
-    """One float64 forward pass at +eta and -eta, at every precision; each
-    ratio lies in (0, 1] up to rounding."""
+    """One float64 forward pass at +eta and -eta, at every precision.  Each
+    ratio is positive but need not lie in (0, 1]: on the bundled chains a
+    ratio above 1 appears for an eta below the bottom edge or of the wrong
+    sign, and not for an eta just below the top edge."""
     (_, log_pos), (sign_neg, log_neg), s_pos, s_neg = _two_sided_log_sums(chain, n_max, eta)
     log_ratios = s_pos[:n_max] - s_neg[:n_max]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,9 +1,13 @@
-"""From an analytic edge-weight description to a chain: discretize the
-weight, run the Stieltjes/Lanczos inner-product recursion for recurrence
-coefficients, and solve for one-step probabilities under p + q + r = 1.
-recover_chain runs the three stages for the CLI and the conjecture pipeline.
+"""From an analytic edge-weight description to a chain: recurrence
+coefficients of the weight, then one-step probabilities under p + q + r = 1.
+recover_chain runs the stages for the CLI and the conjecture pipeline, on
+one of two routes.
 
-The weight is discretized at the requested digits; the recursion runs in
+A weight without atoms whose smooth factor is a polynomial takes the closed
+form: Jacobi's coefficients with one Christoffel step per root of the
+smooth factor, in mpmath at digits + 8 (jacobi_christoffel_recurrence).
+Any other weight, or a run that sets the grid, is discretized at the
+requested digits and goes through the Stieltjes recursion, which runs in
 float64 at every precision, without reorthogonalization, and is kept only
 when a measured loss of orthogonality certifies it; otherwise it is rerun
 with full reorthogonalization and a NumericalRouteWarning says so.  The
@@ -149,9 +153,8 @@ def discretize_weight(spec: WeightSpec, M: int, digits: int = DEFAULT_DIGITS) ->
     if M < 64:
         raise ValueError("M must be >= 64")
     spec.validate()
-    uniform = max(4, round(M / PANEL_ORDER) - 2 * (EDGE_LEVELS + 1))
     with mp.workdps(digits + 10):
-        nodes, weights = map(list, zip(*_density_points(spec, uniform, digits)))
+        nodes, weights = map(list, zip(*_density_points(spec, _uniform_panels(M), digits)))
         total = mp.fsum(weights)
         for loc, mass in spec.atoms:
             nodes.append(mpf_from_fraction(loc))
@@ -161,10 +164,17 @@ def discretize_weight(spec: WeightSpec, M: int, digits: int = DEFAULT_DIGITS) ->
     return _measure_from_arrays(nodes, weights)
 
 
+def _uniform_panels(M: int) -> int:
+    """The bulk panel count of a rule with about M nodes."""
+    return max(4, round(M / PANEL_ORDER) - 2 * (EDGE_LEVELS + 1))
+
+
 def _density_points(spec: WeightSpec, uniform: int, digits: int):
     """(x, w * rad * density) at every node of the composite rule on
     _theta_panels(uniform), at the caller's working precision: the
-    unnormalized density times the Jacobian of x = eta*cos(theta)."""
+    unnormalized density times the Jacobian of x = eta*cos(theta).  A
+    density value <= 0 (a smooth factor that dips below 0 between the
+    points WeightSpec.validate checks) is an InputError."""
     gl_x, gl_w = _gauss_legendre_mpf(PANEL_ORDER, digits)
     eta = mpf_from_fraction(spec.eta)
     alpha = mpf_from_fraction(spec.alpha)
@@ -185,13 +195,132 @@ def _density_points(spec: WeightSpec, uniform: int, digits: int):
                 * eta
                 * 2 * sh * ch
             )
+            if not dens > 0:
+                raise InputError(f"{spec.label}: density not positive at x={float(x):.6g}")
             yield x, w * rad * dens
 
 
+def _discretize_f64(spec: WeightSpec, M: int) -> DiscreteMeasure:
+    """discretize_weight's panel rule in float64 numpy, for a weight
+    without atoms: the measure of the closed-form route."""
+    from numpy.polynomial.legendre import leggauss
+
+    t, w = leggauss(PANEL_ORDER)
+    panels = np.array(_theta_panels(_uniform_panels(M)), dtype=float)
+    lo, hi = panels[:, :1], panels[:, 1:]
+    rad = (hi - lo) / 2
+    theta = ((lo + hi) / 2 + rad * t).ravel()
+    sh, ch = np.sin(theta / 2), np.cos(theta / 2)
+    eta, alpha, beta = float(spec.eta), float(spec.alpha), float(spec.beta)
+    x = eta * (ch * ch - sh * sh)
+    dens = ((rad * w).ravel() * (2 * eta * sh * sh) ** alpha * (2 * eta * ch * ch) ** beta
+            * ex.eval_numpy(spec.smooth, x) * eta * 2 * sh * ch)
+    return _measure_from_arrays(x, dens / math.fsum(dens))
+
+
 def raw_density_integral(spec: WeightSpec, digits: int = DEFAULT_DIGITS) -> mp.mpf:
-    """Integral of the unnormalized density (excluding atoms)."""
+    """Integral of the unnormalized density (excluding atoms), by the panel
+    rule."""
     with mp.workdps(digits + 10):
         return mp.fsum(w for _, w in _density_points(spec, 8, digits))
+
+
+def density_integral(spec: WeightSpec, digits: int = DEFAULT_DIGITS) -> mp.mpf:
+    """Integral of the unnormalized density (excluding atoms) at digits + 10.
+
+    On the closed-form route it is (2 eta)^(alpha+beta+1) B(alpha+1, beta+1)
+    e_0^T s(J) e_0, with J the orthonormal Jacobi matrix of size deg(s) + 1,
+    whose Gauss rule integrates s exactly; otherwise raw_density_integral."""
+    coeffs = _closed_form_smooth(spec)
+    if coeffs is None:
+        return raw_density_integral(spec, digits)
+    with mp.workdps(digits + 10):
+        a, b = _jacobi_coefficients(spec, len(coeffs))
+        off = [mp.sqrt(v) for v in b[1:]]  # off[k] couples k and k + 1
+        v = [mp.mpf(0)] * len(coeffs)
+        for c in reversed(coeffs):  # Horner: v <- J v + c e_0
+            w = [ak * vk for ak, vk in zip(a, v)]
+            for k, e in enumerate(off):
+                w[k] += e * v[k + 1]
+                w[k + 1] += e * v[k]
+            w[0] += mpf_from_fraction(c)
+            v = w
+        alpha, beta, eta = (mpf_from_fraction(f) for f in (spec.alpha, spec.beta, spec.eta))
+        return (2 * eta) ** (alpha + beta + 1) * mp.beta(alpha + 1, beta + 1) * v[0]
+
+
+# --- closed form for a polynomial smooth factor ----------------------------------
+
+
+def _closed_form_smooth(spec: WeightSpec) -> tuple[Fraction, ...] | None:
+    """The smooth factor's coefficients when the weight's chain has a closed
+    form (no atoms, a polynomial smooth factor); None otherwise."""
+    return None if spec.atoms else ex.polynomial_coefficients(spec.smooth)
+
+
+def _jacobi_coefficients(spec: WeightSpec, n: int) -> tuple[list, list]:
+    """Monic recurrence coefficients a_k (diagonal) and b_k (squared
+    off-diagonal; b_0 = 0 is a placeholder) for k < n of
+    (eta - x)^alpha (eta + x)^beta, at the working precision: Jacobi's
+    closed forms on [-1, 1], scaled to [-eta, eta]."""
+    alpha, beta, eta = (mpf_from_fraction(f) for f in (spec.alpha, spec.beta, spec.eta))
+    a, b = [eta * (beta - alpha) / (alpha + beta + 2)], [mp.mpf(0)]
+    for k in range(1, n):
+        s = 2 * k + alpha + beta
+        a.append(eta * (beta * beta - alpha * alpha) / (s * (s + 2)))
+        b.append(eta * eta * 4 * k * (k + alpha) * (k + beta) * (k + alpha + beta)
+                 / (s * s * (s + 1) * (s - 1)))
+    return a, b
+
+
+def _christoffel_step(a: list, b: list, z) -> tuple[list, list]:
+    """Coefficients of (x - z) times the measure of (a, b), one fewer than
+    given (Gautschi, Orthogonal Polynomials, 2004, sec. 2.4): with
+    r_0 = z - a_0 and r_k = z - a_k - b_k / r_{k-1}, the new coefficients
+    are a_{k+1} + r_{k+1} - r_k and b_k r_k / r_{k-1}.  For z off the
+    support the forward recursion for r_k is the stable direction."""
+    r = [z - a[0]]
+    for k in range(1, len(a)):
+        r.append(z - a[k] - b[k] / r[-1])
+    return ([a[k + 1] + r[k + 1] - r[k] for k in range(len(a) - 1)],
+            [b[0]] + [b[k] * r[k] / r[k - 1] for k in range(1, len(a) - 1)])
+
+
+def _smooth_roots(spec: WeightSpec, coeffs: tuple[Fraction, ...], digits: int) -> list:
+    """The roots of the polynomial smooth factor at the working precision,
+    found with twice its bits as extra precision so that a multiple root
+    comes out whole.  A real root in [-eta, eta] (to 10^-digits relative)
+    is an InputError."""
+    if len(coeffs) <= 1:
+        return []
+    roots = mp.polyroots([mpf_from_fraction(c) for c in reversed(coeffs)],
+                         maxsteps=100, extraprec=2 * mp.mp.prec)
+    eta = mpf_from_fraction(spec.eta)
+    tol = eta * mp.mpf(10) ** -digits
+    for z in roots:
+        if abs(mp.im(z)) <= tol and abs(mp.re(z)) <= eta + tol:
+            raise InputError(f"{spec.label}: smooth factor vanishes at "
+                             f"x={float(mp.re(z)):.6g} in [-eta, eta]")
+    return roots
+
+
+def jacobi_christoffel_recurrence(
+    spec: WeightSpec, coeffs: tuple[Fraction, ...], n: int, digits: int = DEFAULT_DIGITS
+) -> RecurrenceCoefficients:
+    """First n orthonormal recurrence coefficients of a weight without atoms
+    whose smooth factor has the polynomial coefficients `coeffs`: Jacobi's
+    closed forms, then one Christoffel step per root of the smooth factor
+    (a complex pair as two conjugate steps), in mpmath at digits + 8.  Each
+    step consumes one extra Jacobi coefficient."""
+    with mp.workdps(digits + 8):
+        roots = _smooth_roots(spec, coeffs, digits)
+        a, b = _jacobi_coefficients(spec, n + 1 + len(roots))
+        for z in roots:
+            a, b = _christoffel_step(a, b, z)
+        return RecurrenceCoefficients(
+            np.array([float(mp.sqrt(mp.re(v))) for v in b[1:n + 1]]),
+            np.array([float(mp.re(v)) for v in a[:n]]),
+        )
 
 
 # --- Stieltjes / Lanczos ------------------------------------------------------
@@ -357,15 +486,27 @@ def chain_from_recurrence(
 
 
 def recover_chain(
-    spec: WeightSpec, depth: int, grid: int, digits: int = DEFAULT_DIGITS
-) -> tuple[DiscreteMeasure, RecurrenceCoefficients, ChainRecovery]:
-    """The weight's chain to `depth`: the weight discretized at `digits` on
-    `grid` nodes, its coefficients from the verified float64 Stieltjes
-    recursion, and their recovery.  A depth outside [1, half the node
-    count] is an InputError."""
-    measure = discretize_weight(spec, grid, digits)
+    spec: WeightSpec, depth: int, grid: int | None = None, digits: int = DEFAULT_DIGITS
+) -> tuple[DiscreteMeasure, RecurrenceCoefficients, ChainRecovery, str]:
+    """The weight's chain to `depth`: (measure, coefficients, recovery,
+    route).
+
+    With grid None, a weight without atoms and with a polynomial smooth
+    factor takes route "jacobi-christoffel": the coefficients in closed form
+    (jacobi_christoffel_recurrence) and the measure from the float64 panel
+    rule on grid_size_for_depth(depth) nodes.  Any other weight, and any
+    set grid, takes route "grid-stieltjes": the weight discretized at
+    `digits` on `grid` nodes (default grid_size_for_depth(depth)) and the
+    coefficients from the verified float64 Stieltjes recursion.  A depth
+    outside [1, half the node count] is an InputError."""
+    smooth = None if grid is not None else _closed_form_smooth(spec)
+    nodes = grid_size_for_depth(depth) if grid is None else grid
+    measure = discretize_weight(spec, nodes, digits) if smooth is None else _discretize_f64(spec, nodes)
     if not 1 <= depth <= len(measure) // 2:
         raise InputError(f"{spec.label}: depth = {depth} must be in [1, {len(measure) // 2}], "
-                         f"half the node count of grid = {grid}")
-    coeffs = stieltjes_recurrence(measure, depth)
-    return measure, coeffs, chain_from_recurrence(coeffs, label=spec.label + "-chain")
+                         f"half the node count of grid = {nodes}")
+    if smooth is None:
+        coeffs, route = stieltjes_recurrence(measure, depth), "grid-stieltjes"
+    else:
+        coeffs, route = jacobi_christoffel_recurrence(spec, smooth, depth, digits), "jacobi-christoffel"
+    return measure, coeffs, chain_from_recurrence(coeffs, label=spec.label + "-chain"), route

@@ -416,3 +416,67 @@ def test_chain_info_on_overflowing_series_is_quiet(tmp_path, capsys):
     text = read(os.path.join(out, "chain_info.txt"))
     assert "recurrence_series = diverges" in text
     assert "recurrence_detail = partial sums exceed bound 1e+08" in text
+
+
+DIP = "(32*x - 1)^2 - 1/4"  # negative on (1/64, 3/64), between validation's points
+
+
+@pytest.mark.parametrize("sub, run_options", [
+    ("conjecture", ""), ("recover", ""), ("dt-check", ""),  # closed form: a root
+    ("recover", "grid = 4000"), ("measure", ""),  # the grid: a density value
+])
+def test_smooth_factor_below_zero_is_an_input_error(tmp_path, capsys, sub, run_options):
+    config = tmp_path / "w.cfg"
+    config.write_text(ff.weight_to_text(bundled("weight_d")).replace("smooth = 1", f"smooth = {DIP}")
+                      + f"\n[run]\nprecision = 15\nhorizon = 100\n{run_options}\n")
+    out = str(tmp_path / "o")
+    assert run(sub, "--config", str(config), "--out", out) == 3
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert len(records) == 1
+    assert records[0]["code"] == "input"
+    assert "at x=0.0" in records[0]["message"]
+
+
+def test_polynomial_weights_skip_the_grid(tmp_path, monkeypatch):
+    # no atoms, a polynomial smooth factor and no grid: nothing on the way
+    # to the chain, C_n or the normalization touches the mpmath grid
+    from rwlab import recover
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid route ran")
+
+    for name in ("discretize_weight", "stieltjes_recurrence", "_gauss_legendre_mpf",
+                 "raw_density_integral"):
+        monkeypatch.setattr(recover, name, refuse)
+    for name in ("weight_d", "weight_e", "weight_power", "weight_half"):
+        out = str(tmp_path / name)
+        for sub in ("conjecture", "recover", "dt-check"):
+            assert run(sub, "--config", cfg(f"{name}.cfg"), "--out", out,
+                       "--horizon", "100", "--truncation", "100") == 0, (name, sub)
+        assert "diag_recovery = jacobi-christoffel" in read(os.path.join(out, "conjecture.txt"))
+
+
+@pytest.mark.parametrize("weight, run_options", [
+    ("[weight]\nlabel = atomic\neta = 1\nalpha = 1/2\nbeta = 3/2\nsmooth = 1\n"
+     "atoms = 1/2:1/4\n", ""),
+    ("[weight]\nlabel = rational\neta = 1\nalpha = 1/2\nbeta = 3/2\nsmooth = 1/(3 + x)\n"
+     "atoms = none\n", ""),
+    (ff.weight_to_text(bundled("weight_d")), "grid = 4000"),
+], ids=["atoms", "non-polynomial", "grid"])
+def test_atoms_non_polynomial_smooth_factors_and_a_set_grid_take_the_grid(
+        tmp_path, monkeypatch, weight, run_options):
+    from rwlab import recover
+
+    calls = []
+    discretize = recover.discretize_weight
+    monkeypatch.setattr(recover, "discretize_weight",
+                        lambda *args: calls.append(args) or discretize(*args))
+    config = tmp_path / "w.cfg"
+    config.write_text(weight + f"\n[run]\nprecision = 15\ntruncation = 100\nhorizon = 100\n"
+                      f"{run_options}\n")
+    out = str(tmp_path / "o")
+    run("recover", "--config", str(config), "--out", out)  # atoms: not a random walk measure
+    assert len(calls) == 1
+    if "rational" in weight:
+        assert run("conjecture", "--config", str(config), "--out", out) == 0
+        assert "diag_recovery = grid-stieltjes" in read(os.path.join(out, "conjecture.txt"))

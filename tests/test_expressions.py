@@ -204,3 +204,32 @@ def test_backends_agree_at_fraction_mpf_and_float_x(e, m):
     # x = m/32 is exact in all three backends
     x = Fraction(m, 32)
     _assert_backends_agree(e, x, mp.mpf(m) / 32, float(x))
+
+
+@pytest.mark.parametrize("text, coeffs", [
+    ("1", (1,)),
+    ("3 + x^3", (3, 0, 0, 1)),
+    ("(32*x - 1)^2 - 1/4", (Fraction(3, 4), -64, 1024)),
+    ("x/2 + (x - 1)*(x + 1)", (-1, Fraction(1, 2), 1)),
+    ("(2*x - x*2 + 3)^(0 - 2)", (Fraction(1, 9),)),
+    ("x - x", ()),
+    ("2^x", None),  # variable exponent
+    ("1/(x + 3)", None),  # division by a variable term
+    ("(x + 2)^(0 - 1)", None),  # negative power of a variable term
+    ("x^33", None),  # above the degree cap
+])
+def test_polynomial_coefficients(text, coeffs):
+    got = ex.polynomial_coefficients(ex.parse(text, "x"))
+    assert got == (None if coeffs is None else tuple(Fraction(c) for c in coeffs))
+
+
+@given(e=_trees("x"), m=st.integers(min_value=-64, max_value=64))
+def test_polynomial_coefficients_agree_with_the_exact_backend(e, m):
+    x = Fraction(m, 32)
+    try:
+        exact = ex.eval_fraction(e, x)
+    except ZeroDivisionError:
+        assume(False)
+    coeffs = ex.polynomial_coefficients(e)
+    assume(coeffs is not None)
+    assert sum(c * x**k for k, c in enumerate(coeffs)) == exact

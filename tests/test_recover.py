@@ -10,7 +10,7 @@ import pytest
 from conftest import bundled
 from rwlab import recover
 from rwlab.errors import InputError, NumericalRouteWarning
-from rwlab.measures import moment
+from rwlab.measures import cn_series, moment
 from rwlab.recover import (
     RecurrenceCoefficients,
     chain_from_recurrence,
@@ -206,3 +206,66 @@ def test_recovered_coefficients_stay_small_with_exact_row_sums(measure_d600):
         assert c.numerator.bit_length() <= 128
         assert c.denominator.bit_length() <= 128
     assert all(p[k] + q[k] + r[k] == 1 for k in range(600))
+
+
+# the closed-form route against its oracle, the mpmath grid and Stieltjes:
+# every bundled weight, and one benchmark member per smooth factor
+CLOSED_FORM_CASES = [
+    (name, lambda name=name: bundled(name))
+    for name in ("weight_d", "weight_e", "weight_power", "weight_half",
+                 "semicircle_weight", "negative_mean")
+] + [
+    (f"member-a{alpha}-b{beta}-s{smooth}",
+     lambda alpha=alpha, beta=beta, smooth=smooth: make_weight("member", 1, alpha, beta, smooth))
+    for alpha, beta, smooth in (("3/2", "5/2", "1"), ("3/2", "3/2", "2 + x"),
+                                ("1/2", "3/2", "3 + x"), ("3/2", "5/2", "4 + x"))
+]
+
+
+@pytest.mark.parametrize("case", [make for _, make in CLOSED_FORM_CASES],
+                         ids=[name for name, _ in CLOSED_FORM_CASES])
+def test_closed_form_matches_the_grid(case):
+    spec = case()
+    n = 2000
+    # the oracle's grid resolves 200 coefficients beyond the depth: on
+    # grid_size_for_depth(2000) itself, the last diagonal coefficient of
+    # the alpha = 3/2, beta = 5/2 member is 1.2e-12 off, and finer grids
+    # converge to the closed form
+    nodes = grid_size_for_depth(n + 200)
+    grid = discretize_weight(spec, nodes, digits=15)
+    oracle = stieltjes_recurrence(grid, n)
+    closed = recover.jacobi_christoffel_recurrence(
+        spec, recover._closed_form_smooth(spec), n, digits=15)
+    assert np.abs(closed.a - oracle.a).max() <= 1e-13
+    assert np.abs(closed.b - oracle.b).max() <= 1e-13
+    # the float64 panel rule gives the C_n series of the mpmath one; C_n is
+    # exp of a difference of float64 log sums of size n |ln eta|, so an ulp
+    # of those sums adds to the relative tolerance when eta != 1
+    ns = np.arange(2 * n)
+    rtol = 1e-13 + 2 * np.spacing(ns * abs(math.log(spec.eta)))
+    c64 = cn_series(recover._discretize_f64(spec, nodes), ns[-1])
+    cmp_ = cn_series(grid, ns[-1])
+    assert np.all(np.abs(c64 - cmp_) <= rtol * np.abs(cmp_))
+    # the closed-form normalization against the panel rule at 34 digits
+    with mp.workdps(44):
+        gap = abs(recover.density_integral(spec, 34) - recover.raw_density_integral(spec, 34))
+    assert gap <= 1e-25
+
+
+def test_routes():
+    # no atoms, a polynomial smooth factor and no grid: the closed form;
+    # a grid, atoms or a non-polynomial smooth factor: the grid
+    d = bundled("weight_d")
+    atomic = make_weight("atomic", 1, "1/2", "3/2", "1", atoms=[("1/2", "1/4")])
+    rational = make_weight("rational", 1, "1/2", "3/2", "1/(3 + x)")
+    assert recover.recover_chain(d, 64)[3] == "jacobi-christoffel"
+    for spec, grid in ((d, 4000), (atomic, None), (rational, None)):
+        assert recover.recover_chain(spec, 64, grid)[3] == "grid-stieltjes"
+
+
+@pytest.mark.parametrize("grid", [None, 4000])
+def test_smooth_factor_below_zero_is_an_input_error(grid):
+    # validation checks 33 points and misses the dip on (1/64, 3/64)
+    spec = make_weight("dip", 1, "1/2", "3/2", "(32*x - 1)^2 - 1/4")
+    with pytest.raises(InputError, match="at x="):
+        recover.recover_chain(spec, 64, grid)

@@ -16,9 +16,11 @@ and chain_s for float64 Golub-Welsch above the configs' truncation 400, and
 `recover` and `dt-check --horizon 64` at `--precision 34` on weight_d and
 weight_e for the weight-to-chain recovery above 16 digits, `normalize`
 and `srlp` at `--precision 34` on chain_b and chain_s for the two other
-subcommands that solve the support edges, and `conjecture` at
+subcommands that solve the support edges, `conjecture` at
 `--precision 34` on chain_b, chain_k and chain_recovered for the Christoffel
-ratio passes and the ratio-vanishing criterion above 16 digits.
+ratio passes and the ratio-vanishing criterion above 16 digits, and
+`conjecture` at `--precision 34` on weight_d and weight_e for the
+closed-form weight-to-chain route above 16 digits.
 The base and change runs of one job go side by side (two processes at a
 time).
 
@@ -72,6 +74,7 @@ EXTRA = [
         ("normalize", ("chain_b", "chain_s"), "34", ()),
         ("srlp", ("chain_b", "chain_s"), "34", ()),
         ("conjecture", ("chain_b", "chain_k", "chain_recovered"), "34", ()),
+        ("conjecture", ("weight_d", "weight_e"), "34", ()),
     )
     for name in names
 ]
