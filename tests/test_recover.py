@@ -251,21 +251,3 @@ def test_closed_form_matches_the_grid(case):
         gap = abs(recover.density_integral(spec, 34) - recover.raw_density_integral(spec, 34))
     assert gap <= 1e-25
 
-
-def test_routes():
-    # no atoms, a polynomial smooth factor and no grid: the closed form;
-    # a grid, atoms or a non-polynomial smooth factor: the grid
-    d = bundled("weight_d")
-    atomic = make_weight("atomic", 1, "1/2", "3/2", "1", atoms=[("1/2", "1/4")])
-    rational = make_weight("rational", 1, "1/2", "3/2", "1/(3 + x)")
-    assert recover.recover_chain(d, 64)[3] == "jacobi-christoffel"
-    for spec, grid in ((d, 4000), (atomic, None), (rational, None)):
-        assert recover.recover_chain(spec, 64, grid)[3] == "grid-stieltjes"
-
-
-@pytest.mark.parametrize("grid", [None, 4000])
-def test_smooth_factor_below_zero_is_an_input_error(grid):
-    # validation checks 33 points and misses the dip on (1/64, 3/64)
-    spec = make_weight("dip", 1, "1/2", "3/2", "(32*x - 1)^2 - 1/4")
-    with pytest.raises(InputError, match="at x="):
-        recover.recover_chain(spec, 64, grid)
