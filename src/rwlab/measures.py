@@ -30,6 +30,7 @@ from .tridiagonal import (
 )
 
 ZERO_NODE_TOL = 1e-15
+_TINY = 2.0**-500
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,59 +109,57 @@ class CnValue:
     log10_positive: float
 
 
-def _log_parts(measure: DiscreteMeasure):
-    """ln w and ln |x| on the positive, then the negative nodes (none within
-    ZERO_NODE_TOL of 0); ZeroDenominatorError when no node is positive."""
+def _cn_parts(measure: DiscreteMeasure, n_max: int):
+    """(C_n, sums, shifts, scale) for n = 0..n_max: the sum of w |x|^n over
+    the negative (h = 0) and the positive (h = 1) nodes, those within
+    ZERO_NODE_TOL of 0 left out, is sums[h, n] scale^n 2^-shifts[h, n].
+    Running products w (|x| / scale)^n, scale the largest |x|, never
+    overflow; a half whose sum falls below _TINY is rescaled by an exact
+    power of two under its own shift, so neither sum underflows and only
+    C_n can overflow (to inf).  ndarray.sum only, no BLAS call.
+    ZeroDenominatorError when no node is positive."""
     x = measure.nodes
-    w = measure.weights
-    pos = x > ZERO_NODE_TOL
-    neg = x < -ZERO_NODE_TOL
+    neg, pos = x < -ZERO_NODE_TOL, x > ZERO_NODE_TOL
     if not np.any(pos):
         raise ZeroDenominatorError("measure has no positive nodes")
-    with np.errstate(divide="ignore"):
-        return np.log(w[pos]), np.log(x[pos]), np.log(w[neg]), np.log(-x[neg])
+    k = int(np.count_nonzero(neg))
+    a = np.abs(np.concatenate([x[neg], x[pos]]))
+    scale = float(a.max())
+    a /= scale
+    t = np.concatenate([measure.weights[neg], measure.weights[pos]])
+    halves = (t[:k], t[k:])
+    sums = np.empty((2, n_max + 1))
+    shifts = np.zeros((2, n_max + 1), dtype=np.int64)
+    shift = [0, 0]
+    for n in range(n_max + 1):
+        if n:
+            t *= a
+        for h, part in enumerate(halves):
+            s = part.sum()
+            if 0 < s < _TINY:
+                s, e = math.frexp(s)
+                np.ldexp(part, -e, out=part)
+                shift[h] -= e
+            sums[h, n] = s
+            shifts[h, n] = shift[h]
+    with np.errstate(over="ignore"):
+        return np.ldexp(sums[0] / sums[1], shifts[1] - shifts[0]), sums, shifts, scale
 
 
 def compute_Cn(measure: DiscreteMeasure, n: int) -> CnValue:
-    """Tail-moment ratio over the discrete measure; nodes at 0 are excluded
-    from both sums, and the sums are formed in log space so the ratio
-    survives underflow."""
-    lw_pos, lx_pos, lw_neg, lx_neg = _log_parts(measure)
-    ns = np.array([[n]])
-    lp = float(_log_power_sums(lw_pos, lx_pos, ns)[0])
-    ln = float(_log_power_sums(lw_neg, lx_neg, ns)[0]) if len(lw_neg) else NEG_INF
-    value = 0.0 if ln == NEG_INF else math.exp(ln - lp)
-    log10 = math.log10(math.e)
-    return CnValue(n, value, ln * log10 if ln != NEG_INF else NEG_INF, lp * log10)
-
-
-CN_BLOCK_ROWS = 256
+    """Tail-moment ratio over the discrete measure, nodes at 0 excluded; the
+    log10 parts stay finite where the value overflows or underflows."""
+    cn, sums, shifts, scale = _cn_parts(measure, n)
+    s, e = sums[:, n], shifts[:, n]
+    logs = [math.log10(s[h]) + n * math.log10(scale) - int(e[h]) * math.log10(2)
+            if s[h] else NEG_INF for h in (0, 1)]
+    return CnValue(n, float(cn[n]), *logs)
 
 
 def cn_series(measure: DiscreteMeasure, n_max: int) -> np.ndarray:
-    """C_n for n = 0..n_max (vectorized log-space evaluation).
-
-    Rows n are processed CN_BLOCK_ROWS at a time, so memory stays at one
-    block of (rows x nodes) arrays; each row's reduction is the same as
-    over the full array."""
-    lw_pos, lx_pos, lw_neg, lx_neg = _log_parts(measure)
-    if not len(lw_neg):
-        return np.zeros(n_max + 1)
-    out = np.empty(n_max + 1)
-    for lo in range(0, n_max + 1, CN_BLOCK_ROWS):
-        ns = np.arange(lo, min(lo + CN_BLOCK_ROWS, n_max + 1))[:, None]
-        log_pos = _log_power_sums(lw_pos, lx_pos, ns)
-        log_neg = _log_power_sums(lw_neg, lx_neg, ns)
-        with np.errstate(over="ignore"):
-            out[lo: lo + len(ns)] = np.exp(log_neg - log_pos)
-    return out
-
-
-def _log_power_sums(log_w: np.ndarray, log_abs_x: np.ndarray, ns: np.ndarray) -> np.ndarray:
-    """log sum_i w_i |x_i|^n for each n in the column ns (log-sum-exp by rows)."""
-    lw = log_w[None, :] + ns * log_abs_x[None, :]
-    m = lw.max(axis=1, keepdims=True)
-    return m[:, 0] + np.log(np.exp(lw - m).sum(axis=1))
+    """C_n for n = 0..n_max: n_max + 1 multiplies and sums over the nodes,
+    memory O(nodes) (_cn_parts)."""
+    return _cn_parts(measure, n_max)[0]
 
 
 def L_functional(

@@ -10,6 +10,7 @@ import pytest
 from conftest import bundled, chain_transient_killing
 from rwlab.errors import ChainHasKillingError, ZeroDenominatorError
 from rwlab.measures import (
+    DiscreteMeasure,
     L_functional,
     _deficit_extrapolation,
     _mc_thresholds,
@@ -26,7 +27,7 @@ from rwlab.measures import (
     srlp_predicted_limit,
     transition_probability,
 )
-from rwlab.recover import discretize_weight
+from rwlab.recover import discretize_weight, recover_chain
 
 
 def test_two_point_rule(chain_a):
@@ -87,20 +88,39 @@ def test_cn_examples(quad400):
     assert compute_Cn(quad400["B"], 5).log10_negative == float("-inf")
 
 
-def test_cn_series_blocks_match_one_shot_reduction(quad400):
-    # reference: the whole (n_max + 1) x nodes log-sum-exp in one array;
-    # blocking rows must not change a single bit
-    m = quad400["C"]
-    n_max = 799
-    ns = np.arange(n_max + 1)[:, None]
+def _cn_at_40_digits(m, ns):
+    """C_n over the same float64 nodes and weights, summed in 40 digits."""
+    with mp.workdps(40):
+        halves = [[(mp.mpf(abs(x)), mp.mpf(w)) for x, w in zip(m.nodes, m.weights)
+                   if sign * x > 1e-15] for sign in (-1, 1)]
+        return np.array([float(mp.fsum(w * x**n for x, w in halves[0])
+                               / mp.fsum(w * x**n for x, w in halves[1])) for n in ns])
 
-    def log_sums(mask, sign):
-        lw = np.log(m.weights[mask])[None, :] + ns * np.log(sign * m.nodes[mask])[None, :]
-        top = lw.max(axis=1, keepdims=True)
-        return top[:, 0] + np.log(np.exp(lw - top).sum(axis=1))
 
-    want = np.exp(log_sums(m.nodes < -1e-15, -1) - log_sums(m.nodes > 1e-15, 1))
-    assert np.array_equal(cn_series(m, n_max), want)
+@pytest.mark.parametrize("case", ["weight_e", "weight_half", "chain_c"])
+def test_cn_series_matches_exact_sums(case, quad400):
+    # weight_e (eta = 1) and weight_half (eta = 1/2) on their 7,740-node
+    # float64 panel rules to n = 3999, chain_c on its 400-node quadrature
+    if case == "chain_c":
+        m = quad400["C"]
+        ns = [0, 1, 2, 17, 250, 500, 798, 799]
+    else:
+        m = recover_chain(bundled(case), 2000)[0]
+        ns = [0, 1, 2, 17, 250, 999, 1500, 2047, 2600, 3100, 3541, 3577, 3999]
+    got = cn_series(m, ns[-1])[ns]
+    want = _cn_at_40_digits(m, ns)
+    assert np.all(want > 0)
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+def test_cn_overflow_keeps_finite_parts():
+    # C_400 = 9^400 on {-0.9, 0.1} exceeds the float range; its parts do not
+    m = DiscreteMeasure(np.array([-0.9, 0.1]), np.array([0.5, 0.5]), 1.0)
+    c = compute_Cn(m, 400)
+    assert c.value == math.inf
+    assert c.log10_negative == pytest.approx(400 * math.log10(0.9) + math.log10(0.5), rel=1e-14)
+    assert c.log10_positive == pytest.approx(400 * math.log10(0.1) + math.log10(0.5), rel=1e-14)
+    assert cn_series(m, 400)[-1] == math.inf
 
 
 def test_cn_weight_oracle():

@@ -238,9 +238,11 @@ def test_closed_form_matches_the_grid(case):
         spec, recover._closed_form_smooth(spec), n, digits=15)
     assert np.abs(closed.a - oracle.a).max() <= 1e-13
     assert np.abs(closed.b - oracle.b).max() <= 1e-13
-    # the float64 panel rule gives the C_n series of the mpmath one; C_n is
-    # exp of a difference of float64 log sums of size n |ln eta|, so an ulp
-    # of those sums adds to the relative tolerance when eta != 1
+    # the float64 panel rule gives the C_n series of the mpmath one; each
+    # series is within about 1e-15 of exact sums over its own nodes
+    # (test_cn_series_matches_exact_sums), so the gap between them, at most
+    # 1.4e-14 (weight_half), comes from the two rules, not the summation;
+    # the two ulps of n |ln eta| are margin that the summation does not need
     ns = np.arange(2 * n)
     rtol = 1e-13 + 2 * np.spacing(ns * abs(math.log(spec.eta)))
     c64 = cn_series(recover._discretize_f64(spec, nodes), ns[-1])
