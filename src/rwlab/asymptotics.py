@@ -398,8 +398,8 @@ def conjecture_report(
     A weight's chain and measure come from recover.recover_chain without a
     grid, and its diagnostic "recovery" names the route: jacobi-christoffel
     (closed form, for a polynomial smooth factor and no atoms) or
-    grid-stieltjes.  digits reaches only a weight's recovery (the closed
-    form at digits + 8, or the grid) and edge_exponents.  The
+    grid-stieltjes.  digits reaches only a weight's grid route and
+    edge_exponents; the closed form runs in float64 at every precision.  The
     edge solve, the Christoffel ratio passes and the ratio-vanishing
     criterion are float64 at every precision, and a chain's quadrature runs
     on the float64 backend at min(digits, FLOAT_DIGITS), so the report on a

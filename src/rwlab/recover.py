@@ -5,7 +5,7 @@ one of two routes.
 
 A weight without atoms whose smooth factor is a polynomial takes the closed
 form: Jacobi's coefficients with one Christoffel step per root of the
-smooth factor, in mpmath at digits + 8 (jacobi_christoffel_recurrence).
+smooth factor, in float64 at every precision (jacobi_christoffel_recurrence).
 Any other weight, or a run that sets the grid, is discretized at the
 requested digits and goes through the Stieltjes recursion, which runs in
 float64 at every precision, without reorthogonalization, and is kept only
@@ -235,7 +235,7 @@ def density_integral(spec: WeightSpec, digits: int = DEFAULT_DIGITS) -> mp.mpf:
     if coeffs is None:
         return raw_density_integral(spec, digits)
     with mp.workdps(digits + 10):
-        a, b = _jacobi_coefficients(spec, len(coeffs))
+        a, b = _jacobi_coefficients(spec, len(coeffs), mpf_from_fraction)
         off = [mp.sqrt(v) for v in b[1:]]  # off[k] couples k and k + 1
         v = [mp.mpf(0)] * len(coeffs)
         for c in reversed(coeffs):  # Horner: v <- J v + c e_0
@@ -258,13 +258,13 @@ def _closed_form_smooth(spec: WeightSpec) -> tuple[Fraction, ...] | None:
     return None if spec.atoms else ex.polynomial_coefficients(spec.smooth)
 
 
-def _jacobi_coefficients(spec: WeightSpec, n: int) -> tuple[list, list]:
+def _jacobi_coefficients(spec: WeightSpec, n: int, num=float) -> tuple[list, list]:
     """Monic recurrence coefficients a_k (diagonal) and b_k (squared
     off-diagonal; b_0 = 0 is a placeholder) for k < n of
-    (eta - x)^alpha (eta + x)^beta, at the working precision: Jacobi's
-    closed forms on [-1, 1], scaled to [-eta, eta]."""
-    alpha, beta, eta = (mpf_from_fraction(f) for f in (spec.alpha, spec.beta, spec.eta))
-    a, b = [eta * (beta - alpha) / (alpha + beta + 2)], [mp.mpf(0)]
+    (eta - x)^alpha (eta + x)^beta in the scalars num makes of Fractions:
+    Jacobi's closed forms on [-1, 1], scaled to [-eta, eta]."""
+    alpha, beta, eta = (num(f) for f in (spec.alpha, spec.beta, spec.eta))
+    a, b = [eta * (beta - alpha) / (alpha + beta + 2)], [0 * eta]
     for k in range(1, n):
         s = 2 * k + alpha + beta
         a.append(eta * (beta * beta - alpha * alpha) / (s * (s + 2)))
@@ -276,51 +276,49 @@ def _jacobi_coefficients(spec: WeightSpec, n: int) -> tuple[list, list]:
 def _christoffel_step(a: list, b: list, z) -> tuple[list, list]:
     """Coefficients of (x - z) times the measure of (a, b), one fewer than
     given (Gautschi, Orthogonal Polynomials, 2004, sec. 2.4): with
-    r_0 = z - a_0 and r_k = z - a_k - b_k / r_{k-1}, the new coefficients
-    are a_{k+1} + r_{k+1} - r_k and b_k r_k / r_{k-1}.  For z off the
+    r_0 = z - a_0, t_k = b_k / r_{k-1} and r_k = z - a_k - t_k, they are
+    a_k + t_k - t_{k+1} (his a_{k+1} + r_{k+1} - r_k, free of cancellation
+    among the r_k, which have the size of z) and t_k r_k.  For z off the
     support the forward recursion for r_k is the stable direction."""
-    r = [z - a[0]]
+    t, r = [0 * z], [z - a[0]]
     for k in range(1, len(a)):
-        r.append(z - a[k] - b[k] / r[-1])
-    return ([a[k + 1] + r[k + 1] - r[k] for k in range(len(a) - 1)],
-            [b[0]] + [b[k] * r[k] / r[k - 1] for k in range(1, len(a) - 1)])
+        t.append(b[k] / r[-1])
+        r.append(z - a[k] - t[-1])
+    return ([a[k] + t[k] - t[k + 1] for k in range(len(a) - 1)],
+            [b[0]] + [t[k] * r[k] for k in range(1, len(a) - 1)])
 
 
-def _smooth_roots(spec: WeightSpec, coeffs: tuple[Fraction, ...], digits: int) -> list:
-    """The roots of the polynomial smooth factor at the working precision,
-    found with twice its bits as extra precision so that a multiple root
-    comes out whole.  A real root in [-eta, eta] (to 10^-digits relative)
-    is an InputError."""
+def _smooth_roots(spec: WeightSpec, coeffs: tuple[Fraction, ...]) -> list:
+    """The roots of the polynomial smooth factor, found at 24 digits with
+    twice their bits as extra precision so that a multiple root comes out
+    whole, and rounded to float or (one of a conjugate pair) complex.  A
+    real root in [-eta, eta] (to 1e-15 relative) is an InputError."""
     if len(coeffs) <= 1:
         return []
-    roots = mp.polyroots([mpf_from_fraction(c) for c in reversed(coeffs)],
-                         maxsteps=100, extraprec=2 * mp.mp.prec)
-    eta = mpf_from_fraction(spec.eta)
-    tol = eta * mp.mpf(10) ** -digits
+    with mp.workdps(24):
+        roots = mp.polyroots([mpf_from_fraction(c) for c in reversed(coeffs)],
+                             maxsteps=100, extraprec=2 * mp.mp.prec)
+    roots = [float(z) if isinstance(z, mp.mpf) else complex(z) for z in roots]
+    eta = float(spec.eta)
     for z in roots:
-        if abs(mp.im(z)) <= tol and abs(mp.re(z)) <= eta + tol:
+        if abs(z.imag) <= eta * 1e-15 and abs(z.real) <= eta * (1 + 1e-15):
             raise InputError(f"{spec.label}: smooth factor vanishes at "
-                             f"x={float(mp.re(z)):.6g} in [-eta, eta]")
+                             f"x={z.real:.6g} in [-eta, eta]")
     return roots
 
 
-def jacobi_christoffel_recurrence(
-    spec: WeightSpec, coeffs: tuple[Fraction, ...], n: int, digits: int = DEFAULT_DIGITS
-) -> RecurrenceCoefficients:
+def jacobi_christoffel_recurrence(spec: WeightSpec, coeffs: tuple[Fraction, ...],
+                                  n: int) -> RecurrenceCoefficients:
     """First n orthonormal recurrence coefficients of a weight without atoms
     whose smooth factor has the polynomial coefficients `coeffs`: Jacobi's
-    closed forms, then one Christoffel step per root of the smooth factor
-    (a complex pair as two conjugate steps), in mpmath at digits + 8.  Each
+    closed forms, then one Christoffel step per root of the smooth factor,
+    in float64 (a complex pair as two conjugate steps in complex128).  Each
     step consumes one extra Jacobi coefficient."""
-    with mp.workdps(digits + 8):
-        roots = _smooth_roots(spec, coeffs, digits)
-        a, b = _jacobi_coefficients(spec, n + 1 + len(roots))
-        for z in roots:
-            a, b = _christoffel_step(a, b, z)
-        return RecurrenceCoefficients(
-            np.array([float(mp.sqrt(mp.re(v))) for v in b[1:n + 1]]),
-            np.array([float(mp.re(v)) for v in a[:n]]),
-        )
+    roots = _smooth_roots(spec, coeffs)
+    a, b = _jacobi_coefficients(spec, n + 1 + len(roots))
+    for z in roots:
+        a, b = _christoffel_step(a, b, z)
+    return RecurrenceCoefficients(np.sqrt(np.real(b[1:n + 1])), np.real(a[:n]))
 
 
 # --- Stieltjes / Lanczos ------------------------------------------------------
@@ -508,5 +506,5 @@ def recover_chain(
     if smooth is None:
         coeffs, route = stieltjes_recurrence(measure, depth), "grid-stieltjes"
     else:
-        coeffs, route = jacobi_christoffel_recurrence(spec, smooth, depth, digits), "jacobi-christoffel"
+        coeffs, route = jacobi_christoffel_recurrence(spec, smooth, depth), "jacobi-christoffel"
     return measure, coeffs, chain_from_recurrence(coeffs, label=spec.label + "-chain"), route

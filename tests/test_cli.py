@@ -250,10 +250,13 @@ def test_mc_rows_come_from_one_walk_per_start_state(tmp_path):
                  id="christoffel-chain_b"),
     *(pytest.param("conjecture", name, (), id=f"conjecture-{name}")
       for name in ("chain_b", "chain_k", "chain_recovered")),
+    *(pytest.param(sub, name, (), id=f"{sub}-{name}")
+      for sub in ("recover", "conjecture") for name in ("weight_d", "weight_e")),
 ])
 def test_edges_do_not_depend_on_the_precision(tmp_path, sub, name, flags):
     # one float64 edge solve, Christoffel ratio pass and ratio-vanishing
-    # criterion at every working precision
+    # criterion at every working precision, and one float64 closed-form
+    # weight-to-chain route
     outputs = []
     for digits in ("15", "34"):
         out = tmp_path / digits

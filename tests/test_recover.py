@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import bundled
 from rwlab import recover
 from rwlab.errors import InputError, NumericalRouteWarning
 from rwlab.measures import cn_series, moment
+from rwlab.numeric import mpf_from_fraction
 from rwlab.recover import (
     RecurrenceCoefficients,
     chain_from_recurrence,
@@ -234,22 +236,60 @@ def test_closed_form_matches_the_grid(case):
     nodes = grid_size_for_depth(n + 200)
     grid = discretize_weight(spec, nodes, digits=15)
     oracle = stieltjes_recurrence(grid, n)
-    closed = recover.jacobi_christoffel_recurrence(
-        spec, recover._closed_form_smooth(spec), n, digits=15)
+    closed = recover.jacobi_christoffel_recurrence(spec, recover._closed_form_smooth(spec), n)
     assert np.abs(closed.a - oracle.a).max() <= 1e-13
     assert np.abs(closed.b - oracle.b).max() <= 1e-13
     # the float64 panel rule gives the C_n series of the mpmath one; each
     # series is within about 1e-15 of exact sums over its own nodes
     # (test_cn_series_matches_exact_sums), so the gap between them, at most
-    # 1.4e-14 (weight_half), comes from the two rules, not the summation;
-    # the two ulps of n |ln eta| are margin that the summation does not need
-    ns = np.arange(2 * n)
-    rtol = 1e-13 + 2 * np.spacing(ns * abs(math.log(spec.eta)))
-    c64 = cn_series(recover._discretize_f64(spec, nodes), ns[-1])
-    cmp_ = cn_series(grid, ns[-1])
-    assert np.all(np.abs(c64 - cmp_) <= rtol * np.abs(cmp_))
+    # 1.46e-14 (weight_half), comes from the two rules, not the summation
+    c64 = cn_series(recover._discretize_f64(spec, nodes), 2 * n - 1)
+    cmp_ = cn_series(grid, 2 * n - 1)
+    assert np.all(np.abs(c64 - cmp_) <= 1e-13 * np.abs(cmp_))
     # the closed-form normalization against the panel rule at 34 digits
     with mp.workdps(44):
         gap = abs(recover.density_integral(spec, 34) - recover.raw_density_integral(spec, 34))
     assert gap <= 1e-25
 
+
+def _conjugate_pairs(pairs) -> str:
+    """A smooth factor that is the product of (x - c)^2 + d^2 over pairs."""
+    return " * ".join(f"((x - ({c}))^2 + {d}^2)" for c, d in pairs)
+
+
+# the float64 closed form against the same two helpers on mpf at 30 digits:
+# the 16 benchmark members, weight_half (eta = 1/2), and smooth factors of
+# degree 8 and 32 made of conjugate pairs of roots.  Measured worst cases:
+# the members and weight_half 2 ulp off the diagonal and 7.2e-17 on it;
+# degree 8, 8 ulp and 7.6e-16; degree 32 (depth 300), 11 ulp and 4.3e-15.
+ROUNDING_CASES = [
+    pytest.param(lambda alpha=alpha, beta=beta, smooth=smooth:
+                 make_weight("member", 1, alpha, beta, smooth), 2000, 4, 1.5e-16,
+                 id=f"member-a{alpha}-b{beta}-s{smooth}")
+    for alpha in (Fraction(1, 2), Fraction(3, 2)) for beta in (alpha, alpha + 1)
+    for smooth in ("1", "2 + x", "3 + x", "4 + x")
+] + [
+    pytest.param(lambda: bundled("weight_half"), 2000, 4, 1.5e-16, id="weight_half"),
+    pytest.param(lambda: make_weight("degree-8", 1, "1/2", "3/2", _conjugate_pairs(
+        [("-1/2", "1/2"), ("1/2", "1/2"), (0, 1), (1, 1)])), 2000, 16, 1.5e-15, id="degree-8"),
+    pytest.param(lambda: make_weight("degree-32", 1, "1/2", "1/2", _conjugate_pairs(
+        [(Fraction(2 * j - 15, 16), Fraction(1, 4) + Fraction(j, 32)) for j in range(16)])),
+        300, 22, 9e-15, id="degree-32"),
+]
+
+
+@pytest.mark.parametrize("case, n, ulps, diag_tol", ROUNDING_CASES)
+def test_float64_closed_form_rounding(case, n, ulps, diag_tol):
+    spec = case()
+    coeffs = recover._closed_form_smooth(spec)
+    got = recover.jacobi_christoffel_recurrence(spec, coeffs, n)
+    with mp.workdps(30):
+        roots = mp.polyroots([mpf_from_fraction(c) for c in reversed(coeffs)], maxsteps=100,
+                             extraprec=2 * mp.mp.prec) if len(coeffs) > 1 else []
+        a, b = recover._jacobi_coefficients(spec, n + 1 + len(roots), mpf_from_fraction)
+        for z in roots:
+            a, b = recover._christoffel_step(a, b, z)
+        off = np.array([float(mp.sqrt(mp.re(v))) for v in b[1:n + 1]])
+        diag = np.array([float(mp.re(v)) for v in a[:n]])
+    assert np.all(np.abs(got.a - off) <= ulps * np.spacing(off))
+    assert np.abs(got.b - diag).max() <= diag_tol

@@ -20,7 +20,8 @@ subcommands that solve the support edges, `conjecture` at
 `--precision 34` on chain_b, chain_k and chain_recovered for the Christoffel
 ratio passes and the ratio-vanishing criterion above 16 digits, and
 `conjecture` at `--precision 34` on weight_d and weight_e for the
-closed-form weight-to-chain route above 16 digits.
+closed-form weight-to-chain route and `edge_exponents` above 16 digits
+(the closed form itself runs in float64 at every precision).
 The base and change runs of one job go side by side (two processes at a
 time).
 
