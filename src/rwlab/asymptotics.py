@@ -19,7 +19,6 @@ import numpy as np
 
 from .chains import (
     ChainSpec,
-    DEFAULT_DIGITS,
     DivergenceVerdict,
     _double_sum_verdict,
     classify_series,
@@ -62,15 +61,15 @@ class EdgeExponents:
             raise InconsistentWeightError("smooth part must be positive at the top edge")
 
 
-def edge_exponents(spec: WeightSpec, digits: int = DEFAULT_DIGITS) -> EdgeExponents:
+def edge_exponents(spec: WeightSpec) -> EdgeExponents:
     """EdgeExponents of a weight spec, with the smooth limits normalized to
     unit total mass (the atoms share in the normalization; the density's
-    integral is recover.density_integral, in closed form for a polynomial
-    smooth factor)."""
+    integral is recover.density_integral at FLOAT_DIGITS, in closed form for
+    a polynomial smooth factor; the limits are floats)."""
     from . import expressions as ex
 
-    with mp.workdps(digits + 10):
-        integral = density_integral(spec, digits)
+    with mp.workdps(FLOAT_DIGITS + 10):
+        integral = density_integral(spec, FLOAT_DIGITS)
         atom_mass = mp.fsum(mpf_from_fraction(m) for _, m in spec.atoms) if spec.atoms else mp.mpf(0)
         c = 1 / (integral + atom_mass)
         eta = mpf_from_fraction(spec.eta)
@@ -207,15 +206,15 @@ class BlumenthalPrediction:
     premises: dict
 
 
-def blumenthal_edges(chain: ChainSpec, digits: int = DEFAULT_DIGITS) -> BlumenthalPrediction:
+def blumenthal_edges(chain: ChainSpec) -> BlumenthalPrediction:
     from . import expressions as ex
 
     premises: dict = {}
     if chain.r.tail is None or chain.p.tail is None or chain.q.tail is None:
         return BlumenthalPrediction(False, None, None, {"tail": "no closed form"})
-    r_lim = ex.tail_limit(chain.r.tail, digits)
-    p_lim = ex.tail_limit(chain.p.tail, digits)
-    q_lim = ex.tail_limit(chain.q.tail, digits)
+    r_lim = ex.tail_limit(chain.r.tail)
+    p_lim = ex.tail_limit(chain.p.tail)
+    q_lim = ex.tail_limit(chain.q.tail)
     premises["r_limit"] = r_lim
     premises["pq_limit"] = None if p_lim is None or q_lim is None else p_lim * q_lim
     if r_lim is None or r_lim != 0 or premises["pq_limit"] is None:
@@ -390,20 +389,16 @@ def conjecture_report(
     n_max: int = 400,
     truncation: int = 2000,
     sum_horizon: int = 4000,
-    digits: int = DEFAULT_DIGITS,
 ) -> ConjectureReport:
     """Full pipeline for one chain or one weight: build the measure side and
     the polynomial side, estimate both limits, classify, and compare.
 
-    A weight's chain and measure come from recover.recover_chain without a
-    grid, and its diagnostic "recovery" names the route: jacobi-christoffel
-    (closed form, for a polynomial smooth factor and no atoms) or
-    grid-stieltjes.  digits reaches only a weight's grid route and
-    edge_exponents; the closed form runs in float64 at every precision.  The
-    edge solve, the Christoffel ratio passes and the ratio-vanishing
-    criterion are float64 at every precision, and a chain's quadrature runs
-    on the float64 backend at min(digits, FLOAT_DIGITS), so the report on a
-    chain does not depend on digits.
+    A weight's chain and measure come from recover.recover_chain, and its
+    diagnostic "recovery" names the route the weight takes:
+    jacobi-christoffel (closed form, for a polynomial smooth factor and no
+    atoms) or grid-stieltjes.  The edge solve, the Christoffel ratio passes,
+    the ratio-vanishing criterion and a chain's quadrature are float64, so
+    the report takes no working precision.
     """
     if (chain is None) == (weight is None):
         raise ValueError("supply exactly one of chain, weight")
@@ -411,14 +406,14 @@ def conjecture_report(
     measure = None
     diagnostics: dict = {}
     if weight is not None:
-        measure, _, recovery, route = recover_chain(weight, n_max, digits=digits)
+        measure, _, recovery, route = recover_chain(weight, n_max)
         if not recovery.ok:
             raise InconsistentWeightError(
                 f"{weight.label}: not a random walk measure at index "
                 f"{recovery.fail_index}: {recovery.fail_reason}"
             )
         chain = recovery.chain
-        exps = edge_exponents(weight, digits)
+        exps = edge_exponents(weight)
         diagnostics["edge_exponents"] = f"alpha={exps.alpha:g} beta={exps.beta:g}"
         diagnostics["recovery"] = route
     chain.validate()
@@ -430,7 +425,7 @@ def conjecture_report(
 
     killed = chain.has_killing()
     if measure is None and not killed:
-        measure = quadrature_from_chain(chain, N, min(digits, FLOAT_DIGITS))
+        measure = quadrature_from_chain(chain, N, FLOAT_DIGITS)
     cn_vals = None
     lim_cn = None
     if measure is not None:

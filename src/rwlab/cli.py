@@ -107,22 +107,16 @@ def load_config(args) -> ExperimentConfig:
     return ExperimentConfig(chain, weight, precision, truncation, horizon, seed, out, options)
 
 
-def _opt(options: dict, key: str, default, least: int | None = None):
+def _opt(options: dict, key: str, default: int, least: int | None = None) -> int:
     """options[key] as an int, or default when the key is absent; a value
     below `least` is an input error."""
     try:
         value = int(options[key]) if key in options else default
     except ValueError:
         raise InputError(f"[run] {key} must be an integer, not {options[key]!r}") from None
-    if least is not None and value is not None and value < least:
+    if least is not None and value < least:
         raise InputError(f"[run] {key} must be >= {least}, the run has {key} = {value}")
     return value
-
-
-def _grid(cfg: ExperimentConfig, default: int | None) -> int | None:
-    """The [run] option grid, at least the 64 nodes discretize_weight needs,
-    or `default` when the run sets none."""
-    return _opt(cfg.options, "grid", default, least=64)
 
 
 def _path(cfg: ExperimentConfig, name: str) -> str:
@@ -220,8 +214,7 @@ def cmd_edges(cfg: ExperimentConfig) -> int:
 
 def _measure_for(cfg: ExperimentConfig):
     if cfg.weight is not None:
-        return discretize_weight(cfg.weight, _grid(cfg, grid_size_for_depth(cfg.horizon)),
-                                 cfg.precision)
+        return discretize_weight(cfg.weight, grid_size_for_depth(cfg.horizon), cfg.precision)
     chain = cfg.require_chain()
     return quadrature_from_chain(chain, cfg.truncation, cfg.precision)
 
@@ -286,22 +279,16 @@ def cmd_normalize(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _recover_chain(cfg: ExperimentConfig, weight: WeightSpec, depth: int):
-    """(coefficients, recovery) from recover_chain, on the grid route when
-    the run sets a grid, and the clause a failure record appends when that
-    grid is too coarse ("" if not)."""
-    needed = grid_size_for_depth(depth)
-    grid = _grid(cfg, None)
-    _, coeffs, recovery, _ = recover_chain(weight, depth, grid, cfg.precision)
-    blame = "" if grid is None or grid >= needed else (
-        f"; grid = {grid} is below grid_size_for_depth({depth}) = {needed}, "
-        "so the failing index may be the grid's fault rather than the weight's")
-    return coeffs, recovery, blame
+def _not_a_random_walk_measure(weight: WeightSpec, recovery) -> int:
+    """The error record of a weight whose recovery failed; exit code 3."""
+    _diagnostic("error", "not-a-random-walk-measure",
+                f"{weight.label}: {recovery.fail_reason} (index {recovery.fail_index})")
+    return 3
 
 
 def cmd_recover(cfg: ExperimentConfig) -> int:
     weight = cfg.require_weight()
-    coeffs, recovery, blame = _recover_chain(cfg, weight, _opt(cfg.options, "depth", 64))
+    _, coeffs, recovery, _ = recover_chain(weight, _opt(cfg.options, "depth", 64))
     atomic_write(
         _path(cfg, "recurrence.csv"),
         csv_text(["k", "a", "b"], (
@@ -309,10 +296,7 @@ def cmd_recover(cfg: ExperimentConfig) -> int:
         )),
     )
     if not recovery.ok:
-        _diagnostic("error", "not-a-random-walk-measure",
-                    f"{weight.label}: {recovery.fail_reason} (index {recovery.fail_index})"
-                    + blame)
-        return 3
+        return _not_a_random_walk_measure(weight, recovery)
     atomic_write(_path(cfg, "recovered_chain.txt"),
                  ff.chain_to_text(recovery.chain, comment=f"recovered from {weight.label}"))
     return 0
@@ -344,13 +328,16 @@ def cmd_conjecture(cfg: ExperimentConfig) -> int:
         _require_edge_depth(f"{cfg.weight.label} at horizon {cfg.horizon}", cfg.horizon)
     else:
         _require_limit_horizon(cfg.chain.label, cfg.horizon)
+        if not cfg.chain.has_killing() and cfg.truncation < 8:
+            # the C_n series has 2 * truncation terms; its limit needs 16
+            raise InputError(f"{cfg.chain.label}: the C_n limit needs truncation >= 8, "
+                             f"the run has truncation {cfg.truncation}")
     rep = conjecture_report(
         chain=cfg.chain if cfg.weight is None else None,
         weight=cfg.weight,
         N=cfg.truncation,
         n_max=cfg.horizon,
         truncation=max(200, cfg.truncation),
-        digits=cfg.precision,
     )
     pairs = [
         ("label", rep.chain_label),
@@ -391,12 +378,10 @@ def cmd_dt_check(cfg: ExperimentConfig) -> int:
     weight = cfg.require_weight()
     n_max = cfg.horizon
     _require_edge_depth(f"{weight.label} at horizon {n_max}", n_max)
-    _, recovery, blame = _recover_chain(cfg, weight, n_max)
+    recovery = recover_chain(weight, n_max)[2]
     if not recovery.ok:
-        _diagnostic("error", "not-a-random-walk-measure",
-                    str(recovery.fail_reason) + blame)
-        return 3
-    exps = edge_exponents(weight, cfg.precision)
+        return _not_a_random_walk_measure(weight, recovery)
+    exps = edge_exponents(weight)
     e = support_edges(recovery.chain, max(50, min(cfg.truncation, n_max)))
     result = edge_scaled_christoffel(recovery.chain, exps, e.eta_hat, n_max)
     atomic_write(

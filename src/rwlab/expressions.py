@@ -404,19 +404,20 @@ def is_zero(e: Expr, start: int = 0) -> bool:
     return True
 
 
-def tail_limit(e: Expr, digits: int = 34) -> float | None:
+def tail_limit(e: Expr) -> float | None:
     """Numeric limit of e(j) as j -> infinity, or None if not stabilizing.
 
-    Probes three geometrically spaced large arguments and extrapolates the
-    geometric part of the difference sequence; a numeric probe, not a proof.
+    Probes three geometrically spaced large arguments at 34 digits and
+    extrapolates the geometric part of the difference sequence; a numeric
+    probe, not a proof.
     """
-    with mp.workdps(digits):
+    with mp.workdps(34):
         v1, v2, v3 = (eval_mpf(e, j) for j in (10**6, 4 * 10**6, 16 * 10**6))
         if any(not mp.isfinite(v) for v in (v1, v2, v3)):
             return None
         scale = max(1, abs(v3))
         d1, d2 = v2 - v1, v3 - v2
-        if abs(d1) < scale * mp.mpf(10) ** (-digits + 4):
+        if abs(d1) < scale * mp.mpf(10) ** -30:
             return float(v3)
         rho = d2 / d1
         if 0 <= rho < mp.mpf("0.9"):

@@ -1,18 +1,18 @@
 """From an analytic edge-weight description to a chain: recurrence
 coefficients of the weight, then one-step probabilities under p + q + r = 1.
 recover_chain runs the stages for the CLI and the conjecture pipeline, on
-one of two routes.
+one of two routes, which the weight picks.
 
 A weight without atoms whose smooth factor is a polynomial takes the closed
 form: Jacobi's coefficients with one Christoffel step per root of the
-smooth factor, in float64 at every precision (jacobi_christoffel_recurrence).
-Any other weight, or a run that sets the grid, is discretized at the
-requested digits and goes through the Stieltjes recursion, which runs in
-float64 at every precision, without reorthogonalization, and is kept only
-when a measured loss of orthogonality certifies it; otherwise it is rerun
-with full reorthogonalization and a NumericalRouteWarning says so.  The
-recovered coefficients are float-rounded (small dyadic Fractions), with
-p_k completing each row so that p + q + r = 1 holds exactly.
+smooth factor, in float64 (jacobi_christoffel_recurrence).  Any other
+weight is discretized at FLOAT_DIGITS and goes through the Stieltjes
+recursion, which runs in float64, without reorthogonalization, and is kept
+only when a measured loss of orthogonality certifies it; otherwise it is
+rerun with full reorthogonalization and a NumericalRouteWarning says so.
+Both routes size the grid by grid_size_for_depth.  The recovered
+coefficients are float-rounded (small dyadic Fractions), with p_k
+completing each row so that p + q + r = 1 holds exactly.
 
 Recovery failure (a negative diagonal or an infeasible p_k) is a first-class
 result carrying the first failing index, so experiments can map where the
@@ -35,6 +35,7 @@ from .chains import ChainSpec, CoeffRule, DEFAULT_DIGITS
 from .errors import InputError, NumericalRouteWarning, StieltjesBreakdownError
 from .measures import DiscreteMeasure, _measure_from_arrays
 from .numeric import mpf_from_fraction
+from .tridiagonal import FLOAT_DIGITS
 
 PANEL_ORDER = 60
 
@@ -484,27 +485,25 @@ def chain_from_recurrence(
 
 
 def recover_chain(
-    spec: WeightSpec, depth: int, grid: int | None = None, digits: int = DEFAULT_DIGITS
+    spec: WeightSpec, depth: int
 ) -> tuple[DiscreteMeasure, RecurrenceCoefficients, ChainRecovery, str]:
     """The weight's chain to `depth`: (measure, coefficients, recovery,
-    route).
+    route), on grid_size_for_depth(depth) nodes.
 
-    With grid None, a weight without atoms and with a polynomial smooth
-    factor takes route "jacobi-christoffel": the coefficients in closed form
+    A weight without atoms and with a polynomial smooth factor takes route
+    "jacobi-christoffel": the coefficients in closed form
     (jacobi_christoffel_recurrence) and the measure from the float64 panel
-    rule on grid_size_for_depth(depth) nodes.  Any other weight, and any
-    set grid, takes route "grid-stieltjes": the weight discretized at
-    `digits` on `grid` nodes (default grid_size_for_depth(depth)) and the
-    coefficients from the verified float64 Stieltjes recursion.  A depth
-    outside [1, half the node count] is an InputError."""
-    smooth = None if grid is not None else _closed_form_smooth(spec)
-    nodes = grid_size_for_depth(depth) if grid is None else grid
-    measure = discretize_weight(spec, nodes, digits) if smooth is None else _discretize_f64(spec, nodes)
-    if not 1 <= depth <= len(measure) // 2:
-        raise InputError(f"{spec.label}: depth = {depth} must be in [1, {len(measure) // 2}], "
-                         f"half the node count of grid = {nodes}")
+    rule.  Any other weight takes route "grid-stieltjes": the weight
+    discretized at FLOAT_DIGITS and the coefficients from the verified
+    float64 Stieltjes recursion.  A depth below 1 is an InputError."""
+    if depth < 1:
+        raise InputError(f"{spec.label}: depth = {depth} must be in [1, inf)")
+    smooth = _closed_form_smooth(spec)
+    nodes = grid_size_for_depth(depth)
     if smooth is None:
+        measure = discretize_weight(spec, nodes, FLOAT_DIGITS)
         coeffs, route = stieltjes_recurrence(measure, depth), "grid-stieltjes"
     else:
+        measure = _discretize_f64(spec, nodes)
         coeffs, route = jacobi_christoffel_recurrence(spec, smooth, depth), "jacobi-christoffel"
     return measure, coeffs, chain_from_recurrence(coeffs, label=spec.label + "-chain"), route

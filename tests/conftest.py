@@ -131,26 +131,24 @@ def edges2000(core_chains):
 
 @pytest.fixture(scope="session")
 def report_a(chain_a):
-    return conjecture_report(chain=chain_a, N=400, n_max=400, truncation=2000,
-                             digits=15)
+    return conjecture_report(chain=chain_a, N=400, n_max=400, truncation=2000)
 
 
 @pytest.fixture(scope="session")
 def report_b(chain_b):
-    return conjecture_report(chain=chain_b, N=400, n_max=400, truncation=2000,
-                             digits=15)
+    return conjecture_report(chain=chain_b, N=400, n_max=400, truncation=2000)
 
 
 @pytest.fixture(scope="session")
 def report_d():
     return conjecture_report(weight=bundled("weight_d"), n_max=2000,
-                             truncation=2000, digits=15)
+                             truncation=2000)
 
 
 @pytest.fixture(scope="session")
 def report_e():
     return conjecture_report(weight=bundled("weight_e"), n_max=2000,
-                             truncation=2000, digits=15)
+                             truncation=2000)
 
 
 def _recovered_chain(weight):

@@ -196,7 +196,7 @@ def test_criterion_11_edge_scaling_calibration(chain_s):
         scaled = n**3 * float(christoffel(chain_s, n, 1, digits=15))
         worst = max(worst, abs(scaled / 3 - 1))
     assert worst <= 0.01
-    exps = edge_exponents(bundled("semicircle_weight"), 20)
+    exps = edge_exponents(bundled("semicircle_weight"))
     res = edge_scaled_christoffel(chain_s, exps, 1.0, 1000)
     assert res.constant_top == pytest.approx(3.0, rel=1e-12)
     print(f"ACCEPTANCE 11 PASS: semicircle n^3 rho_n(1) within {worst:.2%} of 3 "

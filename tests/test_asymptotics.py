@@ -27,11 +27,11 @@ from rwlab.recover import chain_from_recurrence, discretize_weight, stieltjes_re
 
 
 def test_predicted_limits():
-    d = edge_exponents(bundled("weight_d"), 20)
+    d = edge_exponents(bundled("weight_d"))
     assert predicted_cn_limit(d) == 0.0
-    e = edge_exponents(bundled("weight_e"), 20)
+    e = edge_exponents(bundled("weight_e"))
     assert predicted_cn_limit(e) == pytest.approx(1 / 3, rel=1e-12)
-    s = edge_exponents(bundled("semicircle_weight"), 20)
+    s = edge_exponents(bundled("semicircle_weight"))
     assert predicted_cn_limit(s) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -55,12 +55,12 @@ def test_inconsistent_exponents_flagged():
 
 
 def test_blumenthal(chain_b, chain_c, chain_s):
-    pred = blumenthal_edges(chain_c, 15)
+    pred = blumenthal_edges(chain_c)
     assert pred.applicable
     assert pred.eta == pytest.approx(2 * math.sqrt(0.21), rel=1e-9)
     assert pred.zeta == pytest.approx(-2 * math.sqrt(0.21), rel=1e-9)
-    assert not blumenthal_edges(chain_b, 15).applicable  # r does not vanish
-    pred = blumenthal_edges(chain_s, 15)
+    assert not blumenthal_edges(chain_b).applicable  # r does not vanish
+    pred = blumenthal_edges(chain_s)
     assert pred.applicable and pred.eta == pytest.approx(1.0, rel=1e-9)
 
 
@@ -91,7 +91,7 @@ def test_regularity(chain_a, chain_c, chain_s):
 
 
 def test_edge_scaling_semicircle(chain_s):
-    exps = edge_exponents(bundled("semicircle_weight"), 20)
+    exps = edge_exponents(bundled("semicircle_weight"))
     res = edge_scaled_christoffel(chain_s, exps, 1.0, 2000)
     assert res.limit_top.value == pytest.approx(3.0, rel=5e-3)
     # the derived constant is the closed-form semicircle limit
@@ -100,7 +100,7 @@ def test_edge_scaling_semicircle(chain_s):
 
 def test_edge_scaling_weight_d(report_d):
     # the bottom-edge scaled sequence n^(2 beta + 2) rho_n(-eta) stabilizes
-    exps = edge_exponents(bundled("weight_d"), 20)
+    exps = edge_exponents(bundled("weight_d"))
     chain = None
     # rebuild the chain from the cached report's series length cheaply
     from rwlab.recover import grid_size_for_depth
@@ -124,7 +124,7 @@ def test_edge_scaling_weight_d(report_d):
 ])
 def test_edge_constants_are_derived(request, weight, eta, chain, top, bottom):
     spec = dataclasses.replace(bundled(weight), eta=Fraction(eta))
-    exps = edge_exponents(spec, 20)
+    exps = edge_exponents(spec)
     constants = (edge_constant(eta, exps.alpha, exps.beta, exps.w_at_eta),
                  edge_constant(eta, exps.beta, exps.alpha, exps.w_at_minus_eta))
     assert constants == pytest.approx((top, bottom), rel=1e-12)
@@ -164,8 +164,7 @@ def test_no_bundled_family_inconsistent(report_a, report_b, report_d, report_e,
     for rep in (report_a, report_b, report_d, report_e):
         assert rep.verdict != "inconsistent"
     for chain in (chain_c, chain_s):
-        rep = conjecture_report(chain=chain, N=200, n_max=200, truncation=1000,
-                                digits=15)
+        rep = conjecture_report(chain=chain, N=200, n_max=200, truncation=1000)
         assert rep.branch == "i"
         assert rep.verdict == "consistent"
         assert rep.lim_rho_ratio.value == 1.0
@@ -207,15 +206,14 @@ def test_gap_between_edges_forces_zero_limits(report_b):
 
 
 def test_killed_chain_report():
-    rep = conjecture_report(chain=bundled("chain_k"), n_max=300, truncation=1000,
-                            digits=15)
+    rep = conjecture_report(chain=bundled("chain_k"), n_max=300, truncation=1000)
     assert rep.lim_cn is None
     assert rep.branch == "none-applicable"  # absorption certain: no prediction
     assert rep.lim_rho_ratio.value <= 1e-6
     # killed chain with r = 0: the parity argument still applies, the ratio
     # is identically 1, and the report lands in the periodic branch
     rep = conjecture_report(chain=chain_transient_killing(), n_max=300,
-                            truncation=1000, digits=15)
+                            truncation=1000)
     assert rep.branch == "i"
     assert rep.lim_cn is None
     assert rep.lim_rho_ratio.value == 1.0
@@ -238,7 +236,7 @@ def test_bisection_fallback_is_reported(monkeypatch, chain_b):
     monkeypatch.setattr(asymptotics, "support_edges", misplaced_edges)
     with pytest.warns(NumericalRouteWarning, match="rerun at the bisection edge"):
         rep = conjecture_report(chain=chain_b, N=60, n_max=200, truncation=400,
-                                sum_horizon=400, digits=15)
+                                sum_horizon=400)
     assert rep.diagnostics["eta_hat"].endswith("(bisection fallback)")
     assert float(rep.diagnostics["eta_hat"].split()[0]) == pytest.approx(1.0, abs=1e-5)
     assert np.nanmax(rep.ratio_values) <= 1 + 1e-9

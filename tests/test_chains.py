@@ -258,9 +258,9 @@ def test_no_hot_path_hashes_a_chain(monkeypatch):
     monkeypatch.setattr(ChainSpec, "__hash__", refuse)
     chain = bundled("chain_b")
     conjecture_report(chain=chain, N=60, n_max=100, truncation=200,
-                      sum_horizon=200, digits=15)
+                      sum_horizon=200)
     conjecture_report(weight=bundled("weight_e"), N=60, n_max=60, truncation=200,
-                      sum_horizon=200, digits=15)
+                      sum_horizon=200)
     support_edges(chain, 60, tol=1e-4)
     quadrature_from_chain(chain, 20, digits=34)
     normalize(chain, 1.0, 50)
@@ -287,7 +287,7 @@ def test_fifteen_digit_passes_stay_off_mpmath(monkeypatch):
             monkeypatch.setattr(module, "log_pi_mpf", refuse)
     for chain in (bundled("chain_b"), bundled("chain_k"), bundled("chain_recovered")):
         conjecture_report(chain=chain, N=60, n_max=200, truncation=400,
-                          sum_horizon=400, digits=15)
+                          sum_horizon=400)
     absorption_probabilities(bundled("chain_k"), 6, 2000, digits=15)
 
 

@@ -88,12 +88,19 @@ def test_recover_failure_exit_code(tmp_path, capsys):
     ("semicircle_weight", 300, 0),
     ("weight_d", 600, 3),  # the reorthogonalized chain fails at index 130
 ])
-def test_recover_reports_stieltjes_fallback(tmp_path, capsys, family, depth, code):
-    # grid = 64 gives 3,360 nodes, too few for the depth: the Stieltjes
-    # check trips and the fallback is reported as one JSON warning record
+def test_recover_reports_stieltjes_fallback(tmp_path, capsys, monkeypatch, family, depth,
+                                            code):
+    # the family's exponents with a non-polynomial smooth factor of the same
+    # parity take the grid route; a grid of 64 gives 3,360 nodes, too few
+    # for the depth: the Stieltjes check trips and the fallback is reported
+    # as one JSON warning record
+    from rwlab import recover
+
+    monkeypatch.setattr(recover, "grid_size_for_depth", lambda n: 64)
+    smooth = "1/(3 + x^2)" if family == "semicircle_weight" else "1/(3 + x)"
     config = tmp_path / "w.cfg"
-    config.write_text(ff.weight_to_text(bundled(family))
-                      + f"\n[run]\nprecision = 15\ndepth = {depth}\ngrid = 64\n")
+    config.write_text(ff.weight_to_text(bundled(family)).replace("smooth = 1", f"smooth = {smooth}")
+                      + f"\n[run]\nprecision = 15\ndepth = {depth}\n")
     out = str(tmp_path / "o")
     assert run("recover", "--config", str(config), "--out", out) == code
     records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
@@ -102,31 +109,31 @@ def test_recover_reports_stieltjes_fallback(tmp_path, capsys, family, depth, cod
     assert warned[0]["code"] == "NumericalRouteWarning"
     assert "reorthogonalization" in warned[0]["message"]
     assert os.path.exists(os.path.join(out, "recovered_chain.txt")) == (code == 0)
-    # the failure record blames the under-resolved grid, not only the weight
-    failed = [r for r in records if r["level"] == "error"]
-    assert len(failed) == (code != 0)
-    assert all("grid_size_for_depth(600) = " in r["message"] for r in failed)
+    assert len([r for r in records if r["level"] == "error"]) == (code != 0)
 
 
-@pytest.mark.parametrize("sub, run_options, message", [
-    (sub, "grid = 63", "grid must be >= 64, the run has grid = 63")
-    for sub in ("recover", "dt-check", "measure", "cn")
-] + [
-    ("recover", "depth = 0", "depth = 0 must be in [1, "),
-    ("recover", "grid = 64\ndepth = 2000", "depth = 2000 must be in [1, 1680]"),
-])
-def test_weight_grid_and_depth_options_are_input_errors(tmp_path, capsys, sub, run_options,
-                                                       message):
+def test_recover_depth_zero_is_an_input_error(tmp_path, capsys):
     config = tmp_path / "w.cfg"
     config.write_text(ff.weight_to_text(bundled("weight_e"))
-                      + f"\n[run]\nprecision = 15\nhorizon = 64\n{run_options}\n")
+                      + "\n[run]\nprecision = 15\nhorizon = 64\ndepth = 0\n")
     out = str(tmp_path / "o")
-    assert run(sub, "--config", str(config), "--out", out) == 3
+    assert run("recover", "--config", str(config), "--out", out) == 3
     records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert len(records) == 1
     assert records[0]["code"] == "input"
-    assert message in records[0]["message"]
+    assert "depth = 0 must be in [1, " in records[0]["message"]
     assert not os.path.exists(out)
+
+
+def test_recover_and_dt_check_write_one_failure_record(tmp_path, capsys):
+    # both subcommands name the weight and the failing index
+    records = []
+    for sub in ("recover", "dt-check"):
+        assert run(sub, "--config", cfg("negative_mean.cfg"), "--out", str(tmp_path / sub)) == 3
+        records.append([json.loads(line) for line in capsys.readouterr().err.splitlines()])
+    assert records[0] == records[1] == [{
+        "code": "not-a-random-walk-measure", "level": "error",
+        "message": "negative-mean: r_0 = -0.2 < 0 (index 0)"}]
 
 
 @pytest.mark.parametrize("sub, family, run_options, flags, message", [
@@ -157,10 +164,13 @@ def test_weight_grid_and_depth_options_are_input_errors(tmp_path, capsys, sub, r
     ("polys", "chain_b", "x = abc", (), "[run] x must be a rational number, not 'abc'"),
     ("polys", "chain_b", "x = 1/0", (), "[run] x must be a rational number, not '1/0'"),
     ("srlp", "chain_b", "", ("--horizon", "0"), "srlp needs horizon >= 1, the run has horizon 0"),
+    ("conjecture", "chain_a", "truncation = 7\nhorizon = 100", (),
+     "arcsine: the C_n limit needs truncation >= 8, the run has truncation 7"),
 ], ids=["non-integer", "samples", "seed", "seed-flag", "negative-horizon",
         "chain-info-horizon", "absorb-horizon", "srlp-negative-index", "srlp-unreachable-state",
         "absorb-j-max", "polys-depth", "normalize-depth", "mc-steps", "mc-seed-key",
-        "polys-x-not-rational", "polys-x-zero-denominator", "srlp-horizon"])
+        "polys-x-not-rational", "polys-x-zero-denominator", "srlp-horizon",
+        "conjecture-truncation"])
 def test_bad_run_values_are_input_errors(tmp_path, capsys, sub, family, run_options, flags,
                                          message):
     config = tmp_path / "c.cfg"
@@ -176,12 +186,12 @@ def test_bad_run_values_are_input_errors(tmp_path, capsys, sub, family, run_opti
 
 
 def test_conjecture_analyses_the_chain_recover_writes(tmp_path, monkeypatch):
-    # one weight-to-chain path: at 34 digits, conjecture_report runs its
-    # edge solve on exactly the chain that `rwlab recover` writes
+    # one weight-to-chain path: conjecture_report runs its edge solve on
+    # exactly the chain that `rwlab recover` writes
     config = tmp_path / "e.cfg"
     config.write_text(ff.weight_to_text(bundled("weight_e")) + "\n[run]\ndepth = 64\n")
     out = str(tmp_path / "o")
-    assert run("recover", "--config", str(config), "--out", out, "--precision", "34") == 0
+    assert run("recover", "--config", str(config), "--out", out) == 0
     written = ff.chain_from_sections(ff.parse_file(os.path.join(out, "recovered_chain.txt")))
     seen = []
 
@@ -190,7 +200,7 @@ def test_conjecture_analyses_the_chain_recover_writes(tmp_path, monkeypatch):
         return support_edges(chain, *args, **kwargs)
 
     monkeypatch.setattr(asymptotics, "support_edges", spy)
-    asymptotics.conjecture_report(weight=bundled("weight_e"), n_max=64, digits=34)
+    asymptotics.conjecture_report(weight=bundled("weight_e"), n_max=64)
     assert len(seen) == 1
     for name in ("p", "q", "r", "kappa"):
         analysed, recovered = getattr(seen[0], name).prefix, getattr(written, name).prefix
@@ -252,6 +262,9 @@ def test_mc_rows_come_from_one_walk_per_start_state(tmp_path):
       for name in ("chain_b", "chain_k", "chain_recovered")),
     *(pytest.param(sub, name, (), id=f"{sub}-{name}")
       for sub in ("recover", "conjecture") for name in ("weight_d", "weight_e")),
+    pytest.param("dt-check", "weight_d", (), id="dt-check-weight_d"),
+    *(pytest.param(sub, "weight_rational", ("--horizon", "100"), id=f"{sub}-weight_rational")
+      for sub in ("recover", "dt-check", "conjecture")),
 ])
 def test_edges_do_not_depend_on_the_precision(tmp_path, sub, name, flags):
     # one float64 edge solve, Christoffel ratio pass and ratio-vanishing
@@ -424,14 +437,15 @@ def test_chain_info_on_overflowing_series_is_quiet(tmp_path, capsys):
 DIP = "(32*x - 1)^2 - 1/4"  # negative on (1/64, 3/64), between validation's points
 
 
-@pytest.mark.parametrize("sub, run_options", [
+@pytest.mark.parametrize("sub, divisor", [
     ("conjecture", ""), ("recover", ""), ("dt-check", ""),  # closed form: a root
-    ("recover", "grid = 4000"), ("measure", ""),  # the grid: a density value
+    ("recover", "/(3 + x)"), ("measure", ""),  # the grid: a density value
 ])
-def test_smooth_factor_below_zero_is_an_input_error(tmp_path, capsys, sub, run_options):
+def test_smooth_factor_below_zero_is_an_input_error(tmp_path, capsys, sub, divisor):
     config = tmp_path / "w.cfg"
-    config.write_text(ff.weight_to_text(bundled("weight_d")).replace("smooth = 1", f"smooth = {DIP}")
-                      + f"\n[run]\nprecision = 15\nhorizon = 100\n{run_options}\n")
+    config.write_text(ff.weight_to_text(bundled("weight_d"))
+                      .replace("smooth = 1", f"smooth = ({DIP}){divisor}")
+                      + "\n[run]\nprecision = 15\nhorizon = 100\n")
     out = str(tmp_path / "o")
     assert run(sub, "--config", str(config), "--out", out) == 3
     records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
@@ -459,15 +473,12 @@ def test_polynomial_weights_skip_the_grid(tmp_path, monkeypatch):
         assert "diag_recovery = jacobi-christoffel" in read(os.path.join(out, "conjecture.txt"))
 
 
-@pytest.mark.parametrize("weight, run_options", [
-    ("[weight]\nlabel = atomic\neta = 1\nalpha = 1/2\nbeta = 3/2\nsmooth = 1\n"
-     "atoms = 1/2:1/4\n", ""),
-    ("[weight]\nlabel = rational\neta = 1\nalpha = 1/2\nbeta = 3/2\nsmooth = 1/(3 + x)\n"
-     "atoms = none\n", ""),
-    (ff.weight_to_text(bundled("weight_d")), "grid = 4000"),
-], ids=["atoms", "non-polynomial", "grid"])
-def test_atoms_non_polynomial_smooth_factors_and_a_set_grid_take_the_grid(
-        tmp_path, monkeypatch, weight, run_options):
+@pytest.mark.parametrize("weight", [
+    "[weight]\nlabel = atomic\neta = 1\nalpha = 1/2\nbeta = 3/2\nsmooth = 1\n"
+    "atoms = 1/2:1/4\n",
+    ff.weight_to_text(bundled("weight_rational")),
+], ids=["atoms", "non-polynomial"])
+def test_atoms_and_non_polynomial_smooth_factors_take_the_grid(tmp_path, monkeypatch, weight):
     from rwlab import recover
 
     calls = []
@@ -475,11 +486,10 @@ def test_atoms_non_polynomial_smooth_factors_and_a_set_grid_take_the_grid(
     monkeypatch.setattr(recover, "discretize_weight",
                         lambda *args: calls.append(args) or discretize(*args))
     config = tmp_path / "w.cfg"
-    config.write_text(weight + f"\n[run]\nprecision = 15\ntruncation = 100\nhorizon = 100\n"
-                      f"{run_options}\n")
+    config.write_text(weight + "\n[run]\nprecision = 15\ntruncation = 100\nhorizon = 100\n")
     out = str(tmp_path / "o")
     run("recover", "--config", str(config), "--out", out)  # atoms: not a random walk measure
     assert len(calls) == 1
-    if "rational" in weight:
+    if "atoms = none" in weight:
         assert run("conjecture", "--config", str(config), "--out", out) == 0
         assert "diag_recovery = grid-stieltjes" in read(os.path.join(out, "conjecture.txt"))

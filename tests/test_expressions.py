@@ -96,11 +96,11 @@ def test_zero_capacity_cap():
 
 
 def test_tail_limit():
-    assert ex.tail_limit(ex.parse("1/2", "j"), 15) == 0.5
-    assert ex.tail_limit(ex.parse("4^-j", "j"), 15) == 0.0
-    lim = ex.tail_limit(ex.parse("(j+2)/(2*(j+1))", "j"), 15)
+    assert ex.tail_limit(ex.parse("1/2", "j")) == 0.5
+    assert ex.tail_limit(ex.parse("4^-j", "j")) == 0.0
+    lim = ex.tail_limit(ex.parse("(j+2)/(2*(j+1))", "j"))
     assert abs(lim - 0.5) < 1e-9
-    assert ex.tail_limit(ex.parse("j", "j"), 15) is None
+    assert ex.tail_limit(ex.parse("j", "j")) is None
 
 
 @given(

@@ -14,14 +14,16 @@ coefficient-level series, polynomial and absorption paths at the default
 working precision, `measure --precision 15 --truncation 1000` on chain_b
 and chain_s for float64 Golub-Welsch above the configs' truncation 400, and
 `recover` and `dt-check --horizon 64` at `--precision 34` on weight_d and
-weight_e for the weight-to-chain recovery above 16 digits, `normalize`
+weight_e for the closed-form weight-to-chain recovery, `normalize`
 and `srlp` at `--precision 34` on chain_b and chain_s for the two other
 subcommands that solve the support edges, `conjecture` at
 `--precision 34` on chain_b, chain_k and chain_recovered for the Christoffel
 ratio passes and the ratio-vanishing criterion above 16 digits, and
 `conjecture` at `--precision 34` on weight_d and weight_e for the
-closed-form weight-to-chain route and `edge_exponents` above 16 digits
-(the closed form itself runs in float64 at every precision).
+closed-form route and `edge_exponents`, and the same three subcommands on
+weight_rational for the grid + Stieltjes route.  The weight-to-chain path
+takes no working precision, so these weight jobs show that `--precision`
+moves nothing there.
 The base and change runs of one job go side by side (two processes at a
 time).
 
@@ -76,6 +78,9 @@ EXTRA = [
         ("srlp", ("chain_b", "chain_s"), "34", ()),
         ("conjecture", ("chain_b", "chain_k", "chain_recovered"), "34", ()),
         ("conjecture", ("weight_d", "weight_e"), "34", ()),
+        ("recover", ("weight_rational",), "34", ()),
+        ("dt-check", ("weight_rational",), "34", ("--horizon", "64")),
+        ("conjecture", ("weight_rational",), "34", ()),
     )
     for name in names
 ]
