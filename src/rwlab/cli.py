@@ -93,8 +93,6 @@ def load_config(args) -> ExperimentConfig:
         return flag if flag is not None else _opt(run, key, default)
 
     precision = pick(args.precision, "precision", 34)
-    if precision < 15:
-        raise InputError("precision must be >= 15 digits")
     truncation = pick(args.truncation, "truncation", 400)
     if truncation < 2:
         raise InputError("truncation must be >= 2")
@@ -119,6 +117,13 @@ def _opt(options: dict, key: str, default: int, least: int | None = None) -> int
     return value
 
 
+def _digits(cfg: ExperimentConfig) -> int:
+    """cfg.precision for a subcommand that reads it; below 15 is an input error."""
+    if cfg.precision < 15:
+        raise InputError("precision must be >= 15 digits")
+    return cfg.precision
+
+
 def _path(cfg: ExperimentConfig, name: str) -> str:
     return os.path.join(cfg.out, name)
 
@@ -127,7 +132,7 @@ def _path(cfg: ExperimentConfig, name: str) -> str:
 
 
 def cmd_chain_info(cfg: ExperimentConfig) -> int:
-    chain = cfg.require_chain()
+    digits, chain = _digits(cfg), cfg.require_chain()
     n = int(min(cfg.horizon, chain.depth - 2))
     if n < 1:
         raise InputError(f"{chain.label}: chain-info needs horizon >= 1 and depth >= 3")
@@ -144,7 +149,7 @@ def cmd_chain_info(cfg: ExperimentConfig) -> int:
     rows.append(("hold_over_up_sum", rp.verdict))
     ks = killing_sum(chain, n)
     rows.append(("killing_sum", ks.verdict))
-    pis = potential_coefficients(chain, min(n, 64), cfg.precision)
+    pis = potential_coefficients(chain, min(n, 64), digits)
     atomic_write(_path(cfg, "chain_info.txt"), keyvalue_text(rows))
     atomic_write(
         _path(cfg, "potential_coefficients.csv"),
@@ -163,7 +168,7 @@ def cmd_polys(cfg: ExperimentConfig) -> int:
     except (ValueError, ZeroDivisionError):
         raise InputError(f"[run] x must be a rational number, not {text!r}") from None
     n = _opt(cfg.options, "depth", int(min(64, chain.depth - 1)), least=0)
-    trace = eval_Q(chain, n, x, cfg.precision)
+    trace = eval_Q(chain, n, x, _digits(cfg))
     rows = []
     for k in range(n + 1):
         qv = trace.values[k]
@@ -213,10 +218,10 @@ def cmd_edges(cfg: ExperimentConfig) -> int:
 
 
 def _measure_for(cfg: ExperimentConfig):
+    digits = _digits(cfg)
     if cfg.weight is not None:
-        return discretize_weight(cfg.weight, grid_size_for_depth(cfg.horizon), cfg.precision)
-    chain = cfg.require_chain()
-    return quadrature_from_chain(chain, cfg.truncation, cfg.precision)
+        return discretize_weight(cfg.weight, grid_size_for_depth(cfg.horizon), digits)
+    return quadrature_from_chain(cfg.require_chain(), cfg.truncation, digits)
 
 
 def cmd_measure(cfg: ExperimentConfig) -> int:
@@ -267,10 +272,10 @@ def cmd_christoffel(cfg: ExperimentConfig) -> int:
 
 
 def cmd_normalize(cfg: ExperimentConfig) -> int:
-    chain = cfg.require_chain()
+    digits, chain = _digits(cfg), cfg.require_chain()
     e = _edges_for(cfg, chain)
     depth = _opt(cfg.options, "depth", int(min(256, chain.depth - 2)), least=0)
-    norm = normalize(chain, e.eta_hat, depth, cfg.precision)
+    norm = normalize(chain, e.eta_hat, depth, digits)
     text = ff.chain_to_text(
         norm.chain,
         comment=f"normalized from {norm.base_label} at eta = {norm.eta_used!r}",
@@ -303,13 +308,13 @@ def cmd_recover(cfg: ExperimentConfig) -> int:
 
 
 def cmd_srlp(cfg: ExperimentConfig) -> int:
-    chain = cfg.require_chain()
+    digits, chain = _digits(cfg), cfg.require_chain()
     e = _edges_for(cfg, chain)
     i = _opt(cfg.options, "i", 0)
     j = _opt(cfg.options, "j", 1)
     k = _opt(cfg.options, "k", 0)
     l = _opt(cfg.options, "l", 0)
-    cmp_ = srlp_predicted_limit(chain, i, j, k, l, e.eta_hat, cfg.precision,
+    cmp_ = srlp_predicted_limit(chain, i, j, k, l, e.eta_hat, digits,
                                 horizon=min(cfg.horizon, 400))
     atomic_write(
         _path(cfg, "srlp.csv"),
@@ -403,7 +408,7 @@ def cmd_dt_check(cfg: ExperimentConfig) -> int:
 def cmd_absorb(cfg: ExperimentConfig) -> int:
     chain = cfg.require_chain()
     j_max = _opt(cfg.options, "j_max", 8, least=0)
-    res = absorption_probabilities(chain, j_max, cfg.horizon, cfg.precision)
+    res = absorption_probabilities(chain, j_max, cfg.horizon, _digits(cfg))
     atomic_write(
         _path(cfg, "absorption.csv"),
         csv_text(["j", "tau"], ((j, t) for j, t in enumerate(res.tau))),

@@ -8,10 +8,10 @@ has two backends: float64 (numpy's dense symmetric eigensolver on the
 Jacobi matrix) for digits <= 16, and a high-precision one above, which
 takes its Jacobi arrays as mpf.  Its nodes are Newton-polished float64
 seeds, all nodes at once on numpy object arrays, in fixed point at the
-working precision in bits plus _GUARD_BITS.  Each weight is 1/sum v_j^2
-for the node's eigenvector v with v_0 = 1, run forward from the first
-index and backward from the last and joined where the float64 eigenvector
-peaks, so an eigenvector that decays keeps its weight.
+working precision in bits plus _GUARD_BITS, until every step is below the
+guard grid.  Each weight is 1/sum v_j^2 for the node's eigenvector v with
+v_0 = 1, run forward from the first index and backward from the last and
+joined where the float64 eigenvector peaks: decaying ones keep their weight.
 
 _three_term is the one forward recurrence of the polynomial family, on mpf
 or on float64 node arrays; _three_term_f64 is its scalar float64 form with a
@@ -26,8 +26,11 @@ import math
 import mpmath as mp
 import numpy as np
 
+from .errors import PrecisionExhaustedError
+
 FLOAT_DIGITS = 16
 _GUARD_BITS = 24
+_MAX_PASSES = 16  # Newton passes before unsettled nodes raise
 
 
 def jacobi_arrays_f64(chain, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -143,20 +146,27 @@ def golub_welsch_f64(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _eigenvector_sums(x, a: list, b: list, inv: list, peak, bits: int):
     """(sum_{j<peak} v_j^2 at scale 2^(2F), v_peak at scale 2^F) per node of
-    v_0 = 1, v_{j+1} = ((x - b_j) v_j - a_j v_{j-1}) / a_{j+1}."""
-    prev, cur = 0, np.full(len(x), 1 << bits, dtype=object)
-    total, at_peak = 0, cur
-    for j in range(int(peak.max())):
-        total = total + np.where(peak > j, cur * cur, 0)
-        prev, cur = cur, ((x - b[j]) * cur - a[j] * prev) * inv[j + 1] >> 2 * bits
-        at_peak = np.where(peak == j + 1, cur, at_peak)
+    v_0 = 1, v_{j+1} = ((x - b_j) v_j - a_j v_{j-1}) / a_{j+1}, row j over
+    the nodes of peak > j only: a shrinking prefix once sorted by peak."""
+    order = np.argsort(-peak, kind="stable")
+    x, peak = x[order], peak[order]
+    live = np.searchsorted(-peak, -np.arange(peak[0] + 1))  # live[j]: nodes with peak > j
+    prev, cur = np.zeros(len(x), dtype=object), np.full(len(x), 1 << bits, dtype=object)
+    total, at_peak = np.zeros(len(x), dtype=object), cur.copy()
+    for j in range(peak[0]):
+        m, ending = live[j], live[j + 1]
+        cur = cur[:m]
+        total[order[:m]] += cur * cur
+        prev, cur = cur, ((x[:m] - b[j]) * cur - a[j] * prev[:m]) * inv[j + 1] >> 2 * bits
+        at_peak[order[ending:m]] = cur[ending:]
     return total, at_peak
 
 
 def golub_welsch_mpf(chain, size: int, digits: int):
-    """High-precision nodes/weights: four Newton steps from the float64
-    seeds on u = a_size p_size and u'; weights from the eigenvector run
-    forward to, and backward from the end to, its float64 peak."""
+    """High-precision nodes/weights: Newton passes from the float64 seeds on
+    u = a_size p_size (u' too while the steps reach 2^-(prec/2)) until every
+    step is below 2^(_GUARD_BITS-4) units, else PrecisionExhaustedError; weights
+    from the eigenvector run forward to, and backward from the end to, its peak."""
     d64, e64 = jacobi_arrays_f64(chain, size)
     seeds, vectors = _eigh(d64, e64)
     peak = np.argmax(np.abs(vectors), axis=0)
@@ -167,16 +177,26 @@ def golub_welsch_mpf(chain, size: int, digits: int):
         a = [0, *(_fixed(v, bits) for v in eg), 0]  # a[k], k = 1..size-1; a[size] = 0
         inv = [0, *(_fixed(1 / v, bits) for v in eg), 0]
         x = np.array([_fixed(s, bits) for s in seeds], dtype=object)
-        for _ in range(4):
+        step = fresh = 1 << bits - mp.mp.prec // 2
+        for _ in range(_MAX_PASSES):
             p_prev, p, dp_prev, dp = 0, 1 << bits, 0, 0
             for k in range(size):
                 xb = x - b[k]
+                if step >= fresh:  # after a smaller step the last u' is exact enough
+                    du = (p << bits) + xb * dp - a[k] * dp_prev
+                    dp_prev, dp = dp, du * inv[k + 1] >> 2 * bits
                 u = xb * p - a[k] * p_prev
-                du = (p << bits) + xb * dp - a[k] * dp_prev
                 p_prev, p = p, u * inv[k + 1] >> 2 * bits
-                dp_prev, dp = dp, du * inv[k + 1] >> 2 * bits
             moved = du != 0
-            x[moved] -= (u[moved] << bits) // du[moved]
+            dx = (u[moved] << bits) // du[moved]
+            x[moved] -= dx
+            step = max(map(abs, dx), default=0)
+            if step < 1 << _GUARD_BITS - 4:
+                break
+        else:
+            raise PrecisionExhaustedError(
+                f"Golub-Welsch at size {size}, {digits} digits: the largest Newton step is "
+                f"{mp.nstr(mp.ldexp(step, -bits), 3)} after {_MAX_PASSES} passes")
         lower, fm = _eigenvector_sums(x, a, b, inv, peak, bits)
         upper, gm = _eigenvector_sums(x, a[::-1], b[::-1], inv[::-1], size - 1 - peak, bits)
         # the backward solution, rescaled to meet the forward one at the peak

@@ -279,6 +279,27 @@ def test_edges_do_not_depend_on_the_precision(tmp_path, sub, name, flags):
     assert outputs[0] == outputs[1]
 
 
+def test_recover_takes_any_precision(tmp_path):
+    # recover reads no working precision, so --precision 10 runs it as 15 does
+    outputs = []
+    for digits in ("15", "10"):
+        out = tmp_path / digits
+        assert run("recover", "--config", cfg("weight_e.cfg"), "--out", str(out),
+                   "--precision", digits) == 0
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert outputs[0] == outputs[1]
+
+
+def test_measure_refuses_precision_below_15(tmp_path, capsys):
+    out = tmp_path / "measure"
+    assert run("measure", "--config", cfg("chain_b.cfg"), "--out", str(out),
+               "--precision", "10") == 3
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert records == [{"level": "error", "code": "input",
+                        "message": "precision must be >= 15 digits"}]
+    assert not out.exists()
+
+
 def test_edges_and_polys(tmp_path):
     out = str(tmp_path / "c")
     assert run("edges", "--config", cfg("chain_c.cfg"), "--out", out,

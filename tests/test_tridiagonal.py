@@ -1,16 +1,24 @@
 """The tridiagonal kernels of both backends against an independent oracle
-(mpmath's dense symmetric eigensolver at 60 digits), and the quadrature
+(mpmath's dense symmetric eigensolver at 60 digits), high-precision
+quadrature moments against exact return probabilities, and the quadrature
 weights of a chain whose lowest eigenvector decays."""
+
+import functools
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import bundled
+from rwlab import tridiagonal
 from rwlab.chains import ChainSpec, rule
+from rwlab.errors import PrecisionExhaustedError
 from rwlab.measures import quadrature_from_chain
 from rwlab.tridiagonal import (
     extreme_eigen_f64,
     golub_welsch_f64,
+    golub_welsch_mpf,
     jacobi_arrays_f64,
     jacobi_arrays_mpf,
     sturm_count,
@@ -72,21 +80,74 @@ def test_float_extreme_eigen_of_one_entry(entry):
     assert extreme_eigen_f64(d, e, "max") == extreme_eigen_f64(d, e, "min") == entry
 
 
+@functools.cache
+def _return_probabilities(name, size):
+    """Exact P_00(n) for n = 0..2 size - 1 from Fraction powers of the
+    transition matrix on the states 0..size-1, which a walk that returns
+    to 0 within 2 size - 1 steps never leaves."""
+    chain = bundled(name)
+    rows = (chain.at(j)[:3] for j in range(size))
+    p, q, r = (np.array(col, dtype=object) for col in zip(*rows))
+    v = np.array([Fraction(1)] + [Fraction(0)] * (size - 1), dtype=object)
+    out = []
+    for _ in range(2 * size):
+        out.append(v[0])
+        nxt = r * v
+        nxt[1:] += p[:-1] * v[:-1]
+        nxt[:-1] += q[1:] * v[1:]
+        v = nxt
+    return out
+
+
+@pytest.mark.parametrize("digits", [20, 34, 60])
+@pytest.mark.parametrize("name", ["chain_c", "chain_s"])
+def test_moments_match_exact_return_probabilities(name, digits):
+    # 20, 34 and 60 digits take different sequences of full Newton passes
+    # and passes that reuse the last derivative; the N-point rule carries
+    # the moments 0..2N-1 of the chain's measure
+    size = 100
+    m = quadrature_from_chain(bundled(name), size, digits=digits)
+    with mp.workdps(digits + 10):
+        tol = mp.mpf(10) ** (4 - digits)
+        powers = list(m.mp_weights)
+        for n, exact in enumerate(_return_probabilities(name, size)):
+            got = mp.fsum(powers)
+            assert abs(got - mp.mpf(exact.numerator) / exact.denominator) < tol, (n, got)
+            powers = [w * x for w, x in zip(powers, m.mp_nodes)]
+
+
+def test_unsettled_newton_passes_raise(monkeypatch, chain_b):
+    # one pass leaves the float64 seeds' error of about 1e-16 in the step
+    monkeypatch.setattr(tridiagonal, "_MAX_PASSES", 1)
+    with pytest.raises(PrecisionExhaustedError, match="size 60, 34 digits"):
+        golub_welsch_mpf(chain_b, 60, 34)
+
+
+OUTLIER = ChainSpec("outlier", p=rule([1], "1/10"), q=rule([0], "1/10"), r=rule([0], "4/5"))
+
+
 def test_weights_of_a_decaying_eigenvector():
     # the eigenvalue -1/9 lies below the band [3/5, 1] and its eigenvector
     # decays geometrically; a forward recurrence alone loses its weight 8/9
-    chain = ChainSpec("outlier", p=rule([1], "1/10"), q=rule([0], "1/10"),
-                      r=rule([0], "4/5"))
-    m = quadrature_from_chain(chain, 100, digits=34)
+    m = quadrature_from_chain(OUTLIER, 100, digits=34)
     with mp.workdps(50):
         tol = mp.mpf("1e-30")
         assert abs(mp.fsum(m.mp_weights) - 1) < tol
         assert abs(m.mp_nodes[0] + mp.mpf(1) / 9) < tol
         assert abs(m.mp_weights[0] - mp.mpf(8) / 9) < tol
-    m = quadrature_from_chain(chain, 100, digits=15)
+    m = quadrature_from_chain(OUTLIER, 100, digits=15)
     assert abs(m.total_mass - 1) < 1e-15
     assert abs(m.nodes[0] + 1 / 9) < 1e-15
     assert abs(m.weights[0] - 8 / 9) < 1e-15
+
+
+@pytest.mark.parametrize("size, digits", [(100, 60), (400, 34)])
+def test_decaying_eigenvector_at_more_digits_and_rows(size, digits):
+    m = quadrature_from_chain(OUTLIER, size, digits=digits)
+    with mp.workdps(digits + 10):
+        tol = mp.mpf("1e-30")
+        assert abs(mp.fsum(m.mp_weights) - 1) < tol
+        assert abs(m.mp_weights[0] - mp.mpf(8) / 9) < tol
 
 
 @pytest.mark.parametrize("digits", [20, 34])

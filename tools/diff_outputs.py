@@ -9,6 +9,10 @@ this repository's `configs/` that has the section it needs, plus `edges`,
 `measure` and `christoffel` at `--precision 34` on chain_b and chain_s
 (`measure` at truncation 60 and at the benchmark's 400), `measure` and
 `edges` at `--precision 60` on chain_c for a second fixed-point width,
+`measure --truncation 400` at `--precision 20` on chain_b and at
+`--precision 60` on chain_s, so that every sequence of Newton passes of
+the high-precision Golub-Welsch (full passes and passes that reuse the
+last derivative) runs at the benchmark's size,
 `chain-info`, `polys` and `absorb` at `--precision 34` for the
 coefficient-level series, polynomial and absorption paths at the default
 working precision, `measure --precision 15 --truncation 1000` on chain_b
@@ -64,6 +68,8 @@ EXTRA = [
         ("measure", ("chain_b", "chain_s"), "34", ("--truncation", "60")),
         ("measure", ("chain_b", "chain_s"), "34", ("--truncation", "400")),
         ("measure", ("chain_c",), "60", ("--truncation", "100")),
+        ("measure", ("chain_b",), "20", ("--truncation", "400")),
+        ("measure", ("chain_s",), "60", ("--truncation", "400")),
         ("edges", ("chain_c",), "60", ("--truncation", "200")),
         ("christoffel", ("chain_b", "chain_s"), "34",
          ("--truncation", "200", "--horizon", "200")),
