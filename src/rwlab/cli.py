@@ -430,16 +430,17 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
     if cfg.seed + 1 >= 2**128:
         raise InputError(f"the seed must be <= 2**128 - 2, since the walk from state 1 "
                          f"keys Philox on seed + 1; the run has seed = {cfg.seed}")
+    # one walk per start state i, on seed + i, counted at every (n, j); the
+    # walks run first, so a chain too short for them fails with their record
+    walks = {
+        i: monte_carlo_transitions(chain, i, js, steps, samples, cfg.seed + i)
+        for i, js in ((0, (0, 1)), (1, (1,)))
+    }
     queries = [
         transition_probability(chain, i, j, n)
         for i, j in ((0, 0), (0, 1), (1, 1))
         for n in range(1, steps + 1)
     ]
-    # one walk per start state i, on seed + i, counted at every (n, j)
-    walks = {
-        i: monte_carlo_transitions(chain, i, js, steps, samples, cfg.seed + i)
-        for i, js in ((0, (0, 1)), (1, (1,)))
-    }
     rows = (
         (tq.i, tq.j, tq.n, tq.value_spectral, tq.value_matrix, *walks[tq.i][tq.n, tq.j])
         for tq in queries

@@ -305,27 +305,50 @@ def _binomial_estimate(count: int, samples: int) -> tuple[float, float]:
 # walkers park there at index -1, which no target state j >= 0 equals
 _SINK_THRESHOLDS = (0.0, 1.0, 1.0)
 
+# walkers stepped together in a transition walk: their states and uniforms
+# stay in cache, and the walk's memory does not grow with `samples`
+_BLOCK = 2**15
+
+
+def _walk_thresholds(chain: ChainSpec, start: int, steps: int, name: str) -> tuple:
+    """_mc_thresholds over the states 0..start+steps-1, the ones a walk of
+    `steps` steps from `start` can step from; InputError when the chain is
+    shorter than that."""
+    if start + steps > chain.depth:
+        raise InputError(
+            f"{chain.label}: a walk from state {start} with {name} = {steps} "
+            f"needs the states 0..{start + steps - 1}, but the chain has depth "
+            f"{chain.depth}"
+        )
+    return _mc_thresholds(chain, start + steps)
+
 
 def _transition_walk(
     chain: ChainSpec, i: int, js, n_max: int, samples: int, seed: int
 ) -> np.ndarray:
     """counts[n, m]: walkers alive at js[m] after n = 0..n_max steps of one
-    walk of `samples` trajectories from i.  Every step draws `samples`
-    uniforms, one per walker, parked or not."""
+    walk of `samples` trajectories from i.  Walker w takes uniform
+    (n - 1) samples + w of the Philox stream on `seed` at step n, parked or
+    not; blocks of _BLOCK walkers run all n_max steps in turn, each block
+    step opening the stream at its first uniform (Philox yields four
+    uniforms per counter)."""
     if samples < 10**3:
         raise ValueError("need at least 1e3 samples")
-    thresholds = _mc_thresholds(chain, i + n_max + 2)
+    thresholds = _walk_thresholds(chain, i, n_max, "steps")
     if thresholds[2] is not None:
         thresholds = tuple(np.append(t, h) for t, h in zip(thresholds, _SINK_THRESHOLDS))
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    state = np.full(samples, i, dtype=np.int64)
     counts = np.zeros((n_max + 1, len(js)), dtype=np.int64)
     counts[0] = [samples if j == i else 0 for j in js]
-    for n in range(1, n_max + 1):
-        killed = _mc_step(rng.random(samples), state, thresholds)
-        if killed is not None:
-            state[killed] = -1
-        counts[n] = [np.count_nonzero(state == j) for j in js]
+    for lo in range(0, samples, _BLOCK):
+        size = min(_BLOCK, samples - lo)
+        state = np.full(size, i, dtype=np.int64)
+        for n in range(1, n_max + 1):
+            m = (n - 1) * samples + lo
+            rng = np.random.Generator(np.random.Philox(key=seed, counter=m // 4))
+            killed = _mc_step(rng.random(m % 4 + size)[m % 4:], state, thresholds)
+            if killed is not None:
+                state[killed] = -1
+            counts[n] += [np.count_nonzero(state == j) for j in js]
     return counts
 
 
@@ -357,9 +380,10 @@ def _absorption_walk(
 ) -> list[int]:
     """Walkers absorbed in the cemetery by each of the nondecreasing
     `horizons`, from one walk of `samples` trajectories from `start`.
-    Every step draws one uniform per live walker and drops the absorbed
-    ones."""
-    thresholds = _mc_thresholds(chain, start + horizons[-1] + 2)
+    Every step draws the next uniforms of the stream for the live walkers,
+    in walker order, and drops the absorbed ones, so the walk holds every
+    live walker at once."""
+    thresholds = _walk_thresholds(chain, start, horizons[-1], "horizon")
     if thresholds[2] is None:
         return [0] * len(horizons)
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -253,6 +253,23 @@ def test_mc_rows_come_from_one_walk_per_start_state(tmp_path):
         assert line.split(",")[5:] == [repr(est), repr(se)]
 
 
+def test_mc_walks_only_the_states_a_finite_chain_has(tmp_path, capsys):
+    # a depth-3 prefix-only chain, the shape `recover` writes: the walk from
+    # state i steps only from the states 0..i + steps - 1
+    chain = ChainSpec("three-state", rule(("1/2",) * 3), rule((0, "1/4", "1/4")),
+                      rule(("1/2", "1/4", "1/4")), rule((0, 0, 0)))
+    config = tmp_path / "c.cfg"
+    for steps, code in ((1, 0), (4, 3)):
+        config.write_text(ff.chain_to_text(chain) + f"\n[run]\nsteps = {steps}\n")
+        assert run("mc", "--config", str(config), "--out", str(tmp_path / str(steps))) == code
+    assert os.path.exists(tmp_path / "1" / "mc.csv")
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert len(records) == 1
+    assert records[0]["code"] == "input"
+    assert records[0]["message"].startswith(
+        "three-state: a walk from state 0 with steps = 4 needs the states 0..3")
+
+
 @pytest.mark.parametrize("sub, name, flags", [
     pytest.param("edges", "chain_b", ("--truncation", "1000"), id="chain_b"),
     pytest.param("edges", "chain_s", ("--truncation", "1000"), id="chain_s"),

@@ -2,17 +2,22 @@
 functional, and the three transition-probability routes."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from conftest import bundled, chain_transient_killing
-from rwlab.errors import ChainHasKillingError, ZeroDenominatorError
+from rwlab.chains import ChainSpec, rule
+from rwlab.errors import ChainHasKillingError, InputError, ZeroDenominatorError
 from rwlab.measures import (
+    _BLOCK,
+    _SINK_THRESHOLDS,
     DiscreteMeasure,
     L_functional,
     _deficit_extrapolation,
+    _mc_step,
     _mc_thresholds,
     cn_series,
     compute_Cn,
@@ -233,6 +238,61 @@ def test_transitions_walk_matches_single_queries(name, kills):
     assert sorted(walk) == [(n, j) for n in range(7) for j in js]
     for (n, j), value in walk.items():
         assert monte_carlo_transition(chain, 0, j, n, 10**4, seed=11) == value
+
+
+def _step_major_counts(chain, i, js, n_max, samples, seed):
+    """The transition walk with every walker stepped together: one
+    rng.random(samples) per step on Philox(key=seed), killed walkers parked
+    in the sink; the reference for the blocked walk's stream address."""
+    thresholds = _mc_thresholds(chain, i + n_max + 2)
+    if thresholds[2] is not None:
+        thresholds = tuple(np.append(t, h) for t, h in zip(thresholds, _SINK_THRESHOLDS))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    state = np.full(samples, i, dtype=np.int64)
+    counts = {(0, j): samples if j == i else 0 for j in js}
+    for n in range(1, n_max + 1):
+        killed = _mc_step(rng.random(samples), state, thresholds)
+        if killed is not None:
+            state[killed] = -1
+        counts.update({(n, j): int(np.count_nonzero(state == j)) for j in js})
+    return counts
+
+
+@pytest.mark.parametrize("samples", [_BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("name,kills", [("chain_k", True), ("chain_s", False)])
+def test_blocked_walk_draws_the_step_major_stream(name, kills, samples):
+    # block edges and step offsets (n - 1) samples + lo that are not a
+    # multiple of Philox's four uniforms per counter
+    chain = bundled(name)
+    assert (_mc_thresholds(chain, 10)[2] is not None) == kills
+    js = (0, 1, 2, 3)
+    for i in (0, 2):
+        walk = monte_carlo_transitions(chain, i, js, 5, samples, seed=23)
+        counts = {key: round(est * samples) for key, (est, _) in walk.items()}
+        assert counts == _step_major_counts(chain, i, js, 5, samples, 23), i
+
+
+def test_transition_walk_memory_does_not_grow_with_samples(chain_b):
+    # holding all 10^6 walkers at once takes about 25 bytes each, 25 MB
+    tracemalloc.start()
+    try:
+        monte_carlo_transitions(chain_b, 0, (0, 1), 8, 10**6, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_walks_past_a_finite_chain_are_input_errors():
+    # walkers step from the states up to start + steps - 1
+    chain = ChainSpec("three-state", rule(("1/2",) * 3), rule((0, "1/4", "1/4")),
+                      rule(("1/2", "1/4", 0)), rule((0, 0, "1/4")))
+    assert monte_carlo_absorption(chain, 0, 3, 10**3, seed=1)[0] > 0
+    with pytest.raises(InputError, match="state 1 with horizon = 3 needs the states 0..3, "
+                                         "but the chain has depth 3"):
+        monte_carlo_absorption(chain, 1, 3, 10**3, seed=1)
+    with pytest.raises(InputError, match="three-state: a walk from state 0 with steps = 4"):
+        monte_carlo_transitions(chain, 0, (0,), 4, 10**3, seed=1)
 
 
 def test_deficit_extrapolation_se_matches_multinomial_spread():
