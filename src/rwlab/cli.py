@@ -46,7 +46,8 @@ from .measures import (
 )
 from .normalization import normalize
 from .polynomials import absorption_probabilities, eval_Q, support_edges
-from .recover import WeightSpec, discretize_weight, grid_size_for_depth, recover_chain
+from .recover import (WeightSpec, discretize_weight, grid_size_for_depth, recover_chain,
+                      route_measure)
 
 @dataclass
 class ExperimentConfig:
@@ -217,15 +218,15 @@ def cmd_edges(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _measure_for(cfg: ExperimentConfig):
-    digits = _digits(cfg)
-    if cfg.weight is not None:
-        return discretize_weight(cfg.weight, grid_size_for_depth(cfg.horizon), digits)
-    return quadrature_from_chain(cfg.require_chain(), cfg.truncation, digits)
+def _chain_measure(cfg: ExperimentConfig):
+    return quadrature_from_chain(cfg.require_chain(), cfg.truncation, _digits(cfg))
 
 
 def cmd_measure(cfg: ExperimentConfig) -> int:
-    m = _measure_for(cfg)
+    if cfg.weight is not None:
+        m = discretize_weight(cfg.weight, grid_size_for_depth(cfg.horizon), _digits(cfg))
+    else:
+        m = _chain_measure(cfg)
     if m.mp_nodes is not None:
         rows = (
             (ff.format_number(x, cfg.precision + 2), ff.format_number(w, cfg.precision + 2))
@@ -238,7 +239,11 @@ def cmd_measure(cfg: ExperimentConfig) -> int:
 
 
 def cmd_cn(cfg: ExperimentConfig) -> int:
-    m = _measure_for(cfg)
+    if cfg.weight is not None:
+        # the measure conjecture reads, so both print the same C_n
+        m = route_measure(cfg.weight, cfg.horizon)[0]
+    else:
+        m = _chain_measure(cfg)
     horizon = min(cfg.horizon, 2 * len(m) - 1)
     values = cn_series(m, horizon)
     atomic_write(
@@ -308,14 +313,13 @@ def cmd_recover(cfg: ExperimentConfig) -> int:
 
 
 def cmd_srlp(cfg: ExperimentConfig) -> int:
-    digits, chain = _digits(cfg), cfg.require_chain()
+    chain = cfg.require_chain()
     e = _edges_for(cfg, chain)
     i = _opt(cfg.options, "i", 0)
     j = _opt(cfg.options, "j", 1)
     k = _opt(cfg.options, "k", 0)
     l = _opt(cfg.options, "l", 0)
-    cmp_ = srlp_predicted_limit(chain, i, j, k, l, e.eta_hat, digits,
-                                horizon=min(cfg.horizon, 400))
+    cmp_ = srlp_predicted_limit(chain, i, j, k, l, e.eta_hat, horizon=min(cfg.horizon, 400))
     atomic_write(
         _path(cfg, "srlp.csv"),
         csv_text(["n", "empirical_ratio", "predicted"], (

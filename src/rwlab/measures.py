@@ -1,7 +1,8 @@
 """Discrete approximations of the orthogonality measure and everything
 computed through it: moments, the positive/negative tail ratio C_n, the
 power-weighted functional L_n, n-step transition probabilities by spectral
-formula, matrix powers and Monte Carlo, and predicted strong-ratio limits.
+formula, matrix powers and Monte Carlo, and predicted strong-ratio limits
+(from the float64 ln pi_j and ln|Q_k|, at every precision).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .numeric import NEG_INF
-from .polynomials import _guarded, _q_pi
+from .polynomials import _q_pi_f64
 from .tridiagonal import (
     FLOAT_DIGITS,
     _three_term,
@@ -259,10 +260,16 @@ def transition_probability(
     """Cross-checked n-step transition probability.
 
     The quadrature size defaults to the smallest N integrating the
-    degree-(n+i+j) integrand exactly; the quadrature is float64."""
+    degree-(n+i+j) integrand exactly; the quadrature is float64.  A
+    prefix-only chain with fewer than N rows is an InputError."""
     if measure is None:
         if N is None:
             N = n // 2 + max(i, j) + 2
+        if N > chain.depth:
+            raise InputError(
+                f"{chain.label}: the spectral P_{i},{j}(n) at step n = {n} needs "
+                f"{N} rows of the Jacobi matrix, but the chain has depth {chain.depth}"
+            )
         measure = quadrature_from_chain(chain, N, FLOAT_DIGITS)
     spect = spectral_transition(chain, measure, i, j, n)
     v = matrix_transition_vector(chain, i, n)
@@ -486,11 +493,11 @@ def srlp_predicted_limit(
     k: int,
     l: int,
     eta,
-    digits: int = DEFAULT_DIGITS,
     horizon: int = 200,
 ) -> SrlpComparison:
     """pi_j Q_i(eta) Q_j(eta) / (pi_l Q_k(eta) Q_l(eta)) and the companion
-    empirical sequence.
+    empirical sequence, the prediction from the float64 ln pi and ln|Q| of
+    polynomials._q_pi_f64.
 
     Raises InputError unless horizon >= 1 and i, j, k, l are states a walk
     of `horizon` steps from max(i, k) can reach within the chain's depth,
@@ -513,17 +520,15 @@ def srlp_predicted_limit(
             f"{(j - i) - (l - k)} is odd, so P_{i},{j}(n) / P_{k},{l}(n) is 0 or "
             "undefined at every n"
         )
-    top = max(i, j, k, l)
-    with _guarded(digits):
-        qv, pis = _q_pi(chain, max(top, 1), eta)
-        if qv[k] <= 0 or qv[l] <= 0 or qv[i] <= 0 or qv[j] <= 0:
-            raise DivisionSentinelError(
-                f"{chain.label}: Q at eta-hat = {float(eta)} vanished or went "
-                "negative; the edge estimate sits below the true edge"
-            )
-        predicted = float(
-            pis[j] / pis[l] * qv[i] * qv[j] / (qv[k] * qv[l])
+    (_, _, _, _, logpi), [(sign, logq)] = _q_pi_f64(chain, max(i, j, k, l, 1), eta)
+    if min(sign[i], sign[j], sign[k], sign[l]) <= 0:
+        raise DivisionSentinelError(
+            f"{chain.label}: Q at eta-hat = {float(eta)} vanished or went "
+            "negative; the edge estimate sits below the true edge"
         )
+    log_ratio = logpi[j] - logpi[l] + logq[i] + logq[j] - logq[k] - logq[l]
+    with np.errstate(over="ignore"):  # a ratio past float64's range reads inf
+        predicted = float(np.exp(log_ratio))
     vi = matrix_transition_vector(chain, i, 0, dim)
     vk = matrix_transition_vector(chain, k, 0, dim)
     p, q, r, _ = chain.arrays(dim - 1)

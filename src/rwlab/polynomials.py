@@ -133,16 +133,13 @@ def eval_Q(
     return EvalTrace(traces, ortho)
 
 
-def leading_coefficient(chain: ChainSpec, n: int, digits: int = DEFAULT_DIGITS) -> SignedLog:
-    """gamma_n > 0 with gamma_n^-2 = prod_{i=1..n} p_{i-1} q_i, as sign/log."""
+def leading_coefficient(chain: ChainSpec, n: int) -> SignedLog:
+    """gamma_n > 0 with gamma_n^-2 = prod_{i=1..n} p_{i-1} q_i, as sign/log
+    from the float64 columns."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    with mp.workdps(digits):
-        p, q, _, _ = chain.mpf_coefficients(n)
-        acc = mp.mpf(0)
-        for i in range(1, n + 1):
-            acc += mp.log(p[i - 1]) + mp.log(q[i])
-        return SignedLog(1, float(-acc / 2))
+    p, q, _, _ = chain.arrays(n)
+    return SignedLog(1, float(-(np.log(p[:-1]).sum() + np.log(q[1:]).sum()) / 2))
 
 
 def christoffel(chain: ChainSpec, n: int, x, digits: int = DEFAULT_DIGITS) -> mp.mpf:

@@ -1,7 +1,8 @@
 """From an analytic edge-weight description to a chain: recurrence
 coefficients of the weight, then one-step probabilities under p + q + r = 1.
 recover_chain runs the stages for the CLI and the conjecture pipeline, on
-one of two routes, which the weight picks.
+one of two routes, which the weight picks in route_measure; `cn` on a
+weight reads that function's measure too.
 
 A weight without atoms whose smooth factor is a polynomial takes the closed
 form: Jacobi's coefficients with one Christoffel step per root of the
@@ -10,7 +11,9 @@ weight is discretized at FLOAT_DIGITS and goes through the Stieltjes
 recursion, which runs in float64, without reorthogonalization, and is kept
 only when a measured loss of orthogonality certifies it; otherwise it is
 rerun with full reorthogonalization and a NumericalRouteWarning says so.
-Both routes size the grid by grid_size_for_depth.  The recovered
+Both routes size the grid by grid_size_for_depth.  The mpmath panel
+rule takes its Gauss-Legendre nodes from golub_welsch_mpf on the Legendre
+chain, the float64 one from numpy's leggauss.  The recovered
 coefficients are float-rounded (small dyadic Fractions), with p_k
 completing each row so that p + q + r = 1 holds exactly.
 
@@ -31,11 +34,11 @@ import mpmath as mp
 import numpy as np
 
 from . import expressions as ex
-from .chains import ChainSpec, CoeffRule, DEFAULT_DIGITS
+from .chains import ChainSpec, CoeffRule, DEFAULT_DIGITS, rule
 from .errors import InputError, NumericalRouteWarning, StieltjesBreakdownError
 from .measures import DiscreteMeasure, _measure_from_arrays
 from .numeric import mpf_from_fraction
-from .tridiagonal import FLOAT_DIGITS
+from .tridiagonal import FLOAT_DIGITS, golub_welsch_mpf
 
 PANEL_ORDER = 60
 
@@ -90,33 +93,15 @@ def make_weight(label, eta, alpha, beta, smooth="1", atoms=()) -> WeightSpec:
     return spec
 
 
-def _legendre(order: int, x):
-    """P_order(x) and its derivative, from the three-term recurrence."""
-    p_prev, p_cur = mp.mpf(1), x
-    for m in range(2, order + 1):
-        p_prev, p_cur = p_cur, ((2 * m - 1) * x * p_cur - (m - 1) * p_prev) / m
-    return p_cur, order * (x * p_cur - p_prev) / (x * x - 1)
-
-
 @lru_cache(maxsize=8)
 def _gauss_legendre_mpf(order: int, dps: int):
-    """Gauss-Legendre nodes/weights on [-1, 1] at dps digits (Newton on the
-    Legendre recurrence from Chebyshev seeds)."""
-    with mp.workdps(dps + 10):
-        nodes = []
-        weights = []
-        for k in range(1, order + 1):
-            x = mp.cos(mp.pi * (4 * k - 1) / (4 * order + 2))
-            for _ in range(40):
-                p_cur, dp = _legendre(order, x)
-                dx = p_cur / dp
-                x -= dx
-                if abs(dx) < mp.mpf(10) ** (-(dps + 6)):
-                    break
-            _, dp = _legendre(order, x)
-            nodes.append(x)
-            weights.append(2 / ((1 - x * x) * dp * dp))
-    return tuple(nodes), tuple(weights)
+    """Gauss-Legendre nodes (descending) and weights on [-1, 1] at dps
+    digits: the golub_welsch_mpf rule of the Legendre chain p_j =
+    (j+1)/(2j+1), q_j = j/(2j+1), r_j = 0, whose measure is dx/2."""
+    legendre = ChainSpec("legendre", rule((), "(j + 1)/(2*j + 1)"),
+                         rule((), "j/(2*j + 1)"), rule((), "0"))
+    nodes, weights = golub_welsch_mpf(legendre, order, dps)
+    return tuple(reversed(nodes)), tuple(mp.ldexp(w, 1) for w in reversed(weights))
 
 
 EDGE_LEVELS = 26
@@ -484,26 +469,33 @@ def chain_from_recurrence(
     return ChainRecovery(True, chain, None, None, n)
 
 
+def route_measure(spec: WeightSpec, depth: int) -> tuple[DiscreteMeasure, str]:
+    """The measure that recover_chain pairs with the weight's chain to
+    `depth`, on grid_size_for_depth(depth) nodes, and the route's name.
+
+    A weight without atoms and with a polynomial smooth factor takes route
+    "jacobi-christoffel", whose measure is the float64 panel rule; any other
+    weight takes route "grid-stieltjes", whose measure is the weight
+    discretized at FLOAT_DIGITS."""
+    nodes = grid_size_for_depth(depth)
+    if _closed_form_smooth(spec) is None:
+        return discretize_weight(spec, nodes, FLOAT_DIGITS), "grid-stieltjes"
+    return _discretize_f64(spec, nodes), "jacobi-christoffel"
+
+
 def recover_chain(
     spec: WeightSpec, depth: int
 ) -> tuple[DiscreteMeasure, RecurrenceCoefficients, ChainRecovery, str]:
     """The weight's chain to `depth`: (measure, coefficients, recovery,
-    route), on grid_size_for_depth(depth) nodes.
-
-    A weight without atoms and with a polynomial smooth factor takes route
-    "jacobi-christoffel": the coefficients in closed form
-    (jacobi_christoffel_recurrence) and the measure from the float64 panel
-    rule.  Any other weight takes route "grid-stieltjes": the weight
-    discretized at FLOAT_DIGITS and the coefficients from the verified
-    float64 Stieltjes recursion.  A depth below 1 is an InputError."""
+    route), with route_measure's measure and route.  The coefficients come
+    from jacobi_christoffel_recurrence on the closed form, and from the
+    verified Stieltjes recursion on the grid.  A depth below 1 is an
+    InputError."""
     if depth < 1:
         raise InputError(f"{spec.label}: depth = {depth} must be in [1, inf)")
-    smooth = _closed_form_smooth(spec)
-    nodes = grid_size_for_depth(depth)
-    if smooth is None:
-        measure = discretize_weight(spec, nodes, FLOAT_DIGITS)
-        coeffs, route = stieltjes_recurrence(measure, depth), "grid-stieltjes"
+    measure, route = route_measure(spec, depth)
+    if route == "grid-stieltjes":
+        coeffs = stieltjes_recurrence(measure, depth)
     else:
-        measure = _discretize_f64(spec, nodes)
-        coeffs, route = jacobi_christoffel_recurrence(spec, smooth, depth), "jacobi-christoffel"
+        coeffs = jacobi_christoffel_recurrence(spec, _closed_form_smooth(spec), depth)
     return measure, coeffs, chain_from_recurrence(coeffs, label=spec.label + "-chain"), route

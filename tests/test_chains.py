@@ -276,6 +276,7 @@ def test_fifteen_digit_passes_stay_off_mpmath(monkeypatch):
 
     from rwlab import chains as chains_module
     from rwlab.asymptotics import conjecture_report
+    from rwlab.measures import srlp_predicted_limit
     from rwlab.polynomials import absorption_probabilities
 
     def refuse(*args):
@@ -289,6 +290,7 @@ def test_fifteen_digit_passes_stay_off_mpmath(monkeypatch):
         conjecture_report(chain=chain, N=60, n_max=200, truncation=400,
                           sum_horizon=400)
     absorption_probabilities(bundled("chain_k"), 6, 2000, digits=15)
+    srlp_predicted_limit(bundled("chain_b"), 1, 2, 0, 1, 1.0, horizon=50)
 
 
 def test_float_columns_come_from_one_table(monkeypatch):

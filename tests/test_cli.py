@@ -259,15 +259,19 @@ def test_mc_walks_only_the_states_a_finite_chain_has(tmp_path, capsys):
     chain = ChainSpec("three-state", rule(("1/2",) * 3), rule((0, "1/4", "1/4")),
                       rule(("1/2", "1/4", "1/4")), rule((0, 0, 0)))
     config = tmp_path / "c.cfg"
-    for steps, code in ((1, 0), (4, 3)):
+    for steps, code in ((1, 0), (4, 3), (2, 3)):
         config.write_text(ff.chain_to_text(chain) + f"\n[run]\nsteps = {steps}\n")
         assert run("mc", "--config", str(config), "--out", str(tmp_path / str(steps))) == code
     assert os.path.exists(tmp_path / "1" / "mc.csv")
     records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
-    assert len(records) == 1
-    assert records[0]["code"] == "input"
+    assert [r["code"] for r in records] == ["input", "input"]
     assert records[0]["message"].startswith(
         "three-state: a walk from state 0 with steps = 4 needs the states 0..3")
+    # the walks fit at steps = 2, but the spectral route's quadrature needs
+    # 2 // 2 + 1 + 2 = 4 rows of the depth-3 chain
+    assert records[1]["message"] == (
+        "three-state: the spectral P_0,1(n) at step n = 2 needs 4 rows of the "
+        "Jacobi matrix, but the chain has depth 3")
 
 
 @pytest.mark.parametrize("sub, name, flags", [
@@ -275,6 +279,7 @@ def test_mc_walks_only_the_states_a_finite_chain_has(tmp_path, capsys):
     pytest.param("edges", "chain_s", ("--truncation", "1000"), id="chain_s"),
     pytest.param("christoffel", "chain_b", ("--truncation", "200", "--horizon", "200"),
                  id="christoffel-chain_b"),
+    pytest.param("srlp", "chain_recovered", (), id="srlp-chain_recovered"),
     *(pytest.param("conjecture", name, (), id=f"conjecture-{name}")
       for name in ("chain_b", "chain_k", "chain_recovered")),
     *(pytest.param(sub, name, (), id=f"{sub}-{name}")
@@ -284,9 +289,9 @@ def test_mc_walks_only_the_states_a_finite_chain_has(tmp_path, capsys):
       for sub in ("recover", "dt-check", "conjecture")),
 ])
 def test_edges_do_not_depend_on_the_precision(tmp_path, sub, name, flags):
-    # one float64 edge solve, Christoffel ratio pass and ratio-vanishing
-    # criterion at every working precision, and one float64 closed-form
-    # weight-to-chain route
+    # one float64 edge solve, Christoffel ratio pass, strong-ratio
+    # prediction and ratio-vanishing criterion at every working precision,
+    # and one float64 closed-form weight-to-chain route
     outputs = []
     for digits in ("15", "34"):
         out = tmp_path / digits
@@ -297,14 +302,40 @@ def test_edges_do_not_depend_on_the_precision(tmp_path, sub, name, flags):
 
 
 def test_recover_takes_any_precision(tmp_path):
-    # recover reads no working precision, so --precision 10 runs it as 15 does
-    outputs = []
-    for digits in ("15", "10"):
-        out = tmp_path / digits
-        assert run("recover", "--config", cfg("weight_e.cfg"), "--out", str(out),
-                   "--precision", digits) == 0
-        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
-    assert outputs[0] == outputs[1]
+    # recover, and cn on a weight, read no working precision, so
+    # --precision 10 runs them as 15 does
+    for sub in ("recover", "cn"):
+        outputs = []
+        for digits in ("15", "10"):
+            out = tmp_path / sub / digits
+            assert run(sub, "--config", cfg("weight_e.cfg"), "--out", str(out),
+                       "--precision", digits) == 0, sub
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert outputs[0] == outputs[1], sub
+
+
+@pytest.mark.parametrize("name", ["weight_e", "weight_rational"])
+def test_cn_and_conjecture_print_one_C_n(tmp_path, name):
+    # cn on a weight reads the measure recover_chain pairs with the chain
+    # (closed form on weight_e, the grid on weight_rational), so the C_n of
+    # cn.csv and conjecture_series.csv agree on every n both print
+    out = str(tmp_path / "o")
+    for sub in ("cn", "conjecture"):
+        assert run(sub, "--config", cfg(f"{name}.cfg"), "--out", out,
+                   "--horizon", "300", "--truncation", "150") == 0
+    cn, series = (dict(line.split(",")[:2] for line in read(os.path.join(out, f)).splitlines()[1:])
+                  for f in ("cn.csv", "conjecture_series.csv"))
+    shared = cn.keys() & series.keys()
+    assert len(shared) == 299  # n = 1..299: the ratio column ends at horizon - 1
+    assert all(cn[n] == series[n] for n in shared)
+
+
+def test_cn_on_a_weight_at_horizon_0(tmp_path):
+    # recover_chain's depth >= 1 check stays out of the measure cn reads
+    out = tmp_path / "o"
+    assert run("cn", "--config", cfg("weight_e.cfg"), "--out", str(out), "--horizon", "0") == 0
+    header, row = read(str(out / "cn.csv")).splitlines()
+    assert header == "n,C_n" and row.startswith("0,")
 
 
 def test_measure_refuses_precision_below_15(tmp_path, capsys):
@@ -505,7 +536,7 @@ def test_polynomial_weights_skip_the_grid(tmp_path, monkeypatch):
         monkeypatch.setattr(recover, name, refuse)
     for name in ("weight_d", "weight_e", "weight_power", "weight_half"):
         out = str(tmp_path / name)
-        for sub in ("conjecture", "recover", "dt-check"):
+        for sub in ("conjecture", "recover", "dt-check", "cn"):
             assert run(sub, "--config", cfg(f"{name}.cfg"), "--out", out,
                        "--horizon", "100", "--truncation", "100") == 0, (name, sub)
         assert "diag_recovery = jacobi-christoffel" in read(os.path.join(out, "conjecture.txt"))

@@ -25,9 +25,11 @@ subcommands that solve the support edges, `conjecture` at
 ratio passes and the ratio-vanishing criterion above 16 digits, and
 `conjecture` at `--precision 34` on weight_d and weight_e for the
 closed-form route and `edge_exponents`, and the same three subcommands on
-weight_rational for the grid + Stieltjes route.  The weight-to-chain path
-takes no working precision, so these weight jobs show that `--precision`
-moves nothing there.
+weight_rational for the grid + Stieltjes route, and `cn` at
+`--precision 34` on weight_e and weight_rational for the measure of each
+route, which `cn` on a weight reads.  The weight-to-chain path takes no
+working precision, so these weight jobs show that `--precision` moves
+nothing there.
 The base and change runs of one job go side by side (two processes at a
 time).
 
@@ -87,6 +89,7 @@ EXTRA = [
         ("recover", ("weight_rational",), "34", ()),
         ("dt-check", ("weight_rational",), "34", ("--horizon", "64")),
         ("conjecture", ("weight_rational",), "34", ()),
+        ("cn", ("weight_e", "weight_rational"), "34", ()),
     )
     for name in names
 ]
