@@ -38,7 +38,7 @@ _TINY = 2.0**-500
 class DiscreteMeasure:
     """Quadrature nodes/weights approximating a unit-mass measure.
 
-    nodes are strictly increasing float64; mp_nodes/mp_weights carry the
+    nodes are nondecreasing float64; mp_nodes/mp_weights carry the
     full-precision values when the measure was built at high precision.
     """
 
@@ -53,15 +53,20 @@ class DiscreteMeasure:
 
 
 def _measure_from_arrays(nodes, weights) -> DiscreteMeasure:
-    nodes64 = np.asarray([float(x) for x in nodes])
-    weights64 = np.asarray([float(w) for w in weights])
-    order = np.argsort(nodes64)
-    nodes64 = nodes64[order]
-    weights64 = weights64[order]
-    mp_nodes = mp_weights = None
-    if not isinstance(nodes, np.ndarray):
-        mp_nodes = tuple(nodes[int(k)] for k in order)
-        mp_weights = tuple(weights[int(k)] for k in order)
+    """The measure of nodes and weights (float64 arrays, or mpf sequences),
+    in node order: of the mpf nodes when there are any, which keeps mpf
+    nodes that are equal in float64 in their mpf order, and a stable sort
+    of the float64 nodes otherwise."""
+    if isinstance(nodes, np.ndarray):
+        order = np.argsort(nodes, kind="stable")
+        nodes64, weights64 = nodes[order], weights[order]
+        mp_nodes = mp_weights = None
+    else:
+        order = sorted(range(len(nodes)), key=nodes.__getitem__)
+        mp_nodes = tuple(nodes[k] for k in order)
+        mp_weights = tuple(weights[k] for k in order)
+        nodes64 = np.array([float(x) for x in mp_nodes])
+        weights64 = np.array([float(w) for w in mp_weights])
     return DiscreteMeasure(
         nodes=nodes64,
         weights=weights64,

@@ -4,14 +4,19 @@ eigenvalues, and Golub-Welsch quadrature.
 Extreme eigenvalues are float64 at every precision: Sturm bisection on a
 fixed-point grid, on Python integers scaled by 2^F with F = 53 +
 _GUARD_BITS, run until the bracket ends are adjacent doubles.  Golub-Welsch
-has two backends: float64 (numpy's dense symmetric eigensolver on the
-Jacobi matrix) for digits <= 16, and a high-precision one above, which
-takes its Jacobi arrays as mpf.  Its nodes are Newton-polished float64
-seeds, all nodes at once on numpy object arrays, in fixed point at the
-working precision in bits plus _GUARD_BITS, until every step is below the
-guard grid.  Each weight is 1/sum v_j^2 for the node's eigenvector v with
-v_0 = 1, run forward from the first index and backward from the last and
-joined where the float64 eigenvector peaks: decaying ones keep their weight.
+has two backends, both from eigenvalues alone: no eigenvector matrix and no
+BLAS call reaches their output, which is therefore the same on every BLAS
+thread count.  The float64 one (digits <= 16) bisects each node with
+vectorized float64 Sturm counts to a multiple of 2^-53 that the count alone
+fixes, from np.linalg.eigvalsh seeds; each weight is z_0^2 / |z|^2 of the
+twisted factorization at the node plus its Rayleigh correction, in blocks
+of _BLOCK nodes.  The high-precision one above takes its Jacobi arrays as
+mpf.  Its nodes are Newton-polished float64 nodes, all nodes at once on
+numpy object arrays, in fixed point at the working precision in bits plus
+_GUARD_BITS, until every step is below the guard grid.  Each weight is
+1/sum v_j^2 for the node's eigenvector v with v_0 = 1, run forward from the
+first index and backward from the last and joined at the twist index of the
+converged node: decaying ones keep their weight.
 
 _three_term is the one forward recurrence of the polynomial family, on mpf
 or on float64 node arrays; _three_term_f64 is its scalar float64 form with a
@@ -31,6 +36,11 @@ from .errors import PrecisionExhaustedError
 FLOAT_DIGITS = 16
 _GUARD_BITS = 24
 _MAX_PASSES = 16  # Newton passes before unsettled nodes raise
+_BLOCK = 512  # nodes per float64 work array of N x _BLOCK
+# nodes per twist-index block of the high-precision rule, whose N x 64
+# pivots stay below the seeds' dense matrix at N = 400
+_TWIST_BLOCK = 64
+_GRID = 2.0**-53  # the float64 nodes are multiples of it
 
 
 def jacobi_arrays_f64(chain, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,47 +139,178 @@ def extreme_eigen_f64(d: np.ndarray, e: np.ndarray, which: str) -> float:
     return lo
 
 
-def _eigh(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and unit eigenvectors (columns) of the
-    tridiagonal (d, e), from the dense symmetric solver."""
+def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues of the tridiagonal (d, e) strictly below each x,
+    from the float64 pivots t_k = (d_k - x) - e_k^2 / t_{k-1} counted by sign
+    bit.  A zero pivot divides to an infinity and the pivot after it is
+    finite again, so IEEE arithmetic needs no test, and the count is
+    monotone in x (Demmel, Dhillon & Ren, ETNA 3, 1995).  e > 0.  One row
+    of _BLOCK points per pivot, no BLAS call."""
+    counts = np.empty(len(x), dtype=np.int64)
+    for start in range(0, len(x), _BLOCK):
+        t = d[:, None] - x[start : start + _BLOCK]
+        rows, tmp = list(t), np.empty(t.shape[1])
+        with np.errstate(divide="ignore", over="ignore"):
+            for k in range(1, len(d)):
+                np.divide(e2[k - 1], rows[k - 1], out=tmp)
+                np.subtract(rows[k], tmp, out=rows[k])
+        counts[start : start + _BLOCK] = np.signbit(t).sum(axis=0)
+    return counts
+
+
+def _nodes_f64(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the tridiagonal (d, e), |eigenvalues| < 2^10:
+    node i is the largest multiple of _GRID at which _sturm_counts finds at
+    most i eigenvalues.  That end point depends on the count alone, so the
+    seeds (np.linalg.eigvalsh, whose rounding moves with the BLAS thread
+    count) only set where the bisection starts: at seed +- 0.2 sqrt(n) eps
+    |T|, |T| = |d|_inf + 2 |e|_inf, rounded up to a power of two in grid
+    steps (the seeds were within 0.15 sqrt(n) eps |T| on the bundled
+    chains).  Only the live brackets are bisected; an end the bisection
+    never moved is counted last, and one that fails moves out by the
+    bracket's width, doubled each time."""
     n = len(d)
+    e2 = e * e
     matrix = np.diag(d)
-    matrix[np.arange(1, n), np.arange(n - 1)] = e  # eigh reads the lower triangle
-    return np.linalg.eigh(matrix)
+    matrix[np.arange(1, n), np.arange(n - 1)] = e  # eigvalsh reads the lower triangle
+    seeds = np.linalg.eigvalsh(matrix)
+    del matrix
+    lowest, highest = _gershgorin(d.tolist(), e.tolist())
+    floor, ceil = math.floor(lowest / _GRID), math.ceil(highest / _GRID)
+    norm = np.max(np.abs(d)) + 2 * np.max(np.abs(e), initial=0)
+    # a power of two, so that the bisection halves every bracket to one step
+    steps = 0.2 * math.sqrt(n) * np.finfo(float).eps * norm / _GRID
+    width = 1 << math.ceil(math.log2(max(1.0, steps)))
+    start = np.rint(seeds / _GRID).astype(np.int64)
+    lo, hi = np.maximum(start - width, floor), np.minimum(start + width, ceil)
+    # count(lo) <= i < count(hi) is known at the Gershgorin ends and at
+    # every end the bisection moved
+    lo_ok, hi_ok = lo == floor, hi == ceil
+    while len(live := np.flatnonzero((hi - lo > 1) | ~lo_ok | ~hi_ok)):
+        l, h = lo[live], hi[live]
+        at = np.where(h - l > 1, (l + h) >> 1, np.where(lo_ok[live], h, l))
+        below = _sturm_counts(d, e2, at * _GRID) <= live
+        lo[live[below]], lo_ok[live[below]] = at[below], True
+        hi[live[~below]], hi_ok[live[~below]] = at[~below], True
+        shut = live[lo[live] == hi[live]]  # a failed end: the node lies beyond it
+        if len(shut):
+            width *= 2
+            down, up = shut[~lo_ok[shut]], shut[~hi_ok[shut]]
+            lo[down] = np.maximum(lo[down] - width, floor)
+            hi[up] = np.minimum(hi[up] + width, ceil)
+            lo_ok[down], hi_ok[up] = lo[down] == floor, hi[up] == ceil
+    return lo * _GRID
+
+
+def _pivots(d: np.ndarray, e2: np.ndarray, x: np.ndarray, below=0.0) -> np.ndarray:
+    """The pivots of the top-down and the bottom-up factorization of T - s
+    at one block of shifts s = x + below (a double-double when below is the
+    correction of a float64 x), side by side: row k holds D+_k and
+    D-_{n-1-k}, so that one pass over the rows runs both recurrences.  Each
+    pivot divides as if floored at eps in magnitude (|e_k^2 / D_k| is capped
+    at e_k^2 / eps), since a shift on an eigenvalue of a leading block gives
+    a zero pivot."""
+    pivots = np.empty((len(d), 2, len(x)))
+    np.subtract(d[:, None], x, out=pivots[:, 0])
+    pivots[:, 0] -= below
+    pivots[:, 1] = pivots[::-1, 0]
+    ratios = np.stack([e2, e2[::-1]], axis=1)[:, :, None]
+    caps = ratios / np.finfo(float).eps
+    rows, tmp = list(pivots), np.empty(pivots.shape[1:])
+    with np.errstate(divide="ignore", over="ignore"):
+        for k in range(1, len(rows)):
+            np.divide(ratios[k - 1], rows[k - 1], out=tmp)
+            np.minimum(tmp, caps[k - 1], out=tmp)
+            np.maximum(tmp, -caps[k - 1], out=tmp)
+            np.subtract(rows[k], tmp, out=rows[k])
+    return pivots
+
+
+def _twist(d: np.ndarray, x: np.ndarray, pivots: np.ndarray):
+    """(r, gamma_r): the twist index r = argmin_k |gamma_k| of each shift x,
+    gamma_k = D+_k + D-_k - (d_k - x) (Parlett & Dhillon, Linear Algebra
+    Appl. 267, 1997), and gamma there."""
+    plus, minus = pivots[:, 0], pivots[::-1, 1]
+    gamma = plus + minus
+    gamma -= d[:, None]
+    gamma += x
+    r = np.argmin(np.abs(gamma, out=gamma), axis=0)
+    at = np.arange(len(x))
+    return r, plus[r, at] + minus[r, at] - (d[r] - x)
+
+
+def _twisted_vector(e2: np.ndarray, pivots: np.ndarray, r):
+    """(z_0^2, |z|^2) of the twisted factorization's eigenvector z, z_r = 1,
+    z_k = -e_k z_{k+1} / D+_k above r and z_{k+1} = -e_k z_k / D-_{k+1} below
+    it, with the pivots floored at eps as _pivots divides by them:
+    cumulative products of the squared ratios outward from r, each a z_k^2
+    and so bounded.  Overwrites pivots."""
+    n = len(pivots)
+    # row k: z_k^2 / z_{k+1}^2 if k < r, and z_{j+1}^2 / z_j^2 for
+    # j = n-2-k if j >= r; 1 elsewhere
+    ratios = pivots[:-1]
+    np.square(ratios, out=ratios)
+    np.maximum(ratios, np.finfo(float).eps ** 2, out=ratios)
+    np.divide(np.stack([e2, e2[::-1]], axis=1)[:, :, None], ratios, out=ratios)
+    k = np.arange(n - 1)[:, None]
+    np.copyto(ratios[:, 0], 1.0, where=k >= r)
+    np.copyto(ratios[:, 1], 1.0, where=k > n - 2 - r)
+    pivots[-1] = 1.0
+    # products from the last row up: z_k^2 for k < r, and z_{n-1-k}^2 for n-1-k > r
+    rows = list(pivots)
+    for k in range(n - 2, -1, -1):
+        np.multiply(rows[k], rows[k + 1], out=rows[k])
+    first = pivots[0, 0].copy()
+    squares = pivots[:, 0]
+    squares *= pivots[::-1, 1]  # z_k^2, as one of the two factors is 1 at every k
+    return first, squares.sum(axis=0)
 
 
 def golub_welsch_f64(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the quadrature rule of a unit-mass Jacobi matrix."""
-    w, v = _eigh(d, e)
-    return w, v[0, :] ** 2
+    """Nodes and weights of the quadrature rule of a unit-mass Jacobi matrix:
+    _nodes_f64, and z_0^2 / |z|^2 of the twisted factorization at each node
+    plus its Rayleigh correction gamma_r / |z|^2, in blocks of _BLOCK nodes.
+    The correction takes the shift below the node's half-ulp rounding,
+    which the weight feels as much as the pivots' own rounding."""
+    nodes, e2 = _nodes_f64(d, e), e * e
+    weights = []
+    for start in range(0, len(nodes), _BLOCK):
+        x = nodes[start : start + _BLOCK]
+        pivots = _pivots(d, e2, x)
+        r, gamma = _twist(d, x, pivots)
+        below = gamma / _twisted_vector(e2, pivots, r)[1]
+        del pivots
+        first, norm = _twisted_vector(e2, _pivots(d, e2, x, below), r)
+        weights.append(first / norm)
+    return nodes, np.concatenate(weights)
 
 
-def _eigenvector_sums(x, a: list, b: list, inv: list, peak, bits: int):
-    """(sum_{j<peak} v_j^2 at scale 2^(2F), v_peak at scale 2^F) per node of
+def _eigenvector_sums(x, a: list, b: list, inv: list, join, bits: int):
+    """(sum_{j<join} v_j^2 at scale 2^(2F), v_join at scale 2^F) per node of
     v_0 = 1, v_{j+1} = ((x - b_j) v_j - a_j v_{j-1}) / a_{j+1}, row j over
-    the nodes of peak > j only: a shrinking prefix once sorted by peak."""
-    order = np.argsort(-peak, kind="stable")
-    x, peak = x[order], peak[order]
-    live = np.searchsorted(-peak, -np.arange(peak[0] + 1))  # live[j]: nodes with peak > j
+    the nodes of join > j only: a shrinking prefix once sorted by join."""
+    order = np.argsort(-join, kind="stable")
+    x, join = x[order], join[order]
+    live = np.searchsorted(-join, -np.arange(join[0] + 1))  # live[j]: nodes with join > j
     prev, cur = np.zeros(len(x), dtype=object), np.full(len(x), 1 << bits, dtype=object)
-    total, at_peak = np.zeros(len(x), dtype=object), cur.copy()
-    for j in range(peak[0]):
+    total, at_join = np.zeros(len(x), dtype=object), cur.copy()
+    for j in range(join[0]):
         m, ending = live[j], live[j + 1]
         cur = cur[:m]
         total[order[:m]] += cur * cur
         prev, cur = cur, ((x[:m] - b[j]) * cur - a[j] * prev[:m]) * inv[j + 1] >> 2 * bits
-        at_peak[order[ending:m]] = cur[ending:]
-    return total, at_peak
+        at_join[order[ending:m]] = cur[ending:]
+    return total, at_join
 
 
 def golub_welsch_mpf(chain, size: int, digits: int):
-    """High-precision nodes/weights: Newton passes from the float64 seeds on
-    u = a_size p_size (u' too while the steps reach 2^-(prec/2)) until every
-    step is below 2^(_GUARD_BITS-4) units, else PrecisionExhaustedError; weights
-    from the eigenvector run forward to, and backward from the end to, its peak."""
+    """High-precision nodes/weights: Newton passes from the _nodes_f64 seeds
+    on u = a_size p_size (u' too while the steps reach 2^-(prec/2)) until
+    every step is below 2^(_GUARD_BITS-4) units, else PrecisionExhaustedError;
+    weights from the eigenvector run forward to, and backward from the end
+    to, the twist index of the converged nodes."""
     d64, e64 = jacobi_arrays_f64(chain, size)
-    seeds, vectors = _eigh(d64, e64)
-    peak = np.argmax(np.abs(vectors), axis=0)
+    seeds = _nodes_f64(d64, e64)
     with mp.workdps(digits + 10):
         dg, eg = jacobi_arrays_mpf(chain, size)
         bits = mp.mp.prec + _GUARD_BITS
@@ -197,14 +338,18 @@ def golub_welsch_mpf(chain, size: int, digits: int):
             raise PrecisionExhaustedError(
                 f"Golub-Welsch at size {size}, {digits} digits: the largest Newton step is "
                 f"{mp.nstr(mp.ldexp(step, -bits), 3)} after {_MAX_PASSES} passes")
-        lower, fm = _eigenvector_sums(x, a, b, inv, peak, bits)
-        upper, gm = _eigenvector_sums(x, a[::-1], b[::-1], inv[::-1], size - 1 - peak, bits)
-        # the backward solution, rescaled to meet the forward one at the peak
-        total = lower + fm * fm + upper * fm * fm // (gm * gm)
-        order = sorted(range(size), key=lambda k: x[k])
         # the guard bits only absorb the loops' rounding: return the nodes on
         # the grid 2^-prec, so that a node at zero comes out as exactly 0
-        x = (x + (1 << _GUARD_BITS - 1)) >> _GUARD_BITS
-        nodes = [mp.ldexp(x[k], -mp.mp.prec) for k in order]
+        grid = (x + (1 << _GUARD_BITS - 1)) >> _GUARD_BITS
+        e2 = e64 * e64
+        at = np.array([math.ldexp(v, -mp.mp.prec) for v in grid])
+        twist = np.concatenate([_twist(d64, x64, _pivots(d64, e2, x64))[0]
+                                for x64 in np.split(at, range(_TWIST_BLOCK, size, _TWIST_BLOCK))])
+        lower, fm = _eigenvector_sums(x, a, b, inv, twist, bits)
+        upper, gm = _eigenvector_sums(x, a[::-1], b[::-1], inv[::-1], size - 1 - twist, bits)
+        # the backward solution, rescaled to meet the forward one at the twist
+        total = lower + fm * fm + upper * fm * fm // (gm * gm)
+        order = sorted(range(size), key=lambda k: x[k])
+        nodes = [mp.ldexp(grid[k], -mp.mp.prec) for k in order]
         weights = [mp.ldexp(1 / mp.mpf(total[k]), 2 * bits) for k in order]
     return nodes, weights

@@ -43,6 +43,24 @@ def test_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("name, digits, truncation", [
+    ("chain_b", "15", "2000"), ("chain_s", "15", "2000"), ("chain_b", "34", "400")])
+def test_measure_is_the_same_on_every_blas_thread_count(tmp_path, name, digits, truncation):
+    # OpenBLAS reads its thread count when numpy loads, so each count runs
+    # in a fresh process; measure.csv must not depend on it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rwlab.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        argv = [sys.executable, "-m", "rwlab.cli", "measure", "--config", cfg(f"{name}.cfg"),
+                "--out", str(tmp_path / threads), "--precision", digits,
+                "--truncation", truncation]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append(read(str(tmp_path / threads / "measure.csv")))
+    assert outputs[0] == outputs[1]
+
+
 def test_chain_file_roundtrip(tmp_path, chain_s):
     text = ff.chain_to_text(chain_s)
     parsed = ff.chain_from_sections(ff.parse_sections(text))

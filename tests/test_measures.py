@@ -15,6 +15,7 @@ from rwlab.measures import (
     _BLOCK,
     _SINK_THRESHOLDS,
     DiscreteMeasure,
+    _measure_from_arrays,
     L_functional,
     _deficit_extrapolation,
     _mc_step,
@@ -74,6 +75,19 @@ def test_high_precision_backend(chain_a):
     with mp.workdps(40):
         m4 = mp.fsum(w * x**4 for x, w in zip(m.mp_nodes, m.mp_weights))
         assert abs(m4 - mp.mpf(3) / 8) < mp.mpf(10) ** -30
+
+
+def test_mpf_nodes_equal_in_float64_keep_mpf_order():
+    # 1 + 2^-60 and 1 are one float64; the rows follow the mpf nodes, not
+    # the order they arrived in
+    with mp.workdps(30):
+        nodes = [1 + mp.ldexp(1, -60), mp.mpf(1), mp.mpf("0.5")]
+        weights = [mp.mpf("0.25"), mp.mpf("0.5"), mp.mpf("0.25")]
+        m = _measure_from_arrays(nodes, weights)
+    assert m.mp_nodes == (nodes[2], nodes[1], nodes[0])
+    assert m.mp_weights == (weights[2], weights[1], weights[0])
+    assert m.nodes.tolist() == [0.5, 1.0, 1.0]
+    assert m.weights.tolist() == [0.25, 0.5, 0.25]
 
 
 def test_gauss_exactness_vs_matrix_powers(chain_s):

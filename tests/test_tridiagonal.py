@@ -141,6 +141,23 @@ def test_weights_of_a_decaying_eigenvector():
     assert abs(m.weights[0] - 8 / 9) < 1e-15
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("name", ["chain_b", "chain_s", "outlier"])
+def test_high_precision_rule_does_not_depend_on_its_seeds(monkeypatch, name, sign):
+    # the 34-digit rule is a function of the chain alone: float64 seeds two
+    # ulps off, in alternating directions, give the same mpf nodes and weights
+    chain = OUTLIER if name == "outlier" else bundled(name)
+    nodes, weights = golub_welsch_mpf(chain, 60, 34)
+    exact = tridiagonal._nodes_f64
+
+    def moved(d, e):
+        x = exact(d, e)
+        return x + sign * 2 * np.spacing(x) * (-1) ** np.arange(len(x))
+
+    monkeypatch.setattr(tridiagonal, "_nodes_f64", moved)
+    assert golub_welsch_mpf(chain, 60, 34) == (nodes, weights)
+
+
 @pytest.mark.parametrize("size, digits", [(100, 60), (400, 34)])
 def test_decaying_eigenvector_at_more_digits_and_rows(size, digits):
     m = quadrature_from_chain(OUTLIER, size, digits=digits)

@@ -16,7 +16,8 @@ last derivative) runs at the benchmark's size,
 `chain-info`, `polys` and `absorb` at `--precision 34` for the
 coefficient-level series, polynomial and absorption paths at the default
 working precision, `measure --precision 15 --truncation 1000` on chain_b
-and chain_s for float64 Golub-Welsch above the configs' truncation 400, and
+and chain_s and `--truncation 2000` on chain_b for float64 Golub-Welsch
+above the configs' truncation 400, and
 `recover` and `dt-check --horizon 64` at `--precision 34` on weight_d and
 weight_e for the closed-form weight-to-chain recovery, `normalize`
 and `srlp` at `--precision 34` on chain_b and chain_s for the two other
@@ -80,6 +81,7 @@ EXTRA = [
         ("polys", ("chain_s",), "34", ()),
         ("absorb", ("chain_k", "constant_killing"), "34", ("--horizon", "400")),
         ("measure", ("chain_b", "chain_s"), "15", ("--truncation", "1000")),
+        ("measure", ("chain_b",), "15", ("--truncation", "2000")),
         ("recover", ("weight_d", "weight_e"), "34", ()),
         ("dt-check", ("weight_d", "weight_e"), "34", ("--horizon", "64")),
         ("normalize", ("chain_b", "chain_s"), "34", ()),
