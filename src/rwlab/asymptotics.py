@@ -419,7 +419,7 @@ def conjecture_report(
     chain.validate()
 
     trunc = int(min(truncation, chain.depth))
-    edges = support_edges(chain, trunc, tol=1e-4 if trunc < 500 else 1e-6)
+    edges = support_edges(chain, trunc)
     eta_hat = edges.eta_hat
     diagnostics["eta_hat"] = f"{eta_hat:.12g}"
 

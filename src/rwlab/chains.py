@@ -197,14 +197,12 @@ def log_pi_mpf(chain: ChainSpec, n: int) -> list:
     return logs[: n + 1]
 
 
-def potential_coefficients(
-    chain: ChainSpec, n: int, digits: int = DEFAULT_DIGITS
-) -> list[SignedLog]:
-    """pi_0..pi_n as sign/log pairs (pi_0 = 1, pi_{j+1} = pi_j p_j / q_{j+1})."""
+def potential_coefficients(chain: ChainSpec, n: int) -> list[SignedLog]:
+    """pi_0..pi_n as sign/log pairs (pi_0 = 1, pi_{j+1} = pi_j p_j / q_{j+1})
+    from the float64 ln pi column of _series_float, at every precision."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    with mp.workdps(digits):
-        return [SignedLog(1, float(lg)) for lg in log_pi_mpf(chain, n)]
+    return [SignedLog(1, float(lg)) for lg in _series_float(chain, n)[4]]
 
 
 # --- divergence verdicts ------------------------------------------------------
@@ -300,22 +298,17 @@ def classify_series(partial: np.ndarray, summands: np.ndarray) -> DivergenceVerd
     return DivergenceVerdict(partial, "undecided", "no rule fired")
 
 
-def _series_float(chain: ChainSpec, n: int):
-    """float64 p, q, r, kappa, log-pi and 1/(p_j pi_j) for j = 0..n.
-
-    pi_j overflows float64 for transient chains, so everything stays in
-    log space until the final (order-one) summands.
-    """
-    p, q, r, k, logpi = (c[: n + 1] for c in chain._float_columns(n))
-    with np.errstate(over="ignore", under="ignore"):
-        inv_ppi = np.exp(-(np.log(p) + logpi))
-    return p, q, r, k, logpi, inv_ppi
+def _series_float(chain: ChainSpec, n: int) -> tuple[np.ndarray, ...]:
+    """float64 p, q, r, kappa and ln pi for j = 0..n, slices of the chain's
+    table.  pi_j overflows float64 for transient chains, so the series stay
+    in log space until their order-one summands."""
+    return tuple(c[: n + 1] for c in chain._float_columns(n))
 
 
 def _double_sum_verdict(chain: ChainSpec, n: int, which: str) -> DivergenceVerdict:
     """Verdict on sum_j (1/(p_j pi_j)) sum_{m<=j} w_m pi_m for j = 0..n, with
     w = r (which="r") or w = kappa (which="kappa"), summed in log space."""
-    p, _, r, k, logpi, _ = _series_float(chain, n)
+    p, _, r, k, logpi = _series_float(chain, n)
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         inner_log = np.logaddexp.accumulate(np.log(r if which == "r" else k) + logpi)
         term_log = inner_log - (np.log(p) + logpi)
@@ -328,7 +321,9 @@ def series_L(chain: ChainSpec, n: int) -> DivergenceVerdict:
     """Partial sums of sum_j 1/(p_j pi_j): diverges iff the chain is recurrent."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    *_, terms = _series_float(chain, n)
+    p, *_, logpi = _series_float(chain, n)
+    with np.errstate(over="ignore", under="ignore"):
+        terms = np.exp(-(np.log(p) + logpi))
     return classify_series(np.cumsum(terms), terms)
 
 

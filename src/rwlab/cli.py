@@ -133,7 +133,7 @@ def _path(cfg: ExperimentConfig, name: str) -> str:
 
 
 def cmd_chain_info(cfg: ExperimentConfig) -> int:
-    digits, chain = _digits(cfg), cfg.require_chain()
+    chain = cfg.require_chain()
     n = int(min(cfg.horizon, chain.depth - 2))
     if n < 1:
         raise InputError(f"{chain.label}: chain-info needs horizon >= 1 and depth >= 3")
@@ -150,7 +150,7 @@ def cmd_chain_info(cfg: ExperimentConfig) -> int:
     rows.append(("hold_over_up_sum", rp.verdict))
     ks = killing_sum(chain, n)
     rows.append(("killing_sum", ks.verdict))
-    pis = potential_coefficients(chain, min(n, 64), digits)
+    pis = potential_coefficients(chain, min(n, 64))
     atomic_write(_path(cfg, "chain_info.txt"), keyvalue_text(rows))
     atomic_write(
         _path(cfg, "potential_coefficients.csv"),
@@ -391,7 +391,7 @@ def cmd_dt_check(cfg: ExperimentConfig) -> int:
     if not recovery.ok:
         return _not_a_random_walk_measure(weight, recovery)
     exps = edge_exponents(weight)
-    e = support_edges(recovery.chain, max(50, min(cfg.truncation, n_max)))
+    e = _edges_for(cfg, recovery.chain)
     result = edge_scaled_christoffel(recovery.chain, exps, e.eta_hat, n_max)
     atomic_write(
         _path(cfg, "dt_scaled.csv"),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .chains import DEFAULT_DIGITS, ChainSpec, is_periodic, log_pi_mpf
+from .chains import DEFAULT_DIGITS, ChainSpec, is_periodic
 from .errors import (
     ChainHasKillingError,
     DivisionSentinelError,
@@ -245,13 +245,11 @@ def _step(v: np.ndarray, p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndar
 def spectral_transition(
     chain: ChainSpec, measure: DiscreteMeasure, i: int, j: int, n: int
 ) -> float:
-    """pi_j int x^n Q_i Q_j dpsi over the discrete measure."""
-    deg = max(i, j)
-    qtab = _q_table_f64(chain, max(deg, 1), measure.nodes)
-    with mp.workdps(20):
-        pi_j = float(mp.exp(log_pi_mpf(chain, max(j, 1))[j]))
-    x = measure.nodes
-    return pi_j * float(math.fsum(measure.weights * x**n * qtab[i] * qtab[j]))
+    """pi_j int x^n Q_i Q_j dpsi over the discrete measure, with pi_j from
+    the chain's float64 ln pi column."""
+    qtab = _q_table_f64(chain, max(i, j, 1), measure.nodes)
+    pi_j = math.exp(chain._float_columns(j)[4][j])
+    return pi_j * float(math.fsum(measure.weights * measure.nodes**n * qtab[i] * qtab[j]))
 
 
 def transition_probability(

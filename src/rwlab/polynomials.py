@@ -5,17 +5,16 @@ p_0 Q_1 = x - r_0, so Q_n(1) = 1 for honest chains.  Every pass runs that
 forward recurrence, the stable direction at and beyond the support edges,
 on one of two backends.  The Christoffel ratio and edge-scaling passes and
 the ratio-vanishing criterion run tridiagonal._three_term_f64, float64 with
-a power-of-two rescale per step, at every precision, on the float64
-coefficients and ln pi_j of chains._series_float, with running sums in log
-space; so does the Q_n(1) growth at <= FLOAT_DIGITS.  eval_Q, christoffel,
-cd_identity_residual and the Q_n(1) growth above FLOAT_DIGITS run
-tridiagonal._three_term in mpmath, whose unbounded exponent absorbs the
-growth outside the support, at the requested digits plus _GUARD_DIGITS, on
-the coefficients and ln pi_j the chain memoizes per working precision.
-Values leave as sign/log-magnitude pairs or floats.  Support edges are
-float64 at every precision and come from two routes: the extreme
-eigenvalues of the Jacobi truncation, and bisection on the sign pattern of
-Q_1..Q_N that marks a point outside the support.
+a power-of-two rescale per step, at every precision, on the chain's float64
+coefficients and ln pi_j, with running sums in log space; so does the Q_n(1)
+growth at <= FLOAT_DIGITS.  eval_Q, christoffel, cd_identity_residual and
+the Q_n(1) growth above FLOAT_DIGITS run tridiagonal._three_term in mpmath,
+whose unbounded exponent absorbs the growth outside the support, at the
+requested digits plus _GUARD_DIGITS, on the coefficients and ln pi_j the
+chain memoizes per working precision.  Values leave as sign/log-magnitude
+pairs or floats.  Support edges are float64 at every precision and come
+from two routes: the extreme eigenvalues of the Jacobi truncation, and
+bisection on the sign pattern of Q_1..Q_N beyond the support.
 """
 
 from __future__ import annotations
@@ -67,10 +66,10 @@ def _q_pi(chain: ChainSpec, n: int, x) -> tuple[list, list]:
 
 
 def _q_pi_f64(chain: ChainSpec, n: int, *xs) -> tuple[tuple, list]:
-    """The float64 twin of _q_pi: the float64 columns p, q, r, kappa and
-    ln pi for j = 0..n (from chains._series_float), and at each x the pair
+    """The float64 twin of _q_pi: the chain's float64 columns p, q, r, kappa
+    and ln pi for j = 0..n (chains._series_float), and at each x the pair
     sign(Q_k(x)), ln|Q_k(x)| for k = 0..n (ln 0 = -inf)."""
-    cols = _series_float(chain, n)[:5]
+    cols = _series_float(chain, n)
     p, q, r = (c.tolist() for c in cols[:3])
     logs = []
     for x in xs:
@@ -206,6 +205,8 @@ def cd_identity_residual(
 
 # --- support edges ------------------------------------------------------------
 
+EDGE_TOL = 1e-6  # the one tolerance of support_edges
+
 
 @dataclass(frozen=True)
 class SupportEdges:
@@ -228,10 +229,8 @@ class SupportEdges:
     zeta_bisection: float
 
 
-def _positivity_infimum(
-    chain: ChainSpec, horizon: int, true_end: float, other_end: float,
-    tol: float, sign: int,
-) -> float:
+def _positivity_infimum(chain: ChainSpec, horizon: int, true_end: float,
+                        other_end: float, sign: int) -> float:
     """Bisection end point of {x : sign^k Q_k(x) > 0 for all k <= horizon}.
 
     sign = 1 is the top-edge predicate (bracket [eta - pad, 1 + pad]),
@@ -254,7 +253,7 @@ def _positivity_infimum(
         raise MethodsDisagreeError(f"{chain.label}: {kind} {true_end}")
     if holds(other_end):
         return other_end
-    while abs(true_end - other_end) > tol / 8:
+    while abs(true_end - other_end) > EDGE_TOL / 8:
         mid = 0.5 * (true_end + other_end)
         if holds(mid):
             true_end = mid
@@ -263,12 +262,13 @@ def _positivity_infimum(
     return true_end
 
 
-def support_edges(chain: ChainSpec, truncation: int = 2000, tol: float = 1e-6) -> SupportEdges:
+def support_edges(chain: ChainSpec, truncation: int = 2000) -> SupportEdges:
     """Edge estimates from (a) extreme eigenvalues of the truncated Jacobi
     matrix with Richardson extrapolation over truncation and truncation/2,
     and (b) bisection on the finite-horizon positivity predicates, both in
     float64 at every precision (a float64 Jacobi entry moves an eigenvalue
-    by about one ulp, far below the Richardson error of eta_hat)."""
+    by about one ulp, far below the Richardson error of eta_hat).  EDGE_TOL
+    sets the bisection's pad (10x) and stop (1/8) and the cross-check."""
     if truncation < 50:
         raise ValueError("truncation must be >= 50")
     ems = []
@@ -279,17 +279,17 @@ def support_edges(chain: ChainSpec, truncation: int = 2000, tol: float = 1e-6) -
     eta_hat = richardson_pair(eta_c, eta_f, order=2)
     zeta_hat = richardson_pair(zeta_c, zeta_f, order=2)
 
-    pad = max(10 * tol, 1e-9)
-    eta_bis = _positivity_infimum(chain, truncation, 1.0 + pad, eta_f - pad, tol, 1)
-    zeta_bis = _positivity_infimum(chain, truncation, -1.0 - pad, zeta_f + pad, tol, -1)
+    pad = 10 * EDGE_TOL
+    eta_bis = _positivity_infimum(chain, truncation, 1.0 + pad, eta_f - pad, 1)
+    zeta_bis = _positivity_infimum(chain, truncation, -1.0 - pad, zeta_f + pad, -1)
 
     discrepancy = max(abs(eta_bis - eta_f), abs(zeta_bis - zeta_f))
-    if discrepancy > 10 * tol:
+    if discrepancy > 10 * EDGE_TOL:
         raise MethodsDisagreeError(
             f"{chain.label}: edge routes disagree by {discrepancy:.3g} "
-            f"(tol {tol:g})"
+            f"(tol {EDGE_TOL:g})"
         )
-    method = "cross-checked" if discrepancy <= tol else "jacobi-eigen"
+    method = "cross-checked" if discrepancy <= EDGE_TOL else "jacobi-eigen"
     return SupportEdges(eta_hat, zeta_hat, method, truncation, discrepancy,
                         eta_f, eta_bis, zeta_f, zeta_bis)
 

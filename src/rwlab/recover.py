@@ -11,9 +11,9 @@ weight is discretized at FLOAT_DIGITS and goes through the Stieltjes
 recursion, which runs in float64, without reorthogonalization, and is kept
 only when a measured loss of orthogonality certifies it; otherwise it is
 rerun with full reorthogonalization and a NumericalRouteWarning says so.
-Both routes size the grid by grid_size_for_depth.  The mpmath panel
-rule takes its Gauss-Legendre nodes from golub_welsch_mpf on the Legendre
-chain, the float64 one from numpy's leggauss.  The recovered
+Both routes size the grid by grid_size_for_depth.  Both panel rules take
+their Gauss-Legendre nodes from the Legendre chain, the mpmath one by
+golub_welsch_mpf and the float64 one by golub_welsch_f64.  The recovered
 coefficients are float-rounded (small dyadic Fractions), with p_k
 completing each row so that p + q + r = 1 holds exactly.
 
@@ -38,9 +38,12 @@ from .chains import ChainSpec, CoeffRule, DEFAULT_DIGITS, rule
 from .errors import InputError, NumericalRouteWarning, StieltjesBreakdownError
 from .measures import DiscreteMeasure, _measure_from_arrays
 from .numeric import mpf_from_fraction
-from .tridiagonal import FLOAT_DIGITS, golub_welsch_mpf
+from .tridiagonal import FLOAT_DIGITS, golub_welsch_f64, golub_welsch_mpf, jacobi_arrays_f64
 
 PANEL_ORDER = 60
+# the Legendre chain, whose measure is dx/2 on [-1, 1]
+_LEGENDRE = ChainSpec("legendre", rule((), "(j + 1)/(2*j + 1)"), rule((), "j/(2*j + 1)"),
+                      rule((), "0"))
 
 
 @dataclass(frozen=True)
@@ -96,12 +99,17 @@ def make_weight(label, eta, alpha, beta, smooth="1", atoms=()) -> WeightSpec:
 @lru_cache(maxsize=8)
 def _gauss_legendre_mpf(order: int, dps: int):
     """Gauss-Legendre nodes (descending) and weights on [-1, 1] at dps
-    digits: the golub_welsch_mpf rule of the Legendre chain p_j =
-    (j+1)/(2j+1), q_j = j/(2j+1), r_j = 0, whose measure is dx/2."""
-    legendre = ChainSpec("legendre", rule((), "(j + 1)/(2*j + 1)"),
-                         rule((), "j/(2*j + 1)"), rule((), "0"))
-    nodes, weights = golub_welsch_mpf(legendre, order, dps)
+    digits: the golub_welsch_mpf rule of _LEGENDRE."""
+    nodes, weights = golub_welsch_mpf(_LEGENDRE, order, dps)
     return tuple(reversed(nodes)), tuple(mp.ldexp(w, 1) for w in reversed(weights))
+
+
+@lru_cache(maxsize=1)
+def _gauss_legendre_f64() -> tuple[np.ndarray, np.ndarray]:
+    """Float64 Gauss-Legendre nodes (ascending) and weights on [-1, 1] of
+    order PANEL_ORDER: the golub_welsch_f64 rule of _LEGENDRE."""
+    nodes, weights = golub_welsch_f64(*jacobi_arrays_f64(_LEGENDRE, PANEL_ORDER))
+    return nodes, 2 * weights
 
 
 EDGE_LEVELS = 26
@@ -189,9 +197,7 @@ def _density_points(spec: WeightSpec, uniform: int, digits: int):
 def _discretize_f64(spec: WeightSpec, M: int) -> DiscreteMeasure:
     """discretize_weight's panel rule in float64 numpy, for a weight
     without atoms: the measure of the closed-form route."""
-    from numpy.polynomial.legendre import leggauss
-
-    t, w = leggauss(PANEL_ORDER)
+    t, w = _gauss_legendre_f64()
     panels = np.array(_theta_panels(_uniform_panels(M)), dtype=float)
     lo, hi = panels[:, :1], panels[:, 1:]
     rad = (hi - lo) / 2

@@ -124,8 +124,7 @@ def quad400(core_chains):
 def edges2000(core_chains):
     out = {}
     for key, ch in core_chains.items():
-        tol = 1e-4 if key == "B" else 1e-6
-        out[key] = support_edges(ch, truncation=2000, tol=tol)
+        out[key] = support_edges(ch, truncation=2000)
     return out
 
 

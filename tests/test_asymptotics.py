@@ -205,6 +205,17 @@ def test_gap_between_edges_forces_zero_limits(report_b):
     assert report_b.lim_rho_ratio.value <= 1e-6
 
 
+@pytest.mark.parametrize("name", ["chain_b", "chain_c"])
+def test_conjecture_brackets_the_edges_as_edges_does(name):
+    # one edge tolerance: below truncation 500 the report's bracket is the
+    # one `rwlab edges` prints, bisection ends and discrepancy included
+    from rwlab.polynomials import support_edges
+
+    chain = bundled(name)
+    rep = conjecture_report(chain=chain, N=60, n_max=200, truncation=400, sum_horizon=400)
+    assert rep.edges == support_edges(chain, 400)
+
+
 def test_killed_chain_report():
     rep = conjecture_report(chain=bundled("chain_k"), n_max=300, truncation=1000)
     assert rep.lim_cn is None

@@ -261,7 +261,7 @@ def test_no_hot_path_hashes_a_chain(monkeypatch):
                       sum_horizon=200)
     conjecture_report(weight=bundled("weight_e"), N=60, n_max=60, truncation=200,
                       sum_horizon=200)
-    support_edges(chain, 60, tol=1e-4)
+    support_edges(chain, 60)
     quadrature_from_chain(chain, 20, digits=34)
     normalize(chain, 1.0, 50)
     srlp_predicted_limit(chain, 0, 1, 0, 0, 1.0, horizon=50)
@@ -276,7 +276,7 @@ def test_fifteen_digit_passes_stay_off_mpmath(monkeypatch):
 
     from rwlab import chains as chains_module
     from rwlab.asymptotics import conjecture_report
-    from rwlab.measures import srlp_predicted_limit
+    from rwlab.measures import srlp_predicted_limit, transition_probability
     from rwlab.polynomials import absorption_probabilities
 
     def refuse(*args):
@@ -291,6 +291,8 @@ def test_fifteen_digit_passes_stay_off_mpmath(monkeypatch):
                           sum_horizon=400)
     absorption_probabilities(bundled("chain_k"), 6, 2000, digits=15)
     srlp_predicted_limit(bundled("chain_b"), 1, 2, 0, 1, 1.0, horizon=50)
+    transition_probability(bundled("chain_b"), 0, 1, 4)
+    potential_coefficients(bundled("chain_c"), 64)
 
 
 def test_float_columns_come_from_one_table(monkeypatch):

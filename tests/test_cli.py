@@ -332,6 +332,20 @@ def test_recover_takes_any_precision(tmp_path):
         assert outputs[0] == outputs[1], sub
 
 
+@pytest.mark.parametrize("name", ["chain_c", "chain_s"])
+def test_chain_info_takes_any_precision(tmp_path, name):
+    # the four series and the potential coefficients read the chain's
+    # float64 columns, so --precision 10 and 34 run chain-info as 15 does
+    outputs = []
+    for digits in ("10", "15", "34"):
+        out = tmp_path / digits
+        assert run("chain-info", "--config", cfg(f"{name}.cfg"), "--out", str(out),
+                   "--precision", digits) == 0, digits
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert set(outputs[0]) == {"chain_info.txt", "potential_coefficients.csv"}
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 @pytest.mark.parametrize("name", ["weight_e", "weight_rational"])
 def test_cn_and_conjecture_print_one_C_n(tmp_path, name):
     # cn on a weight reads the measure recover_chain pairs with the chain

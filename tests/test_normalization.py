@@ -47,7 +47,7 @@ def test_nonpositive_q_error(chain_c):
 
 def test_tilde_edge_is_one(chain_c):
     norm = normalize(chain_c, ETA_C, 2004, digits=15)
-    e = support_edges(norm.chain, truncation=2000, tol=1e-6)
+    e = support_edges(norm.chain, truncation=2000)
     assert e.eta_hat == pytest.approx(1.0, abs=1e-6)
 
 
