@@ -12,9 +12,10 @@ the Q_n(1) growth above FLOAT_DIGITS run tridiagonal._three_term in mpmath,
 whose unbounded exponent absorbs the growth outside the support, at the
 requested digits plus _GUARD_DIGITS, on the coefficients and ln pi_j the
 chain memoizes per working precision.  Values leave as sign/log-magnitude
-pairs or floats.  Support edges are float64 at every precision and come
-from two routes: the extreme eigenvalues of the Jacobi truncation, and
-bisection on the sign pattern of Q_1..Q_N beyond the support.
+pairs or floats.  Support edges are float64 at every precision: one
+Sturm-count bisection of one fixed-point Jacobi truncation J_N, to its
+extreme eigenvalues and, stopped early, to the ends of the sign patterns of
+Q_1..Q_N beyond the support, which interlacing makes the same predicate.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ from .tridiagonal import (
     FLOAT_DIGITS,
     extreme_eigen_f64,
     jacobi_arrays_f64,
+    _bisect_count,
+    _count_below,
+    _fixed_jacobi,
     _three_term,
     _three_term_f64,
 )
@@ -210,12 +214,13 @@ EDGE_TOL = 1e-6  # the one tolerance of support_edges
 
 @dataclass(frozen=True)
 class SupportEdges:
-    """Two-route estimates of the support edges of the orthogonality measure.
+    """Estimates of the support edges of the orthogonality measure.
 
-    eta_hat/zeta_hat are Richardson-extrapolated eigenvalue estimates; the
-    raw same-truncation eigenvalue and positivity-bisection values (which
-    both target the extreme zero of the degree-`truncation` polynomial) are
-    kept for the cross-check, their gap recorded as `discrepancy`.
+    eta_hat/zeta_hat are Richardson-extrapolated eigenvalue estimates.
+    eta_eigen/zeta_eigen are the extreme eigenvalues of J_truncation, and
+    eta_bisection/zeta_bisection the outer ends of the positivity
+    bisection, which bisects the same Sturm count to EDGE_TOL/8; their gap,
+    `discrepancy`, measures that stop, not a second route.
     """
 
     eta_hat: float
@@ -229,59 +234,34 @@ class SupportEdges:
     zeta_bisection: float
 
 
-def _positivity_infimum(chain: ChainSpec, horizon: int, true_end: float,
-                        other_end: float, sign: int) -> float:
-    """Bisection end point of {x : sign^k Q_k(x) > 0 for all k <= horizon}.
-
-    sign = 1 is the top-edge predicate (bracket [eta - pad, 1 + pad]),
-    sign = -1 the alternating bottom-edge one (bracket [-1 - pad,
-    zeta + pad]).  Returns the end of the final bracket on which the
-    predicate holds; `true_end` must satisfy it.  The signs come from the
-    rescaled float64 recurrence."""
-    p, q, r, _ = (c.tolist() for c in chain.arrays(horizon - 1))
-
-    def holds(xv: float) -> bool:
-        for k, (cur, _) in enumerate(_three_term_f64(xv, p, q, r, horizon), 1):
-            negative = sign < 0 and k % 2
-            if (cur >= 0) if negative else (cur <= 0):
-                return False
-        return True
-
-    if not holds(true_end):
-        kind = "positivity predicate false at bracket end" if sign > 0 else (
-            "alternating-positivity predicate false at")
-        raise MethodsDisagreeError(f"{chain.label}: {kind} {true_end}")
-    if holds(other_end):
-        return other_end
-    while abs(true_end - other_end) > EDGE_TOL / 8:
-        mid = 0.5 * (true_end + other_end)
-        if holds(mid):
-            true_end = mid
-        else:
-            other_end = mid
-    return true_end
-
-
 def support_edges(chain: ChainSpec, truncation: int = 2000) -> SupportEdges:
-    """Edge estimates from (a) extreme eigenvalues of the truncated Jacobi
-    matrix with Richardson extrapolation over truncation and truncation/2,
-    and (b) bisection on the finite-horizon positivity predicates, both in
-    float64 at every precision (a float64 Jacobi entry moves an eigenvalue
-    by about one ulp, far below the Richardson error of eta_hat).  EDGE_TOL
-    sets the bisection's pad (10x) and stop (1/8) and the cross-check."""
+    """Edge estimates from (a) extreme eigenvalues of J_N, N = truncation,
+    Richardson-extrapolated over N and N/2, and (b) bisection on the
+    positivity predicates, in float64 at every precision.  By interlacing,
+    "Q_k(x) > 0 for all k <= N" is "the Sturm count of J_N at x is N" and
+    "(-1)^k Q_k(x) > 0 for all k <= N" is "it is 0", so both bisect one count
+    on one fixed-point J_N, whose leading block is J_{N/2}: (a) to adjacent
+    doubles, (b) from 10 EDGE_TOL outside (a) to EDGE_TOL/8."""
     if truncation < 50:
         raise ValueError("truncation must be >= 50")
-    ems = []
-    for sz in (truncation // 2, truncation):
-        d, e = jacobi_arrays_f64(chain, sz)
-        ems.append((extreme_eigen_f64(d, e, "max"), extreme_eigen_f64(d, e, "min")))
-    (eta_c, zeta_c), (eta_f, zeta_f) = ems
+    d, e = jacobi_arrays_f64(chain, truncation)
+    fd, fe2 = fixed = _fixed_jacobi(d, e)
+    (eta_c, zeta_c), (eta_f, zeta_f) = (
+        [extreme_eigen_f64(d[:n], e[:n - 1], which, (fd[:n], fe2[:n - 1]))
+         for which in ("max", "min")]
+        for n in (truncation // 2, truncation))
     eta_hat = richardson_pair(eta_c, eta_f, order=2)
     zeta_hat = richardson_pair(zeta_c, zeta_f, order=2)
 
     pad = 10 * EDGE_TOL
-    eta_bis = _positivity_infimum(chain, truncation, 1.0 + pad, eta_f - pad, 1)
-    zeta_bis = _positivity_infimum(chain, truncation, -1.0 - pad, zeta_f + pad, -1)
+    top, bottom = 1.0 + pad, -1.0 - pad
+    # a tail past the validated prefix may put an eigenvalue outside [-1, 1]
+    for end, count, kind in ((top, truncation, "positivity predicate false at bracket end"),
+                             (bottom, 0, "alternating-positivity predicate false at")):
+        if _count_below(fixed, end) != count:
+            raise MethodsDisagreeError(f"{chain.label}: {kind} {end}")
+    eta_bis = _bisect_count(fixed, truncation - 1, eta_f - pad, top, EDGE_TOL / 8)[1]
+    zeta_bis = _bisect_count(fixed, 0, bottom, zeta_f + pad, EDGE_TOL / 8)[0]
 
     discrepancy = max(abs(eta_bis - eta_f), abs(zeta_bis - zeta_f))
     if discrepancy > 10 * EDGE_TOL:

@@ -220,10 +220,11 @@ def raw_density_integral(spec: WeightSpec, digits: int = DEFAULT_DIGITS) -> mp.m
 def density_integral(spec: WeightSpec, digits: int = DEFAULT_DIGITS) -> mp.mpf:
     """Integral of the unnormalized density (excluding atoms) at digits + 10.
 
-    On the closed-form route it is (2 eta)^(alpha+beta+1) B(alpha+1, beta+1)
-    e_0^T s(J) e_0, with J the orthonormal Jacobi matrix of size deg(s) + 1,
-    whose Gauss rule integrates s exactly; otherwise raw_density_integral."""
-    coeffs = _closed_form_smooth(spec)
+    For a polynomial smooth factor s, with or without atoms, it is
+    (2 eta)^(alpha+beta+1) B(alpha+1, beta+1) e_0^T s(J) e_0, with J the
+    orthonormal Jacobi matrix of size deg(s) + 1, whose Gauss rule
+    integrates s exactly; otherwise raw_density_integral."""
+    coeffs = ex.polynomial_coefficients(spec.smooth)
     if coeffs is None:
         return raw_density_integral(spec, digits)
     with mp.workdps(digits + 10):

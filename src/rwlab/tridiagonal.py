@@ -3,7 +3,8 @@ eigenvalues, and Golub-Welsch quadrature.
 
 Extreme eigenvalues are float64 at every precision: Sturm bisection on a
 fixed-point grid, on Python integers scaled by 2^F with F = 53 +
-_GUARD_BITS, run until the bracket ends are adjacent doubles.  Golub-Welsch
+_GUARD_BITS, run until the bracket ends are adjacent doubles by
+_bisect_count, which the edges' positivity bisection runs too.  Golub-Welsch
 has two backends, both from eigenvalues alone: no eigenvector matrix and no
 BLAS call reaches their output, which is therefore the same on every BLAS
 thread count.  The float64 one (digits <= 16) bisects each node with
@@ -20,8 +21,7 @@ converged node: decaying ones keep their weight.
 
 _three_term is the one forward recurrence of the polynomial family, on mpf
 or on float64 node arrays; _three_term_f64 is its scalar float64 form with a
-power-of-two rescale per step, which the edge bisection at every precision
-and the polynomial passes at <= 16 digits run on.
+power-of-two rescale per step, which the float64 polynomial passes run on.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ _BLOCK = 512  # nodes per float64 work array of N x _BLOCK
 # pivots stay below the seeds' dense matrix at N = 400
 _TWIST_BLOCK = 64
 _GRID = 2.0**-53  # the float64 nodes are multiples of it
+_BITS = 53 + _GUARD_BITS  # the grid 2^-_BITS of the scalar Sturm bisections
 
 
 def jacobi_arrays_f64(chain, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -117,26 +118,41 @@ def _gershgorin(d, e):
             max(d[k] + radius[k] for k in range(n)) + 1)
 
 
-def extreme_eigen_f64(d: np.ndarray, e: np.ndarray, which: str) -> float:
-    """Extreme eigenvalue by Sturm bisection in float64, counted on the
-    fixed-point grid 2^-F with F = 53 + _GUARD_BITS: the lower end of a
-    bracket whose ends are adjacent doubles.  Doubles are finer than the
-    grid only within 2^-24 of 0, where the bracket stops at the grid
-    spacing.  The grid is absolute, which suits a chain's Jacobi entries
-    (all at most 1)."""
-    bits = 53 + _GUARD_BITS
-    d, e = d.tolist(), e.tolist()
-    lo, hi = _gershgorin(d, e)
-    fd = [round(math.ldexp(v, bits)) for v in d]
-    fe2 = [round(math.ldexp(v, bits)) ** 2 for v in e]
-    threshold = len(d) - 1 if which == "max" else 0
-    grid = math.ldexp(1.0, -bits)
-    while hi - lo > grid and lo < (mid := (lo + hi) / 2) < hi:
-        if sturm_count(fd, fe2, round(math.ldexp(mid, bits))) <= threshold:
+def _fixed_jacobi(d, e) -> tuple[list, list]:
+    """sturm_count's operands of the tridiagonal (d, e) on the grid 2^-F,
+    F = _BITS: d scaled by 2^F and e^2 by 2^(2F)."""
+    return ([round(math.ldexp(v, _BITS)) for v in d.tolist()],
+            [round(math.ldexp(v, _BITS)) ** 2 for v in e.tolist()])
+
+
+def _count_below(fixed: tuple[list, list], x: float) -> int:
+    """sturm_count of _fixed_jacobi(d, e) at the grid point nearest x."""
+    return sturm_count(*fixed, round(math.ldexp(x, _BITS)))
+
+
+def _bisect_count(fixed: tuple[list, list], threshold: int, lo: float, hi: float,
+                  stop: float) -> tuple[float, float]:
+    """The bracket [lo, hi] of the predicate _count_below(fixed, x) <=
+    threshold, which holds at lo and fails at hi, halved until it is at most
+    `stop` wide or its ends are adjacent doubles."""
+    while hi - lo > stop and lo < (mid := (lo + hi) / 2) < hi:
+        if _count_below(fixed, mid) <= threshold:
             lo = mid
         else:
             hi = mid
-    return lo
+    return lo, hi
+
+
+def extreme_eigen_f64(d: np.ndarray, e: np.ndarray, which: str, fixed=None) -> float:
+    """Extreme eigenvalue by Sturm bisection in float64, counted on the
+    fixed-point grid 2^-F with F = _BITS: the lower end of a bracket whose
+    ends are adjacent doubles.  Doubles are finer than the grid only within
+    2^-24 of 0, where the bracket stops at the grid spacing.  The grid is
+    absolute, which suits a chain's Jacobi entries (all at most 1).  `fixed`
+    is _fixed_jacobi(d, e) when the caller holds it already."""
+    threshold = len(d) - 1 if which == "max" else 0
+    return _bisect_count(fixed or _fixed_jacobi(d, e), threshold,
+                         *_gershgorin(d.tolist(), e.tolist()), math.ldexp(1.0, -_BITS))[0]
 
 
 def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:

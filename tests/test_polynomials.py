@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from conftest import bundled, chain_transient_killing
-from rwlab.errors import PrecisionExhaustedError
+from rwlab.chains import ChainSpec, rule
+from rwlab.errors import MethodsDisagreeError, PrecisionExhaustedError
 from rwlab.measures import monte_carlo_absorption
 from rwlab.polynomials import (
+    SupportEdges,
     absorption_probabilities,
     cd_identity_residual,
     christoffel,
@@ -168,6 +170,47 @@ def test_support_edges_known_values(edges2000):
         assert -1 - 1e-6 <= e.zeta_hat <= e.eta_hat <= 1 + 1e-6
         assert e.eta_hat > 0
         assert e.zeta_hat >= -e.eta_hat - 1e-9
+
+
+# the nine fields of support_edges as the recurrence-predicate bisection
+# gave them; every operand is exact (fixed-point integers from correctly
+# rounded np.sqrt of Fraction-exact constant tails), so the solve is
+# reproducible bit for bit
+PINNED_EDGES = {
+    ("chain_b", 400): SupportEdges(
+        0.9999999999801821, 1.9817879254286448e-11, "cross-checked", 400,
+        6.395859597496667e-08, 0.9999961446907353, 0.9999962086493313,
+        3.85530926469533e-06, 3.84149006537427e-06),
+    ("chain_b", 2000): SupportEdges(
+        0.9999999999999681, 3.170866247212719e-14, "cross-checked", 2000,
+        7.710628047163937e-08, 0.9999998457874391, 0.9999999228937195,
+        1.5421256083981509e-07, 1.4043042274787825e-07),
+    ("chain_c", 400): SupportEdges(
+        0.9165146806453691, -0.9165146806453692, "cross-checked", 400,
+        3.75462416712935e-08, 0.9164872215253164, 0.9164872590715579,
+        -0.9164872215253165, -0.9164872590715581),
+    ("chain_c", 2000): SupportEdges(
+        0.9165151352424622, -0.9165151352424623, "cross-checked", 2000,
+        3.432712614159783e-08, 0.9165140111076276, 0.9165140454347537,
+        -0.9165140111076278, -0.9165140454347539),
+}
+
+
+@pytest.mark.parametrize("name, truncation", list(PINNED_EDGES))
+def test_support_edges_bit_for_bit(name, truncation):
+    assert support_edges(bundled(name), truncation) == PINNED_EDGES[name, truncation]
+
+
+def test_eigenvalue_beyond_the_validated_prefix_is_refused():
+    # rows within 1.7e-17 of a probability vector through j = 200, so the
+    # chain validates, but r_1000 = 3/2 puts an eigenvalue of J_2000 above
+    # the positivity bracket's end
+    chain = ChainSpec("late-outlier", p=rule(["1/2"], "1/4"), q=rule(["0"], "1/4"),
+                      r=rule(["1/2"], "1/2 + j^24/10^72"))
+    assert chain.at(1000)[2] == 1.5
+    with pytest.raises(MethodsDisagreeError,
+                       match="late-outlier: positivity predicate false at bracket end 1.00001"):
+        support_edges(chain, 2000)
 
 
 def test_q_growth(chain_a):

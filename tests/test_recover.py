@@ -252,6 +252,20 @@ def test_closed_form_matches_the_grid(case):
     assert gap <= 1e-25
 
 
+def test_density_integral_of_a_weight_with_atoms_is_closed_form(monkeypatch):
+    # the atoms lie outside the density's integral, so a polynomial smooth
+    # factor takes the closed form with atoms too, not the panel rule
+    spec = make_weight("atomic", 1, "1/2", "3/2", "2 + x", atoms=[("1/2", "1/4")])
+    panel = recover.raw_density_integral(spec, 34)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the panel rule ran")
+
+    monkeypatch.setattr(recover, "raw_density_integral", refuse)
+    with mp.workdps(44):
+        assert abs(recover.density_integral(spec, 34) - panel) <= 1e-25
+
+
 def test_float_panel_rule_is_gauss_legendre():
     # the float64 panel rule of _discretize_f64 is the Golub-Welsch rule of
     # the Legendre chain that the mpmath rule reads: within 1.6e-14 of the

@@ -16,6 +16,8 @@ from rwlab import tridiagonal
 from rwlab.chains import ChainSpec, rule
 from rwlab.errors import PrecisionExhaustedError
 from rwlab.measures import quadrature_from_chain
+from rwlab.polynomials import _q_pi_f64
+from rwlab.recover import recover_chain
 from rwlab.tridiagonal import (
     extreme_eigen_f64,
     golub_welsch_f64,
@@ -184,3 +186,31 @@ def test_float_rule_has_unit_mass(name, size):
     # matrix; the total mass stays within 5e-14 of 1 (2.4e-14 measured)
     _, weights = golub_welsch_f64(*jacobi_arrays_f64(bundled(name), size))
     assert abs(math.fsum(weights) - 1) <= 5e-14
+
+
+@functools.cache
+def _edge_chain(name):
+    if name == "weight_e":  # its recovered chain, one row beyond J_2000
+        return recover_chain(bundled(name), 2001)[2].chain
+    return bundled(name)
+
+
+@pytest.mark.parametrize("size", [400, 2000])
+@pytest.mark.parametrize("name", ["chain_a", "chain_b", "chain_c", "chain_k", "chain_s",
+                                  "constant_killing", "weight_e"])
+def test_positivity_predicates_are_the_sturm_count(name, size):
+    # interlacing: Q_k(x) > 0 for every k <= N exactly where all N
+    # eigenvalues of J_N lie below x, and (-1)^k Q_k(x) > 0 exactly where
+    # none does; the signs of the rescaled float64 recurrence agree with
+    # the fixed-point count within 1e-14 of both extreme eigenvalues
+    chain = _edge_chain(name)
+    d, e = jacobi_arrays_f64(chain, size)
+    fixed = tridiagonal._fixed_jacobi(d, e)
+    alternate = (-1.0) ** np.arange(size + 1)
+    for which in ("max", "min"):
+        lam = extreme_eigen_f64(d, e, which)
+        for x in (lam + s * delta for delta in (1e-6, 1e-9, 1e-12, 1e-14) for s in (-1, 1)):
+            ((sign, _),) = _q_pi_f64(chain, size, x)[1]
+            count = tridiagonal._count_below(fixed, x)
+            assert bool(np.all(sign > 0)) == (count == size), (which, x, count)
+            assert bool(np.all(sign * alternate > 0)) == (count == 0), (which, x, count)
