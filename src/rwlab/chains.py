@@ -147,12 +147,10 @@ class ChainSpec:
     def has_killing(self) -> bool:
         return not self.kappa._vanishes()
 
-    def validate(self) -> None:
-        if self.q.at(0) != 0:
-            raise MalformedChainError(f"{self.label}: q_0 must be 0")
-        depth = self.depth
-        top = int(min(200, depth - 1))
-        for j in range(top + 1):
+    def _check_rows(self, rows: int) -> None:
+        """validate's law (the class docstring's invariants) on rows
+        0..rows-1; the MalformedChainError names the first row breaking it."""
+        for j in range(rows):
             p, q, r, k = self.at(j)
             if p <= 0:
                 raise MalformedChainError(f"{self.label}: p_{j} = {p} not > 0")
@@ -165,6 +163,12 @@ class ChainSpec:
                 raise MalformedChainError(
                     f"{self.label}: p+q+r+kappa = {float(s)} at j={j}"
                 )
+
+    def validate(self) -> None:
+        if self.q.at(0) != 0:
+            raise MalformedChainError(f"{self.label}: q_0 must be 0")
+        depth = self.depth
+        self._check_rows(int(min(201, depth)))
         # tail rules must stay evaluable far out
         if depth == math.inf:
             far = np.array([1e6])

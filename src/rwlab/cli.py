@@ -336,6 +336,7 @@ def cmd_conjecture(cfg: ExperimentConfig) -> int:
         # the chain recovered from the weight has depth = horizon
         _require_edge_depth(f"{cfg.weight.label} at horizon {cfg.horizon}", cfg.horizon)
     else:
+        _require_edge_depth(cfg.chain.label, cfg.chain.depth)
         _require_limit_horizon(cfg.chain.label, cfg.horizon)
         if not cfg.chain.has_killing() and cfg.truncation < 8:
             # the C_n series has 2 * truncation terms; its limit needs 16

@@ -12,10 +12,11 @@ the Q_n(1) growth above FLOAT_DIGITS run tridiagonal._three_term in mpmath,
 whose unbounded exponent absorbs the growth outside the support, at the
 requested digits plus _GUARD_DIGITS, on the coefficients and ln pi_j the
 chain memoizes per working precision.  Values leave as sign/log-magnitude
-pairs or floats.  Support edges are float64 at every precision: one
-Sturm-count bisection of one fixed-point Jacobi truncation J_N, to its
-extreme eigenvalues and, stopped early, to the ends of the sign patterns of
-Q_1..Q_N beyond the support, which interlacing makes the same predicate.
+pairs or floats.  Support edges are float64 at every precision: Sturm-count
+bisection of one fixed-point Jacobi truncation J_N to its extreme
+eigenvalues.  The ends of the sign patterns of Q_1..Q_N beyond the support,
+which interlacing makes the same count, are those eigenvalues moved outward
+to a coarser stop.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from .tridiagonal import (
     FLOAT_DIGITS,
     extreme_eigen_f64,
     jacobi_arrays_f64,
-    _bisect_count,
-    _count_below,
+    _bisect,
     _fixed_jacobi,
     _three_term,
     _three_term_f64,
@@ -218,9 +218,9 @@ class SupportEdges:
 
     eta_hat/zeta_hat are Richardson-extrapolated eigenvalue estimates.
     eta_eigen/zeta_eigen are the extreme eigenvalues of J_truncation, and
-    eta_bisection/zeta_bisection the outer ends of the positivity
-    bisection, which bisects the same Sturm count to EDGE_TOL/8; their gap,
-    `discrepancy`, measures that stop, not a second route.
+    eta_bisection/zeta_bisection the positivity ends: the same eigenvalues
+    moved outward to a bisection's EDGE_TOL/8 stop.  Their gap,
+    `discrepancy`, is at most EDGE_TOL/8 by construction.
     """
 
     eta_hat: float
@@ -235,17 +235,20 @@ class SupportEdges:
 
 
 def support_edges(chain: ChainSpec, truncation: int = 2000) -> SupportEdges:
-    """Edge estimates from (a) extreme eigenvalues of J_N, N = truncation,
-    Richardson-extrapolated over N and N/2, and (b) bisection on the
-    positivity predicates, in float64 at every precision.  By interlacing,
-    "Q_k(x) > 0 for all k <= N" is "the Sturm count of J_N at x is N" and
-    "(-1)^k Q_k(x) > 0 for all k <= N" is "it is 0", so both bisect one count
-    on one fixed-point J_N, whose leading block is J_{N/2}: (a) to adjacent
-    doubles, (b) from 10 EDGE_TOL outside (a) to EDGE_TOL/8."""
+    """Edge estimates from the extreme eigenvalues of J_N, N = truncation,
+    Richardson-extrapolated over N and N/2, in float64 at every precision:
+    Sturm-count bisections of one fixed-point J_N, whose leading block is
+    J_{N/2}, to adjacent doubles.  By interlacing, "Q_k(x) > 0 for all
+    k <= N" is "the Sturm count of J_N at x is N", which on the doubles
+    (bar one 2^-77 grid step near 0) is x > eta_eigen, and "(-1)^k Q_k(x)
+    > 0 for all k <= N" is "it is 0", x <= zeta_eigen.  The positivity ends
+    bisect those comparisons from 10 EDGE_TOL outside to EDGE_TOL/8.  An
+    eigenvalue 10 EDGE_TOL beyond [-1, 1] raises the MalformedChainError of
+    the first row of J_N that breaks ChainSpec.validate's law."""
     if truncation < 50:
         raise ValueError("truncation must be >= 50")
     d, e = jacobi_arrays_f64(chain, truncation)
-    fd, fe2 = fixed = _fixed_jacobi(d, e)
+    fd, fe2 = _fixed_jacobi(d, e)
     (eta_c, zeta_c), (eta_f, zeta_f) = (
         [extreme_eigen_f64(d[:n], e[:n - 1], which, (fd[:n], fe2[:n - 1]))
          for which in ("max", "min")]
@@ -256,21 +259,15 @@ def support_edges(chain: ChainSpec, truncation: int = 2000) -> SupportEdges:
     pad = 10 * EDGE_TOL
     top, bottom = 1.0 + pad, -1.0 - pad
     # a tail past the validated prefix may put an eigenvalue outside [-1, 1]
-    for end, count, kind in ((top, truncation, "positivity predicate false at bracket end"),
-                             (bottom, 0, "alternating-positivity predicate false at")):
-        if _count_below(fixed, end) != count:
-            raise MethodsDisagreeError(f"{chain.label}: {kind} {end}")
-    eta_bis = _bisect_count(fixed, truncation - 1, eta_f - pad, top, EDGE_TOL / 8)[1]
-    zeta_bis = _bisect_count(fixed, 0, bottom, zeta_f + pad, EDGE_TOL / 8)[0]
-
-    discrepancy = max(abs(eta_bis - eta_f), abs(zeta_bis - zeta_f))
-    if discrepancy > 10 * EDGE_TOL:
-        raise MethodsDisagreeError(
-            f"{chain.label}: edge routes disagree by {discrepancy:.3g} "
-            f"(tol {EDGE_TOL:g})"
-        )
-    method = "cross-checked" if discrepancy <= EDGE_TOL else "jacobi-eigen"
-    return SupportEdges(eta_hat, zeta_hat, method, truncation, discrepancy,
+    if eta_f >= top or zeta_f < bottom:
+        chain._check_rows(truncation)
+        kind, end = (("positivity predicate false at bracket end", top) if eta_f >= top
+                     else ("alternating-positivity predicate false at", bottom))
+        raise MethodsDisagreeError(f"{chain.label}: {kind} {end}")
+    eta_bis = _bisect(lambda x: x <= eta_f, eta_f - pad, top, EDGE_TOL / 8)[1]
+    zeta_bis = _bisect(lambda x: x <= zeta_f, bottom, zeta_f + pad, EDGE_TOL / 8)[0]
+    return SupportEdges(eta_hat, zeta_hat, "cross-checked", truncation,
+                        max(eta_bis - eta_f, zeta_f - zeta_bis),
                         eta_f, eta_bis, zeta_f, zeta_bis)
 
 

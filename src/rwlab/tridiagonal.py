@@ -3,8 +3,8 @@ eigenvalues, and Golub-Welsch quadrature.
 
 Extreme eigenvalues are float64 at every precision: Sturm bisection on a
 fixed-point grid, on Python integers scaled by 2^F with F = 53 +
-_GUARD_BITS, run until the bracket ends are adjacent doubles by
-_bisect_count, which the edges' positivity bisection runs too.  Golub-Welsch
+_GUARD_BITS, run by _bisect, the one scalar bisection loop, until the
+bracket ends are adjacent doubles.  Golub-Welsch
 has two backends, both from eigenvalues alone: no eigenvector matrix and no
 BLAS call reaches their output, which is therefore the same on every BLAS
 thread count.  The float64 one (digits <= 16) bisects each node with
@@ -130,16 +130,11 @@ def _count_below(fixed: tuple[list, list], x: float) -> int:
     return sturm_count(*fixed, round(math.ldexp(x, _BITS)))
 
 
-def _bisect_count(fixed: tuple[list, list], threshold: int, lo: float, hi: float,
-                  stop: float) -> tuple[float, float]:
-    """The bracket [lo, hi] of the predicate _count_below(fixed, x) <=
-    threshold, which holds at lo and fails at hi, halved until it is at most
-    `stop` wide or its ends are adjacent doubles."""
+def _bisect(holds, lo: float, hi: float, stop: float) -> tuple[float, float]:
+    """[lo, hi] of a monotone predicate that holds at lo and fails at hi,
+    halved until at most `stop` wide or its ends are adjacent doubles."""
     while hi - lo > stop and lo < (mid := (lo + hi) / 2) < hi:
-        if _count_below(fixed, mid) <= threshold:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
     return lo, hi
 
 
@@ -151,8 +146,9 @@ def extreme_eigen_f64(d: np.ndarray, e: np.ndarray, which: str, fixed=None) -> f
     absolute, which suits a chain's Jacobi entries (all at most 1).  `fixed`
     is _fixed_jacobi(d, e) when the caller holds it already."""
     threshold = len(d) - 1 if which == "max" else 0
-    return _bisect_count(fixed or _fixed_jacobi(d, e), threshold,
-                         *_gershgorin(d.tolist(), e.tolist()), math.ldexp(1.0, -_BITS))[0]
+    fixed = fixed or _fixed_jacobi(d, e)
+    return _bisect(lambda x: _count_below(fixed, x) <= threshold,
+                   *_gershgorin(d.tolist(), e.tolist()), math.ldexp(1.0, -_BITS))[0]
 
 
 def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -459,7 +459,7 @@ def test_edge_subcommands_on_prefix_only_chains(tmp_path, capsys):
                                      for col in (chain.p, chain.q, chain.r, chain.kappa)))
     config = tmp_path / "short.cfg"
     config.write_text(ff.chain_to_text(short) + "\n[run]\nprecision = 15\n")
-    for sub in ("edges", "christoffel"):
+    for sub in ("edges", "christoffel", "conjecture"):
         assert run(sub, "--config", str(config), "--out", out) == 3
         records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert len(records) == 1

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import bundled, chain_transient_killing
+from rwlab import tridiagonal
 from rwlab.chains import ChainSpec, rule
-from rwlab.errors import MethodsDisagreeError, PrecisionExhaustedError
+from rwlab.errors import MalformedChainError, PrecisionExhaustedError
 from rwlab.measures import monte_carlo_absorption
 from rwlab.polynomials import (
+    EDGE_TOL,
     SupportEdges,
     absorption_probabilities,
     cd_identity_residual,
@@ -22,6 +24,7 @@ from rwlab.polynomials import (
     q_at_one_growth,
     support_edges,
 )
+from rwlab.recover import recover_chain
 
 
 def chebyshev_t(n, x):
@@ -193,6 +196,12 @@ PINNED_EDGES = {
         0.9165151352424622, -0.9165151352424623, "cross-checked", 2000,
         3.432712614159783e-08, 0.9165140111076276, 0.9165140454347537,
         -0.9165140111076278, -0.9165140454347539),
+    # zeta_eigen lies within 2^-24 of 0, where the 2^-77 grid is coarser
+    # than the doubles and the eigenvalue bisection stops at one grid step
+    ("chain_b", 4000): SupportEdges(
+        0.9999999999999979, 1.9817815858740785e-15, "cross-checked", 4000,
+        1.927657100608826e-08, 0.9999999614468582, 0.9999999807234292,
+        3.8553141696289964e-08, 2.4772161769236313e-08),
 }
 
 
@@ -203,14 +212,38 @@ def test_support_edges_bit_for_bit(name, truncation):
 
 def test_eigenvalue_beyond_the_validated_prefix_is_refused():
     # rows within 1.7e-17 of a probability vector through j = 200, so the
-    # chain validates, but r_1000 = 3/2 puts an eigenvalue of J_2000 above
-    # the positivity bracket's end
+    # chain validates, but the r tail puts an eigenvalue of J_2000 above the
+    # positivity bracket's end; the refusal names the first of its rows
+    # whose sum is more than SUM_TOL off 1
     chain = ChainSpec("late-outlier", p=rule(["1/2"], "1/4"), q=rule(["0"], "1/4"),
                       r=rule(["1/2"], "1/2 + j^24/10^72"))
+    chain.validate()
     assert chain.at(1000)[2] == 1.5
-    with pytest.raises(MethodsDisagreeError,
-                       match="late-outlier: positivity predicate false at bracket end 1.00001"):
+    with pytest.raises(MalformedChainError,
+                       match=r"late-outlier: p\+q\+r\+kappa = 1.0000000000000109 at j=262$"):
         support_edges(chain, 2000)
+
+
+@pytest.mark.parametrize("name", ["chain_b", "chain_c", "weight_e"])
+def test_support_edges_counts_only_its_eigenvalue_bisections(name, monkeypatch):
+    # the positivity ends are read off the extreme eigenvalues: one call
+    # runs the Sturm counts of its four eigenvalue bisections and no more
+    chain = bundled(name)
+    if name == "weight_e":  # its recovered chain, one row beyond J_2000
+        chain = recover_chain(chain, 2001)[2].chain
+    calls = []
+    sturm_count = tridiagonal.sturm_count
+    monkeypatch.setattr(tridiagonal, "sturm_count",
+                        lambda *args: calls.append(None) or sturm_count(*args))
+    d, e = tridiagonal.jacobi_arrays_f64(chain, 2000)
+    for n in (1000, 2000):
+        for which in ("max", "min"):
+            tridiagonal.extreme_eigen_f64(d[:n], e[:n - 1], which)
+    expected, calls[:] = len(calls), []
+    edges = support_edges(chain, 2000)
+    assert len(calls) == expected
+    assert edges.discrepancy < EDGE_TOL / 8
+    assert edges.method == "cross-checked"
 
 
 def test_q_growth(chain_a):

@@ -9,7 +9,9 @@ this repository's `configs/` that has the section it needs, plus `edges`,
 `measure` and `christoffel` at `--precision 34` on chain_b and chain_s
 (`measure` at truncation 60 and at the benchmark's 400), `edges
 --precision 15 --truncation 2000` on chain_a, chain_c, chain_k and
-constant_killing for the edge solve at N = 2000 on chains, `measure` and
+constant_killing for the edge solve at N = 2000 on chains, `edges
+--precision 15 --truncation 4000` on chain_b, whose bottom eigenvalue lies
+where the fixed-point grid is coarser than the doubles, `measure` and
 `edges` at `--precision 60` on chain_c for a second fixed-point width,
 `measure --truncation 400` at `--precision 20` on chain_b and at
 `--precision 60` on chain_s, so that every sequence of Newton passes of
@@ -72,6 +74,7 @@ EXTRA = [
         ("edges", ("chain_b", "chain_s"), "34", ("--truncation", "1000")),
         ("edges", ("chain_a", "chain_c", "chain_k", "constant_killing"), "15",
          ("--truncation", "2000")),
+        ("edges", ("chain_b",), "15", ("--truncation", "4000")),
         ("measure", ("chain_b", "chain_s"), "34", ("--truncation", "60")),
         ("measure", ("chain_b", "chain_s"), "34", ("--truncation", "400")),
         ("measure", ("chain_c",), "60", ("--truncation", "100")),
