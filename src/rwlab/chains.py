@@ -112,10 +112,13 @@ class ChainSpec:
 
     def _float_columns(self, n: int) -> tuple[np.ndarray, ...]:
         """Read-only float64 p, q, r, kappa and ln pi covering j = 0..n (they
-        may run longer), rebuilt to exactly n when n runs past the table."""
+        may run longer), rebuilt to exactly n when n runs past the table.  A
+        p_j or q_j (j >= 1) that is not > 0 is _check_rows' MalformedChainError."""
         cols = self._table.get("float64")
         if cols is None or len(cols[0]) <= n:
             p, q, r, k = (c.array(n) for c in (self.p, self.q, self.r, self.kappa))
+            if not (np.all(p > 0) and np.all(q[1:] > 0)):  # a row past validate's prefix
+                self._check_rows(n + 1)
             logpi = np.zeros(n + 1)
             logpi[1:] = np.cumsum(np.log(p[:-1]) - np.log(q[1:]))
             cols = self._table["float64"] = (p, q, r, k, logpi)

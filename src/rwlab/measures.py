@@ -79,9 +79,13 @@ def _measure_from_arrays(nodes, weights) -> DiscreteMeasure:
 def quadrature_from_chain(chain: ChainSpec, N: int, digits: int = DEFAULT_DIGITS) -> DiscreteMeasure:
     """N-point Gauss rule of the chain's measure: eigenvalues of the N x N
     symmetrized Jacobi truncation and squared first eigenvector components.
-    Exact for the first 2N-1 moments up to arithmetic error."""
+    Exact for the first 2N-1 moments up to arithmetic error.  A prefix-only
+    chain with fewer than N rows is an InputError."""
     if N < 2:
         raise ValueError("N must be >= 2")
+    if N > chain.depth:
+        raise InputError(f"{chain.label}: the {N}-point quadrature needs {N} rows of the "
+                         f"Jacobi matrix, but the chain has depth {chain.depth}")
     if chain.has_killing():
         raise ChainHasKillingError(
             f"{chain.label}: quadrature is defined for honest chains"

@@ -7,17 +7,16 @@ _GUARD_BITS, run by _bisect, the one scalar bisection loop, until the
 bracket ends are adjacent doubles.  Golub-Welsch
 has two backends, both from eigenvalues alone: no eigenvector matrix and no
 BLAS call reaches their output, which is therefore the same on every BLAS
-thread count.  The float64 one (digits <= 16) bisects each node with
-vectorized float64 Sturm counts to a multiple of 2^-53 that the count alone
-fixes, from np.linalg.eigvalsh seeds; each weight is z_0^2 / |z|^2 of the
-twisted factorization at the node plus its Rayleigh correction, in blocks
-of _BLOCK nodes.  The high-precision one above takes its Jacobi arrays as
-mpf.  Its nodes are Newton-polished float64 nodes, all nodes at once on
-numpy object arrays, in fixed point at the working precision in bits plus
-_GUARD_BITS, until every step is below the guard grid.  Each weight is
-1/sum v_j^2 for the node's eigenvector v with v_0 = 1, run forward from the
-first index and backward from the last and joined at the twist index of the
-converged node: decaying ones keep their weight.
+thread count.  Both run one algorithm: the twisted eigenvector at the node,
+its Rayleigh correction, and the weight from its norm.  The float64 one
+(digits <= 16) bisects each node with vectorized float64 Sturm counts to a
+multiple of 2^-53 that the count alone fixes, from np.linalg.eigvalsh seeds,
+in blocks of _BLOCK nodes.  The high-precision one above moves the float64
+nodes, all at once on numpy object arrays in fixed point at the working
+precision in bits plus _GUARD_BITS, by the Rayleigh steps of their
+eigenvectors v, v_0 = 1, run forward from the first index and backward from
+the last and joined at the twist index, until every step is below the guard
+grid; decaying eigenvectors keep their weight 1/sum v_j^2.
 
 _three_term is the one forward recurrence of the polynomial family, on mpf
 or on float64 node arrays; _three_term_f64 is its scalar float64 form with a
@@ -35,7 +34,7 @@ from .errors import PrecisionExhaustedError
 
 FLOAT_DIGITS = 16
 _GUARD_BITS = 24
-_MAX_PASSES = 16  # Newton passes before unsettled nodes raise
+_MAX_PASSES = 16  # Rayleigh steps before unsettled nodes raise
 _BLOCK = 512  # nodes per float64 work array of N x _BLOCK
 # nodes per twist-index block of the high-precision rule, whose N x 64
 # pivots stay below the seeds' dense matrix at N = 400
@@ -297,70 +296,63 @@ def golub_welsch_f64(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return nodes, np.concatenate(weights)
 
 
-def _eigenvector_sums(x, a: list, b: list, inv: list, join, bits: int):
-    """(sum_{j<join} v_j^2 at scale 2^(2F), v_join at scale 2^F) per node of
-    v_0 = 1, v_{j+1} = ((x - b_j) v_j - a_j v_{j-1}) / a_{j+1}, row j over
-    the nodes of join > j only: a shrinking prefix once sorted by join."""
+def _eigenvector_sums(x, a, b, inv: list, join, bits: int):
+    """(sum_{j<join} v_j^2 at scale 2^(2F), v_{join-1} and v_join at scale
+    2^F) per node of v_0 = 1, v_{j+1} = ((x - b_j) v_j - a_j v_{j-1}) /
+    a_{j+1}, row j over the nodes of join > j only: a shrinking prefix once
+    sorted by join.  This is the one fixed-point loop of golub_welsch_mpf."""
     order = np.argsort(-join, kind="stable")
     x, join = x[order], join[order]
     live = np.searchsorted(-join, -np.arange(join[0] + 1))  # live[j]: nodes with join > j
     prev, cur = np.zeros(len(x), dtype=object), np.full(len(x), 1 << bits, dtype=object)
-    total, at_join = np.zeros(len(x), dtype=object), cur.copy()
+    total, before, at_join = prev.copy(), prev.copy(), cur.copy()
     for j in range(join[0]):
         m, ending = live[j], live[j + 1]
         cur = cur[:m]
         total[order[:m]] += cur * cur
         prev, cur = cur, ((x[:m] - b[j]) * cur - a[j] * prev[:m]) * inv[j + 1] >> 2 * bits
-        at_join[order[ending:m]] = cur[ending:]
-    return total, at_join
+        before[order[ending:m]], at_join[order[ending:m]] = prev[ending:], cur[ending:]
+    return total, before, at_join
 
 
 def golub_welsch_mpf(chain, size: int, digits: int):
-    """High-precision nodes/weights: Newton passes from the _nodes_f64 seeds
-    on u = a_size p_size (u' too while the steps reach 2^-(prec/2)) until
-    every step is below 2^(_GUARD_BITS-4) units, else PrecisionExhaustedError;
-    weights from the eigenvector run forward to, and backward from the end
-    to, the twist index of the converged nodes."""
+    """High-precision nodes/weights from the _nodes_f64 seeds, all at once:
+    each pass joins at the float64 twist index r the eigenvector v run
+    forward to r and backward from the end, and moves each node by the
+    Rayleigh step v_r ((T - x) v)_r / |v|^2.  Once every step is below
+    2^(_GUARD_BITS-4) units, the next pass gives the weights 1/|v|^2; after
+    _MAX_PASSES steps without that, PrecisionExhaustedError."""
     d64, e64 = jacobi_arrays_f64(chain, size)
-    seeds = _nodes_f64(d64, e64)
+    seeds, e2 = _nodes_f64(d64, e64), e64 * e64
     with mp.workdps(digits + 10):
         dg, eg = jacobi_arrays_mpf(chain, size)
         bits = mp.mp.prec + _GUARD_BITS
-        b = [_fixed(v, bits) for v in dg]
-        a = [0, *(_fixed(v, bits) for v in eg), 0]  # a[k], k = 1..size-1; a[size] = 0
+        b = np.array([_fixed(v, bits) for v in dg], dtype=object)
+        # a[k], k = 1..size-1; a[size] = 0
+        a = np.array([0, *(_fixed(v, bits) for v in eg), 0], dtype=object)
         inv = [0, *(_fixed(1 / v, bits) for v in eg), 0]
-        x = np.array([_fixed(s, bits) for s in seeds], dtype=object)
-        step = fresh = 1 << bits - mp.mp.prec // 2
-        for _ in range(_MAX_PASSES):
-            p_prev, p, dp_prev, dp = 0, 1 << bits, 0, 0
-            for k in range(size):
-                xb = x - b[k]
-                if step >= fresh:  # after a smaller step the last u' is exact enough
-                    du = (p << bits) + xb * dp - a[k] * dp_prev
-                    dp_prev, dp = dp, du * inv[k + 1] >> 2 * bits
-                u = xb * p - a[k] * p_prev
-                p_prev, p = p, u * inv[k + 1] >> 2 * bits
-            moved = du != 0
-            dx = (u[moved] << bits) // du[moved]
-            x[moved] -= dx
-            step = max(map(abs, dx), default=0)
+        x, step = np.array([_fixed(s, bits) for s in seeds], dtype=object), 1 << bits
+        for passes in range(_MAX_PASSES + 1):
+            # the guard bits only absorb the loop's rounding: the nodes are
+            # returned on the grid 2^-prec, so that a node at zero is exactly 0
+            grid = (x + (1 << _GUARD_BITS - 1)) >> _GUARD_BITS
+            at = np.array([math.ldexp(v, -mp.mp.prec) for v in grid])
+            r = np.concatenate([_twist(d64, x64, _pivots(d64, e2, x64))[0]
+                                for x64 in np.split(at, range(_TWIST_BLOCK, size, _TWIST_BLOCK))])
+            lower, fp, fm = _eigenvector_sums(x, a, b, inv, r, bits)
+            upper, gp, gm = _eigenvector_sums(x, a[::-1], b[::-1], inv[::-1], size - 1 - r, bits)
+            # the backward solution, rescaled to meet the forward one at r
+            total = lower + fm * fm + upper * fm * fm // (gm * gm)
             if step < 1 << _GUARD_BITS - 4:
                 break
-        else:
-            raise PrecisionExhaustedError(
-                f"Golub-Welsch at size {size}, {digits} digits: the largest Newton step is "
-                f"{mp.nstr(mp.ldexp(step, -bits), 3)} after {_MAX_PASSES} passes")
-        # the guard bits only absorb the loops' rounding: return the nodes on
-        # the grid 2^-prec, so that a node at zero comes out as exactly 0
-        grid = (x + (1 << _GUARD_BITS - 1)) >> _GUARD_BITS
-        e2 = e64 * e64
-        at = np.array([math.ldexp(v, -mp.mp.prec) for v in grid])
-        twist = np.concatenate([_twist(d64, x64, _pivots(d64, e2, x64))[0]
-                                for x64 in np.split(at, range(_TWIST_BLOCK, size, _TWIST_BLOCK))])
-        lower, fm = _eigenvector_sums(x, a, b, inv, twist, bits)
-        upper, gm = _eigenvector_sums(x, a[::-1], b[::-1], inv[::-1], size - 1 - twist, bits)
-        # the backward solution, rescaled to meet the forward one at the twist
-        total = lower + fm * fm + upper * fm * fm // (gm * gm)
+            if passes == _MAX_PASSES:
+                raise PrecisionExhaustedError(
+                    f"Golub-Welsch at size {size}, {digits} digits: the largest Rayleigh step "
+                    f"is {mp.nstr(mp.ldexp(step, -bits), 3)} after {_MAX_PASSES} steps")
+            # (T - x) v is 0 but in row r: a_r v_{r-1} + (b_r - x) v_r + a_{r+1} v_{r+1}
+            dx = fm * (a[r] * fp + (b[r] - x) * fm + a[r + 1] * (gp * fm // gm)) // total
+            x += dx
+            step = max(map(abs, dx))
         order = sorted(range(size), key=lambda k: x[k])
         nodes = [mp.ldexp(grid[k], -mp.mp.prec) for k in order]
         weights = [mp.ldexp(1 / mp.mpf(total[k]), 2 * bits) for k in order]

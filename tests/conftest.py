@@ -1,7 +1,8 @@
 """Shared inputs and fixtures: the bundled chains and weights, read from
 their one definition in `configs/*.cfg`; four test-only chains that no
-config uses; and the expensive pipeline artifacts (quadratures, edge
-solves, full weight pipelines), built once per session."""
+config uses, and one that breaks the law past its validated rows; and the
+expensive pipeline artifacts (quadratures, edge solves, full weight
+pipelines), built once per session."""
 
 import os
 import time
@@ -77,6 +78,17 @@ def chain_polyhold() -> ChainSpec:
         q=rule(["0", "1/4"], "(1 - 1/j^2)/2"),
         r=rule(["0", "1/2"], "1/j^2"),
         kappa=rule([], "0"),
+    )
+
+
+def chain_negative_tail() -> ChainSpec:
+    """Valid on the rows validate checks (j <= 200), but q_955 < 0: kept out
+    of TEST_ONLY_CHAINS, whose chains hold the law at every row."""
+    return ChainSpec(
+        "neg-tail",
+        p=rule([], "1/4"),
+        q=rule(["0"], "1/4 - j^30/10^90"),
+        r=rule(["3/4"], "1/2 + j^30/10^90"),
     )
 
 

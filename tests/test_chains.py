@@ -15,6 +15,7 @@ from conftest import (
     TEST_ONLY_CHAINS,
     bundled,
     chain_geometric_transient,
+    chain_negative_tail,
     chain_polyhold,
     chain_r4_transient,
     chain_transient_killing,
@@ -33,6 +34,8 @@ from rwlab.chains import (
     series_L,
 )
 from rwlab.errors import ChainHasKillingError, MalformedChainError
+from rwlab.measures import quadrature_from_chain
+from rwlab.polynomials import support_edges
 
 
 def test_validation_errors():
@@ -314,3 +317,19 @@ def test_float_columns_come_from_one_table(monkeypatch):
     assert calls == [400] * 4
     for col, longer in zip(first, grown):
         assert np.array_equal(longer[:301], col)
+
+
+@pytest.mark.parametrize("solve", [
+    pytest.param(lambda chain: support_edges(chain, 2000), id="edges"),
+    pytest.param(lambda chain: quadrature_from_chain(chain, 2000, 15), id="quadrature-15"),
+    pytest.param(lambda chain: quadrature_from_chain(chain, 2000, 34), id="quadrature-34"),
+])
+def test_a_row_past_the_validated_prefix_is_named(solve):
+    # q_955 < 0 lies past the rows validate checks: the float64 table names
+    # it before any logarithm of it runs
+    chain = chain_negative_tail()
+    chain.validate()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MalformedChainError, match=r"^neg-tail: q_955 = -\d+/\d+ not > 0$"):
+            solve(chain)

@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 import rwlab
-from conftest import CONFIGS, bundled
+from conftest import CONFIGS, bundled, chain_negative_tail
 from rwlab import fileformats as ff
 from rwlab import asymptotics
 from rwlab.chains import ChainSpec, CoeffRule, rule
@@ -465,6 +465,31 @@ def test_edge_subcommands_on_prefix_only_chains(tmp_path, capsys):
         assert len(records) == 1
         assert records[0]["code"] == "input"
         assert "depth 40" in records[0]["message"]
+
+
+@pytest.mark.parametrize("sub", ["measure", "cn", "conjecture"])
+def test_quadrature_past_the_depth_of_a_prefix_only_chain(tmp_path, capsys, sub):
+    # the N-point rule needs N rows: the refusal names the chain and its depth
+    assert run(sub, "--config", cfg("chain_recovered.cfg"), "--out", str(tmp_path / "r"),
+               "--truncation", "500") == 3
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert len(records) == 1
+    assert records[0]["code"] == "input"
+    assert "weight-e-chain" in records[0]["message"]
+    assert "depth 64" in records[0]["message"]
+
+
+@pytest.mark.parametrize("sub", ["edges", "measure"])
+def test_a_row_past_the_validated_prefix_is_one_record(tmp_path, capsys, sub):
+    # q_955 < 0 lies past the rows validate checks (j <= 200)
+    config = tmp_path / "neg.cfg"
+    config.write_text(ff.chain_to_text(chain_negative_tail()) + "\n[run]\nprecision = 15\n")
+    assert run(sub, "--config", str(config), "--out", str(tmp_path / "o"),
+               "--truncation", "2000") == 3
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert len(records) == 1
+    assert records[0]["code"] == "MalformedChainError"
+    assert records[0]["message"].startswith("neg-tail: q_955 = -")
 
 
 def test_weight_smooth_factor_takes_integer_powers(tmp_path):

@@ -1,9 +1,11 @@
 """The tridiagonal kernels of both backends against an independent oracle
 (mpmath's dense symmetric eigensolver at 60 digits), high-precision
-quadrature moments against exact return probabilities, and the quadrature
-weights of a chain whose lowest eigenvector decays."""
+quadrature moments against exact return probabilities, the quadrature
+weights of a chain whose lowest eigenvector decays, and the high-precision
+rule's output bits and Rayleigh step counts."""
 
 import functools
+import hashlib
 import math
 from fractions import Fraction
 
@@ -105,9 +107,9 @@ def _return_probabilities(name, size):
 @pytest.mark.parametrize("digits", [20, 34, 60])
 @pytest.mark.parametrize("name", ["chain_c", "chain_s"])
 def test_moments_match_exact_return_probabilities(name, digits):
-    # 20, 34 and 60 digits take different sequences of full Newton passes
-    # and passes that reuse the last derivative; the N-point rule carries
-    # the moments 0..2N-1 of the chain's measure
+    # 20, 34 and 60 digits take three, three and four Rayleigh steps from
+    # the float64 seeds; the N-point rule carries the moments 0..2N-1 of the
+    # chain's measure
     size = 100
     m = quadrature_from_chain(bundled(name), size, digits=digits)
     with mp.workdps(digits + 10):
@@ -120,7 +122,7 @@ def test_moments_match_exact_return_probabilities(name, digits):
 
 
 def test_unsettled_newton_passes_raise(monkeypatch, chain_b):
-    # one pass leaves the float64 seeds' error of about 1e-16 in the step
+    # one Rayleigh step leaves the float64 seeds' error of about 1e-16 in the step
     monkeypatch.setattr(tridiagonal, "_MAX_PASSES", 1)
     with pytest.raises(PrecisionExhaustedError, match="size 60, 34 digits"):
         golub_welsch_mpf(chain_b, 60, 34)
@@ -214,3 +216,32 @@ def test_positivity_predicates_are_the_sturm_count(name, size):
             count = tridiagonal._count_below(fixed, x)
             assert bool(np.all(sign > 0)) == (count == size), (which, x, count)
             assert bool(np.all(sign * alternate > 0)) == (count == 0), (which, x, count)
+
+
+@pytest.mark.parametrize("name, size, digits, digest", [
+    ("chain_b", 400, 34, "417a988decf895eda37b0bbf4ee96e559282c732f970bd18b4bba2cd631aea1e"),
+    ("chain_s", 400, 34, "33dbad2dc508dbc45a1f2a634a5a310a9e133859b94167c6a0d3740d3b9a836f"),
+    ("chain_c", 100, 60, "3c3d015f299684f07c87292fe25ea82dc06e2c1c8b5a0f725b9652e6e01855db"),
+    ("chain_s", 200, 100, "50b4b770d3fd215dccac40ca39eda205c5aa4059372260f63ea857a085a70bb4"),
+])
+def test_high_precision_rule_is_pinned_bit_for_bit(name, size, digits, digest):
+    # the mpf bits of every node and weight, so that a change to the
+    # rule's iteration shows any output bit it moves; (400, 34) is the
+    # highprec benchmark's measure job
+    nodes, weights = golub_welsch_mpf(bundled(name), size, digits)
+    bits = repr([v._mpf_ for v in nodes + weights]).encode()
+    assert hashlib.sha256(bits).hexdigest() == digest
+
+
+@pytest.mark.parametrize("digits, most", [(20, 3), (34, 3), (60, 4)])
+@pytest.mark.parametrize("name", ["chain_b", "chain_c", "chain_s"])
+def test_rayleigh_steps_per_rule(monkeypatch, name, digits, most):
+    # each pass is one forward and one backward eigenvector run: k Rayleigh
+    # steps from the float64 seeds (each at least squares the error), then
+    # the weight pass at the converged nodes
+    calls = []
+    sums = tridiagonal._eigenvector_sums
+    monkeypatch.setattr(tridiagonal, "_eigenvector_sums",
+                        lambda *args: calls.append(1) or sums(*args))
+    golub_welsch_mpf(bundled(name), 100, digits)
+    assert len(calls) % 2 == 0 and 2 <= len(calls) // 2 - 1 <= most, len(calls)

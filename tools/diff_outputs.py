@@ -14,9 +14,9 @@ constant_killing for the edge solve at N = 2000 on chains, `edges
 where the fixed-point grid is coarser than the doubles, `measure` and
 `edges` at `--precision 60` on chain_c for a second fixed-point width,
 `measure --truncation 400` at `--precision 20` on chain_b and at
-`--precision 60` on chain_s, so that every sequence of Newton passes of
-the high-precision Golub-Welsch (full passes and passes that reuse the
-last derivative) runs at the benchmark's size,
+`--precision 60` on chain_s, and `measure --precision 100 --truncation
+200` on chain_s, so that the high-precision Golub-Welsch runs three, four
+and five Rayleigh steps, the first two at the benchmark's size,
 `chain-info`, `polys` and `absorb` at `--precision 34` for the
 coefficient-level series, polynomial and absorption paths at the default
 working precision, `measure --precision 15 --truncation 1000` on chain_b
@@ -80,6 +80,7 @@ EXTRA = [
         ("measure", ("chain_c",), "60", ("--truncation", "100")),
         ("measure", ("chain_b",), "20", ("--truncation", "400")),
         ("measure", ("chain_s",), "60", ("--truncation", "400")),
+        ("measure", ("chain_s",), "100", ("--truncation", "200")),
         ("edges", ("chain_c",), "60", ("--truncation", "200")),
         ("christoffel", ("chain_b", "chain_s"), "34",
          ("--truncation", "200", "--horizon", "200")),
